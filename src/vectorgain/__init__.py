@@ -14,7 +14,7 @@ from .network import (
 from .iteration import IterationResult, iterate, sandwich_oracle, lfp_bound_check
 from .synthesis import (
     CompositeGain, OverallGain, SmallGainRequired, SynthesisInput, build_phi,
-    build_theta, overall_gain,
+    overall_gain,
 )
 from .signals import Signal, signal_from_json, signal_to_json
 from .models import (
@@ -30,4 +30,4 @@ from .validate import (
     check_implication, quadratic_channels, recheck_violation,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

@@ -64,6 +64,8 @@ def _load_config(path: str) -> Dict:
     except json.JSONDecodeError as exc:
         raise CliError(f"{path}: invalid JSON at line {exc.lineno}, "
                        f"column {exc.colno}: {exc.msg}")
+    except RecursionError:
+        raise CliError(f"{path}: JSON nested too deeply to decode")
     if not isinstance(cfg, dict):
         raise CliError(f"{path}: top level must be a JSON object")
     return cfg
@@ -129,11 +131,10 @@ class _Out:
                 fh.write(line + "\n")
 
 
-def _emit_common(out: _Out, command: str, cfg: Dict, seed: Optional[int],
-                 jobs: int) -> None:
-    effective = {"command": command, "config": cfg,
-                 "seed": seed, "jobs": jobs}
-    out.write_json("effective_config.json", effective)
+def _emit_common(out: _Out, command: str, cfg: Dict,
+                 seed: Optional[int]) -> None:
+    out.write_json("effective_config.json",
+                   {"command": command, "config": cfg, "seed": seed})
     out.write_json("run_meta.json", {
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "argv": sys.argv[1:],
@@ -173,12 +174,13 @@ def _cmd_check_sg(args) -> int:
     report = check_small_gain(G, _grid_from_analysis(analysis))
     payload = {"command": "check-sg", "small_gain": report.to_json()}
     if not report.holds:
-        witness = gas_witness_search(G, seed=_resolve_seed(args, analysis))
+        witness = gas_witness_search(G, seed=_resolve_seed(args, analysis),
+                                     report=report)
         if witness is not None:
             payload["gas_witness"] = [float(v) for v in witness]
     out = _Out(args.out, args.force)
     out.write_json("report.json", payload)
-    _emit_common(out, "check-sg", cfg, _resolve_seed(args, analysis), args.jobs)
+    _emit_common(out, "check-sg", cfg, _resolve_seed(args, analysis))
     print(report.table())
     return 0 if report.holds else 2
 
@@ -194,7 +196,7 @@ def _cmd_synth(args) -> int:
         out.write_json("report.json", {
             "command": "synth", "status": "small-gain-refuted",
             "small_gain": report.to_json()})
-        _emit_common(out, "synth", cfg, _resolve_seed(args, analysis), args.jobs)
+        _emit_common(out, "synth", cfg, _resolve_seed(args, analysis))
         print(report.table())
         return 2
     comp = overall_gain(inp, report)
@@ -207,7 +209,7 @@ def _cmd_synth(args) -> int:
         s = float(s)
         rows.append(f"{s!r},{comp.theta(s)!r},{comp.overall(s)!r}")
     out.write_lines("gain_table.csv", rows)
-    _emit_common(out, "synth", cfg, _resolve_seed(args, analysis), args.jobs)
+    _emit_common(out, "synth", cfg, _resolve_seed(args, analysis))
     print(f"synthesized composite gain over {G.n} nodes; "
           f"table in {out.dir / 'gain_table.csv'}")
     return 0
@@ -235,7 +237,7 @@ def _cmd_iterate(args) -> int:
     for k, x in enumerate(res.iterates):
         rows.append(f"{k}," + ",".join(repr(float(v)) for v in x))
     out.write_lines("iterates.csv", rows)
-    _emit_common(out, "iterate", cfg, _resolve_seed(args, analysis), args.jobs)
+    _emit_common(out, "iterate", cfg, _resolve_seed(args, analysis))
     print(f"iteration {res.status} after {res.steps} steps")
     return 0 if res.status == "converged" else 2
 
@@ -283,7 +285,7 @@ def _cmd_simulate(args) -> int:
         out.write_json("report.json", {
             "command": "simulate", "status": "finite-escape",
             "escape_time": exc.time})
-        _emit_common(out, "simulate", cfg, seed, args.jobs)
+        _emit_common(out, "simulate", cfg, seed)
         print(f"finite escape at t = {exc.time:g}")
         return 2
     final = traj.states[-1]
@@ -293,7 +295,7 @@ def _cmd_simulate(args) -> int:
         "final_state": [float(v) for v in final],
         "final_sup_norm": float(np.max(np.abs(final)))})
     _emit_trajectory(out, traj)
-    _emit_common(out, "simulate", cfg, seed, args.jobs)
+    _emit_common(out, "simulate", cfg, seed)
     print(f"simulated to t = {traj.times[-1]:g}; "
           f"final sup-norm {np.max(np.abs(final)):.3e}")
     return 0
@@ -313,7 +315,7 @@ def _cmd_validate(args) -> int:
         out.write_json("report.json", {
             "command": "validate", "status": "finite-escape",
             "escape_time": exc.time})
-        _emit_common(out, "validate", cfg, seed, args.jobs)
+        _emit_common(out, "validate", cfg, seed)
         print(f"finite escape at t = {exc.time:g}")
         return 2
     channels = quadratic_channels(traj.n)
@@ -332,8 +334,9 @@ def _cmd_validate(args) -> int:
     if "gains" in cfg and "synthesis" in cfg and "u_sup" in analysis:
         G = _gains_from_config(cfg)
         inp = _synthesis_from_config(cfg, G)
+        report = check_small_gain(G, _grid_from_analysis(analysis))
         try:
-            comp = overall_gain(inp)
+            comp = overall_gain(inp, report)
         except SmallGainRequired as exc:
             raise CliError(str(exc))
         ag = check_asymptotic_gain(
@@ -347,7 +350,7 @@ def _cmd_validate(args) -> int:
     payload["status"] = "passed" if ok else "failed"
     out.write_json("report.json", payload)
     _emit_trajectory(out, traj)
-    _emit_common(out, "validate", cfg, seed, args.jobs)
+    _emit_common(out, "validate", cfg, seed)
     print("\n".join(lines + [f"overall: {payload['status']}"]))
     return 0 if ok else 2
 
@@ -360,7 +363,7 @@ def _cmd_repro(args) -> int:
     out = _Out(args.out, args.force)
     out.write_json("report.json", {"command": "repro", "recipe": args.name,
                                    **result})
-    _emit_common(out, "repro", {"recipe": args.name}, args.seed, args.jobs)
+    _emit_common(out, "repro", {"recipe": args.name}, args.seed)
     print(f"repro {args.name}: {'PASS' if result['passed'] else 'FAIL'}")
     return 0 if result["passed"] else 2
 
@@ -382,9 +385,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None,
                        help="seed overriding analysis.seed")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="parallelism bound (results are identical "
-                            "for any value)")
         p.add_argument("--force", action="store_true",
                        help="overwrite existing output files")
 
@@ -415,9 +415,6 @@ _DISPATCH = {
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.jobs < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
-        return 1
     try:
         return _DISPATCH[args.command](args)
     except CliError as exc:

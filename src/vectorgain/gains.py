@@ -19,10 +19,13 @@ __all__ = [
     "GainFn", "Zero", "Linear", "Power", "LogExpSq", "Max", "Compose",
     "Scale", "GridSpec", "ContractionVerdict", "GainError", "BracketError",
     "DomainError", "compose_chain", "check_contraction", "invert",
-    "gain_to_json", "gain_from_json", "TOL_INV",
+    "gain_to_json", "gain_from_json", "TOL_INV", "MAX_JSON_DEPTH",
 ]
 
 TOL_INV = 1e-10
+# deepest gain expression gain_from_json accepts: evaluation, normalization
+# and the exact contraction rules recurse once or twice per level
+MAX_JSON_DEPTH = 100
 _BISECT_MAX_ITER = 200
 # exp argument above which LogExpSq switches to its log-space asymptote
 _EXP_OVERFLOW = 700.0
@@ -405,7 +408,15 @@ def gain_to_json(g: GainFn) -> dict:
 
 
 def gain_from_json(d: dict) -> GainFn:
-    """Deserialize a gain expression tree; raises GainError on bad input."""
+    """Deserialize a gain expression tree; raises GainError on bad input,
+    including nesting deeper than MAX_JSON_DEPTH."""
+    return _from_json(d, 1)
+
+
+def _from_json(d: dict, depth: int) -> GainFn:
+    if depth > MAX_JSON_DEPTH:
+        raise GainError(
+            f"gain expression nested deeper than {MAX_JSON_DEPTH} levels")
     try:
         kind = d["kind"]
     except (TypeError, KeyError):
@@ -419,9 +430,10 @@ def gain_from_json(d: dict) -> GainFn:
     if kind == "logexpsq":
         return LogExpSq(float(d["c"]), float(d["th"]))
     if kind == "max":
-        return Max(gain_from_json(d["a"]), gain_from_json(d["b"]))
+        return Max(_from_json(d["a"], depth + 1), _from_json(d["b"], depth + 1))
     if kind == "compose":
-        return Compose(gain_from_json(d["outer"]), gain_from_json(d["inner"]))
+        return Compose(_from_json(d["outer"], depth + 1),
+                       _from_json(d["inner"], depth + 1))
     if kind == "scale":
-        return Scale(float(d["k"]), gain_from_json(d["fn"]))
+        return Scale(float(d["k"]), _from_json(d["fn"], depth + 1))
     raise GainError(f"unknown gain kind {kind!r}")

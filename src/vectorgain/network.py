@@ -211,17 +211,20 @@ def check_small_gain(G: GainMatrix, grid: Optional[GridSpec] = None) -> SmallGai
 
 
 def gas_witness_search(G: GainMatrix, samples: int = 100_000,
-                       radius: float = 1e6,
-                       seed: int = 0) -> Optional[np.ndarray]:
+                       radius: float = 1e6, seed: int = 0,
+                       report: Optional[SmallGainReport] = None
+                       ) -> Optional[np.ndarray]:
     """Search for a nonzero x with Gamma(x) >= x componentwise.
 
     Such an x refutes global asymptotic stability of the iteration.  Tries
-    the deterministic cycle-based witness for every refuted cycle first,
-    then samples log-uniformly.  Returns the witness vector or None.
+    the deterministic cycle-based witness for every refuted cycle of the
+    small-gain report (computed if not supplied) first, then samples
+    log-uniformly.  Returns the witness vector or None.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    report = check_small_gain(G)
+    if report is None:
+        report = check_small_gain(G)
     for cv in report.cycles:
         if cv.skipped or cv.holds or cv.verdict.witness is None:
             continue

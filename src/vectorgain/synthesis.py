@@ -1,27 +1,35 @@
 """Closed-loop gain synthesis.
 
-Builds, as explicit gain expressions: the per-node envelopes phi_i (the
-maximum of the identity and every simple-path chain of couplings leaving
-node i), the scalar composite gain theta, the component maps G_i bounding
-each Lyapunov channel asymptotically, and the overall input-to-state gain
-(the lower comparison function inverted after theta).
+The per-node envelope phi_i(s) is the maximum of s and of every chain of
+couplings gamma_{i,j1} o ... o gamma_{j(l-1),jl} leaving node i.  Under the
+cyclic small-gain condition a chain along a walk that repeats a node is
+dominated by the chain along its simple-path reduction, so the envelope is
+the Q-closure phi_i(s) = Q(s*1)_i with Q(x) = MAX_{k<n} Gamma^k(x)
+(Dashkovskiy, Rueffer and Wirth, "An ISS small gain theorem for general
+networks", MCSS 2007).  The component maps G_i(s) = phi_i(inner(s)) bounding
+each Lyapunov channel asymptotically and the scalar composite gain
+theta(s) = max_i G_i(s) use the same closure, so every synthesized gain is
+one small node evaluated through :func:`network.q_operator` in O(n^3) gain
+calls per point.  The overall input-to-state gain is the lower comparison
+function inverted after theta.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
-from .gains import (
-    BracketError, Compose, GainFn, Linear, Max, Scale, Zero, compose_chain,
-    gain_to_json, invert,
+import numpy as np
+
+from .gains import BracketError, GainFn, Linear, gain_to_json, invert
+from .network import (
+    GainMatrix, SmallGainReport, check_small_gain, gamma_apply, matrix_to_json,
+    q_operator,
 )
-from .network import GainMatrix, SmallGainReport, check_small_gain
 
 __all__ = [
     "SynthesisInput", "CompositeGain", "OverallGain", "SmallGainRequired",
-    "build_phi", "build_theta", "overall_gain", "simple_path_chains",
+    "QEnvelope", "ThetaInner", "build_phi", "overall_gain",
 ]
 
 
@@ -51,42 +59,65 @@ class SynthesisInput:
             raise ValueError(f"M must be >= 1, got {self.M}")
 
 
-def _fold_max(gs: Sequence[GainFn]) -> GainFn:
-    gs = [g for g in gs if not isinstance(g, Zero)]
-    if not gs:
-        return Zero()
-    out = gs[0]
-    for g in gs[1:]:
-        out = Max(out, g)
-    return out
+def _to_json(g: GainFn) -> dict:
+    """gain_to_json, extended by the synthesized nodes of this module."""
+    if isinstance(g, (QEnvelope, ThetaInner)):
+        return g.to_json()
+    return gain_to_json(g)
 
 
-def simple_path_chains(G: GainMatrix, i: int) -> List[List[GainFn]]:
-    """All chains gamma_{i,j1} o ... o gamma_{j_{l-1},j_l} over simple paths.
+@dataclass(frozen=True)
+class QEnvelope(GainFn):
+    """s -> Q(inner(s)*1)_index, or the maximum over all nodes when index
+    is None (0-based here, 1-based in JSON)."""
 
-    Paths start at node i, repeat no index (including i), have 1..n-1
-    edges, and skip any chain through a zero gain.
+    gains: GainMatrix
+    inner: GainFn
+    index: Optional[int] = None
+
+    def _eval(self, s: float) -> float:
+        q = q_operator(self.gains, np.full(self.gains.n, self.inner._eval(s)))
+        return float(q.max() if self.index is None else q[self.index])
+
+    def to_json(self) -> dict:
+        return {"kind": "q_envelope",
+                "index": None if self.index is None else self.index + 1,
+                "gains": matrix_to_json(self.gains),
+                "inner": _to_json(self.inner)}
+
+
+@dataclass(frozen=True)
+class ThetaInner(GainFn):
+    """The common argument fed to every phi_i in theta and in G_i.
+
+    max{M*max(z, max_i p_i(z)), M*max_i max(y_i, p_i(y_i)), z} with
+    z = zeta(s) and y = Gamma(Q(z*1)), that is y_i = max_j gamma_ij(phi_j(z)).
     """
-    n = G.n
-    others = [j for j in range(n) if j != i]
-    chains: List[List[GainFn]] = []
-    for l in range(1, n):
-        for path in itertools.permutations(others, l):
-            nodes = (i,) + path
-            gains = [G.gain(nodes[m], nodes[m + 1]) for m in range(l)]
-            if any(isinstance(g, Zero) for g in gains):
-                continue
-            chains.append(gains)
-    return chains
+
+    gains: GainMatrix
+    zeta: GainFn
+    p_list: Tuple[GainFn, ...]
+    M: float
+
+    def _eval(self, s: float) -> float:
+        G, z = self.gains, self.zeta._eval(s)
+        y = gamma_apply(G, q_operator(G, np.full(G.n, z)))
+        pu = max([z] + [p(z) for p in self.p_list])
+        py = max(max(yi, p(yi)) for yi, p in zip(y, self.p_list))
+        return float(max(self.M * pu, self.M * py, z))
+
+    def to_json(self) -> dict:
+        return {"kind": "theta_inner", "gains": matrix_to_json(self.gains),
+                "zeta": gain_to_json(self.zeta),
+                "p": [gain_to_json(p) for p in self.p_list], "M": self.M}
 
 
 def build_phi(G: GainMatrix,
               report: Optional[SmallGainReport] = None) -> List[GainFn]:
-    """Envelope gains phi_i(s) = max{s, all simple-path chains at s}.
+    """Envelope gains phi_i(s) = Q(s*1)_i.
 
     Requires a passing small-gain report (computed if not supplied):
-    under it, chains with repeated indices are dominated by simple-path
-    chains, so the enumeration here is exhaustive.
+    under it, the first n iterates of Gamma cover every chain of couplings.
     """
     if report is None:
         report = check_small_gain(G)
@@ -94,50 +125,7 @@ def build_phi(G: GainMatrix,
         raise SmallGainRequired(
             "phi construction requires the small-gain condition; "
             f"failing cycle {report.failing_cycle}")
-    phis: List[GainFn] = []
-    for i in range(G.n):
-        branches: List[GainFn] = [Linear(1.0)]
-        for chain in simple_path_chains(G, i):
-            branches.append(compose_chain(chain))
-        phis.append(_fold_max(branches))
-    return phis
-
-
-def _theta_inner(inp: SynthesisInput, phi: Sequence[GainFn]) -> GainFn:
-    """The common argument fed to every phi_i in theta and in G_i.
-
-    max{M*pu(s), M*p(phi_1(zeta(s)), ..., phi_n(zeta(s))), zeta(s)} with
-    pu(s) = max{zeta(s), max_i p_i(zeta(s))} and
-    p(x) = max_{i,j} max{gamma_ij(x_j), p_i(gamma_ij(x_j))}.
-    """
-    G, zeta = inp.gains, inp.zeta
-    pu = _fold_max([zeta] + [Compose(p, zeta) for p in inp.p_list])
-    p_branches: List[GainFn] = []
-    for i in range(G.n):
-        for j in range(G.n):
-            gij = G.gain(i, j)
-            if isinstance(gij, Zero) or isinstance(phi[j], Zero):
-                continue
-            chain = Compose(gij, Compose(phi[j], zeta))
-            p_branches.append(chain)
-            if not isinstance(inp.p_list[i], Zero):
-                p_branches.append(Compose(inp.p_list[i], chain))
-    p_of_phi_zeta = _fold_max(p_branches)
-    if inp.M != 1.0:
-        pu = Scale(inp.M, pu)
-        if not isinstance(p_of_phi_zeta, Zero):
-            p_of_phi_zeta = Scale(inp.M, p_of_phi_zeta)
-    return _fold_max([pu, p_of_phi_zeta, zeta])
-
-
-def build_theta(inp: SynthesisInput,
-                report: Optional[SmallGainReport] = None) -> GainFn:
-    """Composite gain theta(s) = max_i phi_i(inner(s)) as a gain tree."""
-    phi = build_phi(inp.gains, report)
-    inner = _theta_inner(inp, phi)
-    if isinstance(inner, Zero):
-        return Zero()
-    return _fold_max([Compose(f, inner) for f in phi])
+    return [QEnvelope(G, Linear(1.0), i) for i in range(G.n)]
 
 
 class OverallGain:
@@ -166,7 +154,7 @@ class OverallGain:
     def to_json(self) -> dict:
         return {"kind": "inverse_compose",
                 "outer_inverse": gain_to_json(self.a1),
-                "inner": gain_to_json(self.theta)}
+                "inner": _to_json(self.theta)}
 
 
 @dataclass(frozen=True)
@@ -180,9 +168,9 @@ class CompositeGain:
 
     def to_json(self) -> dict:
         return {
-            "phi": [gain_to_json(f) for f in self.phi],
-            "theta": gain_to_json(self.theta),
-            "gmap": [gain_to_json(g) for g in self.gmap],
+            "phi": [_to_json(f) for f in self.phi],
+            "theta": _to_json(self.theta),
+            "gmap": [_to_json(g) for g in self.gmap],
             "overall": self.overall.to_json(),
         }
 
@@ -190,15 +178,10 @@ class CompositeGain:
 def overall_gain(inp: SynthesisInput,
                  report: Optional[SmallGainReport] = None) -> CompositeGain:
     """Assemble phi, theta, the channel bounds G_i and a1^{-1} o theta."""
-    if report is None:
-        report = check_small_gain(inp.gains)
-    phi = build_phi(inp.gains, report)
-    inner = _theta_inner(inp, phi)
-    if isinstance(inner, Zero):
-        gmap: List[GainFn] = [Zero() for _ in phi]
-        theta: GainFn = Zero()
-    else:
-        gmap = [Compose(f, inner) for f in phi]
-        theta = _fold_max(gmap)
-    return CompositeGain(phi=tuple(phi), theta=theta, gmap=tuple(gmap),
+    G = inp.gains
+    phi = build_phi(G, report)
+    inner = ThetaInner(G, inp.zeta, inp.p_list, inp.M)
+    theta = QEnvelope(G, inner)
+    gmap = tuple(QEnvelope(G, inner, i) for i in range(G.n))
+    return CompositeGain(phi=tuple(phi), theta=theta, gmap=gmap,
                          overall=OverallGain(inp.a1, theta))

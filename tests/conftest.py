@@ -1,19 +1,13 @@
 import numpy as np
 import pytest
 
-from vectorgain.gains import Linear
-from vectorgain.network import GainMatrix, check_small_gain
+from vectorgain.network import check_small_gain
+from vectorgain.recipes import random_linear_matrix
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
-
-
-def random_linear_matrix(rng, n, coeff_max=1.5):
-    rows = [[Linear(float(rng.uniform(0.0, coeff_max))) for _ in range(n)]
-            for _ in range(n)]
-    return GainMatrix.from_entries(rows)
 
 
 def random_verified_matrix(rng, n, coeff_max=1.2, max_tries=500):

@@ -20,7 +20,7 @@ from vectorgain.recipes import (
 )
 from vectorgain.signals import Signal
 from vectorgain.simulate import integrate_ode, integrate_sampled
-from vectorgain.synthesis import SynthesisInput, build_theta, overall_gain
+from vectorgain.synthesis import SynthesisInput, overall_gain
 from vectorgain.validate import (
     LyapunovSetup, check_asymptotic_gain, check_implication, ldn_rho,
     quadratic_channels, recheck_violation,
@@ -117,7 +117,7 @@ def test_criterion_05_theta_matches_direct_evaluation(_line):
                            for _ in range(n))
             inp = SynthesisInput(gains=G, zeta=zeta, p_list=p_list,
                                  a1=Linear(1.0 / (2.0 * n)), M=M)
-            th = build_theta(inp)
+            th = overall_gain(inp).theta
             for s in np.exp(rng.uniform(-6.0, 6.0, size=100)):
                 ref = theta_oracle(G, zeta, p_list, float(s), M=M)
                 if not math.isclose(th(float(s)), ref, rel_tol=1e-12):

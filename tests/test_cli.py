@@ -155,6 +155,28 @@ def test_validate_convergence_and_gain(tmp_path):
     assert report["asymptotic_gain"][0]["status"] == "satisfied"
 
 
+def test_validate_uses_configured_grid(tmp_path):
+    # g(s)/s is 0.98 at s = 100 and 1.05 at s = 1000: the self-loop passes
+    # the small-gain test on the configured grid only
+    self_gain = {"kind": "scale", "k": 0.9,
+                 "fn": {"kind": "logexpsq", "c": 0.6, "th": 0.5}}
+    cfg = _write(tmp_path / "val.json", {
+        "system": {"kind": "ode", "model": "scalar_linear",
+                   "params": {"a": 1.0, "bu": 1.0},
+                   "input_signal": {"kind": "constant", "value": 1.0}},
+        "gains": {"n": 1, "gains": [{"i": 1, "j": 1, "fn": self_gain}]},
+        "synthesis": {"zeta": {"kind": "power", "k": 0.6173, "p": 2.0},
+                      "a1": {"kind": "power", "k": 0.5, "p": 2.0}},
+        "analysis": {"horizon": 30.0, "dt": 0.01, "x0": [0.0],
+                     "u_sup": 1.0, "require_convergence": False,
+                     "grid": {"s_max": 100.0}}})
+    assert main(["check-sg", "--input", cfg, "--out", str(tmp_path / "sg")]) == 0
+    out = tmp_path / "out"
+    assert main(["validate", "--input", cfg, "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["asymptotic_gain"][0]["status"] == "satisfied"
+
+
 def test_validate_nonconverging_exit_2(tmp_path):
     cfg = _write(tmp_path / "val.json", {
         "system": {"kind": "ode", "model": "scalar_linear",
@@ -176,8 +198,21 @@ def test_error_paths(tmp_path, sg_config):
     assert main(["check-sg", "--input", str(bad), "--out", str(out)]) == 1
     nofield = _write(tmp_path / "nf.json", {"analysis": {}})
     assert main(["check-sg", "--input", nofield, "--out", str(out)]) == 1
-    assert main(["check-sg", "--input", sg_config, "--out", str(out),
-                 "--jobs", "0"]) == 1
+
+
+def test_deep_json_rejected(tmp_path, capsys):
+    fn = {"kind": "linear", "k": 0.5}
+    for _ in range(900):
+        fn = {"kind": "scale", "k": 1.0, "fn": fn}
+    deep_gain = _write(tmp_path / "deep.json", {
+        "gains": {"n": 1, "gains": [{"i": 1, "j": 1, "fn": fn}]}})
+    deep_json = tmp_path / "nested.json"
+    deep_json.write_text('{"gains": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    for cfg in (deep_gain, str(deep_json)):
+        capsys.readouterr()
+        assert main(["check-sg", "--input", cfg,
+                     "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_repro_unknown_name_rejected(tmp_path, capsys):

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vectorgain.gains import (
-    BracketError, Compose, DomainError, GainError, GridSpec, Linear, LogExpSq,
-    Max, Power, Scale, Zero, check_contraction, compose_chain, gain_from_json,
-    gain_to_json, invert,
+    MAX_JSON_DEPTH, BracketError, Compose, DomainError, GainError, GridSpec,
+    Linear, LogExpSq, Max, Power, Scale, Zero, check_contraction,
+    compose_chain, gain_from_json, gain_to_json, invert,
 )
 from oracles import logexpsq_closed_form
 
@@ -207,6 +207,15 @@ def test_gain_json_round_trip(g):
 def test_gain_json_rejects_unknown_kind():
     with pytest.raises(ValueError):
         gain_from_json({"kind": "cubic", "k": 1.0})
+
+
+def test_gain_json_depth_cap():
+    d = {"kind": "linear", "k": 2.0}
+    for _ in range(MAX_JSON_DEPTH - 1):
+        d = {"kind": "scale", "k": 1.0, "fn": d}
+    assert gain_from_json(d)(1.5) == 3.0
+    with pytest.raises(GainError, match="nested deeper"):
+        gain_from_json({"kind": "max", "a": {"kind": "zero"}, "b": d})
 
 
 # -- property tests (hypothesis) -------------------------------------------

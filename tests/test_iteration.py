@@ -4,7 +4,8 @@ import pytest
 from vectorgain.gains import Linear, Power
 from vectorgain.iteration import iterate, sandwich_oracle, lfp_bound_check
 from vectorgain.network import GainMatrix, gamma_apply, q_operator
-from conftest import random_linear_matrix, random_verified_matrix
+from vectorgain.recipes import random_linear_matrix
+from conftest import random_verified_matrix
 
 
 def _two_node(k12, k21):

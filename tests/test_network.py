@@ -10,7 +10,8 @@ from vectorgain.network import (
     GainMatrix, as_plus_vec, check_small_gain, enumerate_cycles, gamma_apply,
     gas_witness_search, matrix_from_json, matrix_to_json, q_operator, vec_max,
 )
-from conftest import random_linear_matrix, random_verified_matrix
+from vectorgain.recipes import random_linear_matrix
+from conftest import random_verified_matrix
 from oracles import gamma_apply_oracle, max_cycle_products, q_oracle
 
 
@@ -161,8 +162,9 @@ def test_cycle_witness_power_gain():
     G = G.with_entry(1, 0, Linear(0.9))
     report = check_small_gain(G)
     assert not report.holds
-    x = gas_witness_search(G, samples=100)
-    assert x is not None and np.all(gamma_apply(G, x) >= x)
+    for passed in (None, report):
+        x = gas_witness_search(G, samples=100, report=passed)
+        assert x is not None and np.all(gamma_apply(G, x) >= x)
 
 
 def test_matrix_json_round_trip(rng):

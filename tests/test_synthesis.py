@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from vectorgain.gains import Linear, Max, Power, Zero
-from vectorgain.network import GainMatrix, check_small_gain
+from vectorgain.network import GainMatrix, check_small_gain, matrix_to_json
 from vectorgain.synthesis import (
-    SmallGainRequired, SynthesisInput, build_phi, build_theta, overall_gain,
-    simple_path_chains,
+    SmallGainRequired, SynthesisInput, build_phi, overall_gain,
 )
 from conftest import random_verified_matrix
 from oracles import phi_oracle, theta_oracle
@@ -15,15 +14,6 @@ from oracles import phi_oracle, theta_oracle
 
 def _zeros(n):
     return tuple(Zero() for _ in range(n))
-
-
-def test_simple_path_chain_counts():
-    # dense 3x3: chains from node 0 are (0,1), (0,2), (0,1,2), (0,2,1)
-    G = GainMatrix.from_entries([[Linear(0.1)] * 3] * 3)
-    assert len(simple_path_chains(G, 0)) == 4
-    # chains through zero gains are dropped
-    G2 = GainMatrix.zeros(3).with_entry(0, 1, Linear(0.5))
-    assert len(simple_path_chains(G2, 0)) == 1
 
 
 def test_build_phi_requires_small_gain():
@@ -35,8 +25,8 @@ def test_build_phi_requires_small_gain():
 
 
 def test_phi_matches_all_chain_oracle(rng):
-    """Simple-path enumeration equals the literal all-chain (repeats
-    allowed) evaluation under the small-gain condition."""
+    """The Q-closure equals the literal all-chain (repeats allowed)
+    evaluation under the small-gain condition."""
     for _ in range(30):
         n = int(rng.integers(2, 5))
         G = random_verified_matrix(rng, n)
@@ -63,7 +53,7 @@ def test_theta_matches_nested_loop_oracle(rng):
         M = float(rng.choice([1.0, 1.7]))
         inp = SynthesisInput(gains=G, zeta=zeta, p_list=p_list,
                              a1=Linear(1.0), M=M)
-        theta = build_theta(inp)
+        theta = overall_gain(inp).theta
         for _ in range(5):
             s = float(np.exp(rng.uniform(np.log(1e-4), np.log(1e4))))
             assert theta(s) == pytest.approx(
@@ -74,7 +64,7 @@ def test_theta_zero_input_gain_gives_zero():
     G = random_verified_matrix(np.random.default_rng(0), 3)
     inp = SynthesisInput(gains=G, zeta=Zero(), p_list=_zeros(3),
                          a1=Linear(1.0))
-    theta = build_theta(inp)
+    theta = overall_gain(inp).theta
     for s in (0.0, 1.0, 100.0):
         assert theta(s) == 0.0
 
@@ -125,6 +115,16 @@ def test_composite_gain_json(rng):
     json.dumps(d)
     assert set(d) == {"phi", "theta", "gmap", "overall"}
     assert d["overall"]["kind"] == "inverse_compose"
+    assert d["overall"]["inner"] == d["theta"]
+    assert [f["index"] for f in d["phi"]] == [1, 2]
+    assert [g["index"] for g in d["gmap"]] == [1, 2]
+    assert d["theta"]["index"] is None
+    for node in d["phi"] + d["gmap"] + [d["theta"]]:
+        assert node["kind"] == "q_envelope"
+        assert node["gains"] == matrix_to_json(G)
+    assert d["phi"][0]["inner"] == {"kind": "linear", "k": 1.0}
+    assert d["theta"]["inner"]["kind"] == "theta_inner"
+    assert d["theta"]["inner"]["zeta"] == {"kind": "linear", "k": 0.5}
 
 
 def test_synthesis_input_validation():
