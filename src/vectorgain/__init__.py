@@ -8,8 +8,8 @@ from .gains import (
 )
 from .network import (
     CycleVerdict, GainMatrix, SmallGainReport, check_small_gain,
-    enumerate_cycles, gamma_apply, gas_witness_search, matrix_from_json,
-    matrix_to_json, q_operator,
+    gamma_apply, gas_witness_search, matrix_from_json, matrix_to_json,
+    q_operator, support_circuits,
 )
 from .iteration import IterationResult, iterate, sandwich_oracle, lfp_bound_check
 from .synthesis import (

@@ -207,7 +207,8 @@ def _cmd_synth(args) -> int:
     rows = ["s,theta,overall"]
     for s in samples:
         s = float(s)
-        rows.append(f"{s!r},{comp.theta(s)!r},{comp.overall(s)!r}")
+        theta = comp.theta(s)
+        rows.append(f"{s!r},{theta!r},{comp.overall.inverse_at(theta)!r}")
     out.write_lines("gain_table.csv", rows)
     _emit_common(out, "synth", cfg, _resolve_seed(args, analysis))
     print(f"synthesized composite gain over {G.n} nodes; "

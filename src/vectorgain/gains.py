@@ -29,6 +29,7 @@ MAX_JSON_DEPTH = 100
 _BISECT_MAX_ITER = 200
 # exp argument above which LogExpSq switches to its log-space asymptote
 _EXP_OVERFLOW = 700.0
+_LN2 = math.log(2.0)
 
 
 class GainError(ValueError):
@@ -204,8 +205,10 @@ class ContractionVerdict:
 
     ``exact-true`` / ``exact-false`` come from closed-form rules;
     ``grid-verified`` / ``grid-refuted`` from sampling, which is evidence
-    rather than proof.  Refuting verdicts carry a witness with
-    g(witness) >= witness.
+    rather than proof.  A refuting verdict carries a witness with
+    g(witness) >= witness when one is representable as a positive float;
+    an exact refutation whose crossing point over- or underflows has none,
+    and its detail says so.
     """
 
     status: str
@@ -248,21 +251,7 @@ def _collapse(g: GainFn) -> GainFn:
             return a
         return Max(a, b)
     if isinstance(g, Compose):
-        outer, inner = _collapse(g.outer), _collapse(g.inner)
-        if isinstance(outer, Zero) or isinstance(inner, Zero):
-            return Zero()
-        if isinstance(outer, Linear):
-            outer = Power(outer.k, 1.0)
-        if isinstance(inner, Linear):
-            inner = Power(inner.k, 1.0)
-        if isinstance(outer, Power) and isinstance(inner, Power):
-            k = outer.k * inner.k ** outer.p
-            p = outer.p * inner.p
-            return Linear(k) if p == 1.0 else Power(k, p)
-        if (isinstance(outer, LogExpSq) and isinstance(inner, LogExpSq)
-                and outer.c == 0.5 and inner.c == 0.5):
-            return LogExpSq(0.5, outer.th * inner.th)
-        return Compose(outer, inner)
+        return _collapse_compose(_collapse(g.outer), _collapse(g.inner))
     if isinstance(g, Power) and g.p == 1.0:
         return Linear(g.k)
     if isinstance(g, Power) and g.k == 0:
@@ -270,6 +259,46 @@ def _collapse(g: GainFn) -> GainFn:
     if isinstance(g, Linear) and g.k == 0:
         return Zero()
     return g
+
+
+def _collapse_compose(outer: GainFn, inner: GainFn) -> GainFn:
+    """_collapse(Compose(o, i)) given outer = _collapse(o), inner = _collapse(i).
+
+    One shallow step: a chain that carries the normal form of its prefix
+    normalizes each extension without walking the prefix again.
+    """
+    if isinstance(outer, Zero) or isinstance(inner, Zero):
+        return Zero()
+    if isinstance(outer, Linear) and isinstance(inner, Linear):
+        # the power rule below with p = 1 gives k*(k'**1.0), exactly k*k'
+        return Linear(outer.k * inner.k)
+    if isinstance(outer, Linear):
+        outer = Power(outer.k, 1.0)
+    if isinstance(inner, Linear):
+        inner = Power(inner.k, 1.0)
+    if isinstance(outer, Power) and isinstance(inner, Power):
+        k = outer.k * inner.k ** outer.p
+        p = outer.p * inner.p
+        return Linear(k) if p == 1.0 else Power(k, p)
+    if (isinstance(outer, LogExpSq) and isinstance(inner, LogExpSq)
+            and outer.c == 0.5 and inner.c == 0.5):
+        return LogExpSq(0.5, outer.th * inner.th)
+    return Compose(outer, inner)
+
+
+def _power_witness(g: "Power") -> Optional[float]:
+    """A point where k*s**p >= s (k > 0, p != 1), or None if not representable.
+
+    The crossing point k*s**(p-1) = 1 is taken in log space and moved by a
+    factor 2 to the side where the gain lies above the identity: beyond it
+    for p > 1, below it for p < 1.
+    """
+    log_w = -math.log(g.k) / (g.p - 1.0) + (_LN2 if g.p > 1 else -_LN2)
+    try:
+        w = math.exp(log_w)
+        return w if w > 0 and g(w) >= w else None
+    except OverflowError:
+        return None
 
 
 def _exact_contraction(g: GainFn) -> Optional[ContractionVerdict]:
@@ -288,15 +317,11 @@ def _exact_contraction(g: GainFn) -> Optional[ContractionVerdict]:
             return ContractionVerdict("exact-true", detail="zero coefficient")
         if g.p == 1.0:
             return _exact_contraction(Linear(g.k))
-        if g.p > 1:
-            s = 2.0 * (1.0 / g.k) ** (1.0 / (g.p - 1.0))
-        else:
-            s = 0.5 * g.k ** (1.0 / (1.0 - g.p))
-        if math.isfinite(s) and g(s) >= s:
-            return ContractionVerdict(
-                "exact-false", witness=s,
-                detail=f"power with exponent {g.p} != 1 exceeds identity")
-        return None
+        detail = f"power with exponent {g.p} != 1 exceeds identity"
+        w = _power_witness(g)
+        if w is None:
+            detail += "; crossing point outside the float range, no witness"
+        return ContractionVerdict("exact-false", witness=w, detail=detail)
     if isinstance(g, LogExpSq) and g.c == 0.5:
         # (1/2)[ln(1+th*(e^t - 1))]^2 < t^2/2  iff  th < 1.
         if g.th < 1:
@@ -317,17 +342,23 @@ def _exact_contraction(g: GainFn) -> Optional[ContractionVerdict]:
     return None
 
 
-def check_contraction(g: GainFn, grid: Optional[GridSpec] = None) -> ContractionVerdict:
+def check_contraction(g: GainFn, grid: Optional[GridSpec] = None,
+                      collapsed: Optional[GainFn] = None) -> ContractionVerdict:
     """Test whether g(s) < s for all s > 0.
 
     Applies closed-form rules on the normalized tree when possible,
     otherwise samples the log-spaced grid and reports the first failure.
+    A caller that already holds the normal form of g passes it as
+    ``collapsed``; the grid always evaluates g itself.
     """
-    if grid is None:
-        grid = GridSpec()
-    verdict = _exact_contraction(_collapse(g))
+    verdict = _exact_contraction(_collapse(g) if collapsed is None else collapsed)
     if verdict is not None:
         return verdict
+    return _grid_contraction(g, GridSpec() if grid is None else grid)
+
+
+def _grid_contraction(g: GainFn, grid: GridSpec) -> ContractionVerdict:
+    """Sample g(s) < s on the grid; the first failing point is the witness."""
     for s in grid.values():
         if g(s) >= s:
             return ContractionVerdict(

@@ -4,26 +4,29 @@ A gain matrix holds one scalar gain per ordered pair of nodes and induces
 the monotone map Gamma_i(x) = max_j gamma_ij(x_j) on the nonnegative
 orthant.  Global asymptotic stability of the iteration x -> Gamma(x) is
 equivalent to every composition of gains around every simple cycle lying
-strictly below the identity; this module enumerates the cycles and checks
-them with the contraction tester from :mod:`vectorgain.gains`.
+strictly below the identity.  A cycle through a zero gain passes trivially,
+so only the elementary circuits of the support graph (edge i -> j iff
+gamma_ij is not the Zero gain) are enumerated, with Johnson's algorithm
+(SIAM J. Comput. 4(1), 1975), and checked with the contraction tester from
+:mod:`vectorgain.gains`.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from .gains import (
-    ContractionVerdict, GainFn, GridSpec, Zero, check_contraction,
-    compose_chain, gain_from_json, gain_to_json,
+    Compose, ContractionVerdict, GainFn, GridSpec, Zero, _collapse,
+    _collapse_compose, check_contraction, compose_chain, gain_from_json,
+    gain_to_json,
 )
 
 __all__ = [
     "GainMatrix", "CycleVerdict", "SmallGainReport", "as_plus_vec",
-    "vec_max", "gamma_apply", "q_operator", "enumerate_cycles",
+    "vec_max", "gamma_apply", "q_operator", "support_circuits",
     "check_small_gain", "gas_witness_search", "matrix_to_json",
     "matrix_from_json",
 ]
@@ -112,33 +115,138 @@ def q_operator(G: GainMatrix, x) -> np.ndarray:
     return acc
 
 
-def enumerate_cycles(n: int) -> List[Tuple[int, ...]]:
-    """All simple cycles on n nodes, one representative per rotation.
+def _support(G: GainMatrix) -> List[List[int]]:
+    """Successors of each node in the support graph, ascending."""
+    return [[j for j in range(G.n) if not isinstance(G.entries[i][j], Zero)]
+            for i in range(G.n)]
 
-    Returns 0-based index tuples: the n self-loops, then for each subset of
-    r >= 2 nodes the (r-1)! cyclic orders anchored at the subset's smallest
-    index.
+
+def _cyclic_components(succ: List[List[int]], nodes: Set[int]) -> List[Set[int]]:
+    """Strongly connected components of the subgraph induced by `nodes`
+    that contain a cycle (Tarjan's algorithm, iterative)."""
+    index: Dict[int, int] = {}
+    low: Dict[int, int] = {}
+    stack: List[int] = []
+    on_stack: Set[int] = set()
+    found: List[Set[int]] = []
+    for root in nodes:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if w not in nodes:
+                    continue
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    comp: Set[int] = set()
+                    while True:
+                        w = stack.pop()
+                        on_stack.discard(w)
+                        comp.add(w)
+                        if w == v:
+                            break
+                    if len(comp) > 1 or v in succ[v]:
+                        found.append(comp)
+    return found
+
+
+def support_circuits(G: GainMatrix
+                     ) -> Iterator[Tuple[Tuple[int, ...], GainFn, GainFn]]:
+    """Elementary circuits of the support graph with their composed gains.
+
+    Yields (cycle, chain, normal): the 0-based nodes of each circuit once,
+    anchored at its smallest node; the left-fold chain gamma_{i1 i2} o ...
+    o gamma_{ir i1} that compose_chain builds; and its _collapse normal
+    form.  Johnson's search runs on each strongly connected component from
+    its smallest node, then on the components left without that node.  The
+    depth-first search keeps an explicit stack, so long rings do not hit
+    the recursion limit, and carries the chain and normal form of the
+    current path, so each extension costs one Compose and one shallow
+    normalization step.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    cycles: List[Tuple[int, ...]] = [(i,) for i in range(n)]
-    for r in range(2, n + 1):
-        for subset in itertools.combinations(range(n), r):
-            first, rest = subset[0], subset[1:]
-            for perm in itertools.permutations(rest):
-                cycles.append((first,) + perm)
-    return cycles
+    succ = _support(G)
+    normal = [{w: _collapse(G.entries[v][w]) for w in succ[v]}
+              for v in range(G.n)]
+    todo = _cyclic_components(succ, set(range(G.n)))
+    while todo:
+        comp = todo.pop()
+        s = min(comp)
+        sub = {v: [w for w in succ[v] if w in comp] for v in comp}
+        path = [s]
+        chains: List[Optional[GainFn]] = [None]
+        normals: List[Optional[GainFn]] = [None]
+        closed = [False]
+        blocked = {s}
+        blockers: Dict[int, Set[int]] = {v: set() for v in comp}
+        frames = [iter(sub[s])]
+        while frames:
+            v = path[-1]
+            for w in frames[-1]:
+                if w != s and w in blocked:
+                    continue
+                g, gn = G.entries[v][w], normal[v][w]
+                chain, norm = chains[-1], normals[-1]
+                if chain is not None:
+                    g, gn = Compose(chain, g), _collapse_compose(norm, gn)
+                if w == s:
+                    yield tuple(path), g, gn
+                    closed[-1] = True
+                    continue
+                path.append(w)
+                chains.append(g)
+                normals.append(gn)
+                closed.append(False)
+                blocked.add(w)
+                frames.append(iter(sub[w]))
+                break
+            else:
+                frames.pop()
+                path.pop()
+                chains.pop()
+                normals.pop()
+                if closed.pop():
+                    if closed:
+                        closed[-1] = True
+                    unblock = [v]
+                    while unblock:
+                        u = unblock.pop()
+                        if u in blocked:
+                            blocked.discard(u)
+                            unblock.extend(blockers[u])
+                            blockers[u].clear()
+                else:
+                    for w in sub[v]:
+                        blockers[w].add(v)
+        todo.extend(_cyclic_components(succ, comp - {s}))
 
 
 @dataclass(frozen=True)
 class CycleVerdict:
     cycle: Tuple[int, ...]
-    verdict: Optional[ContractionVerdict]
+    verdict: ContractionVerdict
+    # always False: cycles through a zero gain are no longer listed
     skipped: bool = False
 
     @property
     def holds(self) -> bool:
-        return self.skipped or (self.verdict is not None and self.verdict.holds)
+        return self.verdict.holds
 
 
 @dataclass(frozen=True)
@@ -151,16 +259,12 @@ class SmallGainReport:
     def to_json(self) -> dict:
         entries = []
         for cv in self.cycles:
-            if cv.skipped:
-                entries.append({"cycle": [i + 1 for i in cv.cycle],
-                                "status": "skipped (zero gain)"})
-            else:
-                e = {"cycle": [i + 1 for i in cv.cycle],
-                     "status": cv.verdict.status,
-                     "detail": cv.verdict.detail}
-                if cv.verdict.witness is not None:
-                    e["witness"] = cv.verdict.witness
-                entries.append(e)
+            e = {"cycle": [i + 1 for i in cv.cycle],
+                 "status": cv.verdict.status,
+                 "detail": cv.verdict.detail}
+            if cv.verdict.witness is not None:
+                e["witness"] = cv.verdict.witness
+            entries.append(e)
         out = {"holds": self.holds, "cycles": entries}
         if self.failing_cycle is not None:
             out["failing_cycle"] = [i + 1 for i in self.failing_cycle]
@@ -171,18 +275,14 @@ class SmallGainReport:
         lines = [f"{'cycle':<16} {'status':<14} detail"]
         for cv in self.cycles:
             cyc = "(" + ",".join(str(i + 1) for i in cv.cycle) + ")"
-            if cv.skipped:
-                lines.append(f"{cyc:<16} {'skipped':<14} zero gain on cycle")
-            else:
-                lines.append(f"{cyc:<16} {cv.verdict.status:<14} {cv.verdict.detail}")
+            lines.append(f"{cyc:<16} {cv.verdict.status:<14} {cv.verdict.detail}")
         lines.append(f"overall: {'holds' if self.holds else 'REFUTED'}")
         return "\n".join(lines)
 
 
-def _cycle_gains(G: GainMatrix, cycle: Tuple[int, ...]) -> List[GainFn]:
-    """Gains along the cycle i1 -> i2 -> ... -> ir -> i1, composition order."""
-    r = len(cycle)
-    return [G.gain(cycle[j], cycle[(j + 1) % r]) for j in range(r)]
+def _cycle_order(cv: CycleVerdict):
+    """Length, then node set in combinations order, then rotation."""
+    return len(cv.cycle), sorted(cv.cycle), cv.cycle
 
 
 def check_small_gain(G: GainMatrix, grid: Optional[GridSpec] = None) -> SmallGainReport:
@@ -190,24 +290,19 @@ def check_small_gain(G: GainMatrix, grid: Optional[GridSpec] = None) -> SmallGai
 
     One rotation per cycle suffices: for non-decreasing gains, a o b below
     the identity everywhere is equivalent to b o a below the identity
-    everywhere.  Cycles through a zero gain pass trivially and are marked
-    skipped.
+    everywhere.  Cycles through a zero gain pass trivially and are not
+    listed.  The verdicts are ordered by cycle length, then node set, then
+    rotation, and the failing cycle is the first refuted one in that order.
     """
-    verdicts: List[CycleVerdict] = []
-    failing: Optional[Tuple[int, ...]] = None
-    witness: Optional[float] = None
-    for cycle in enumerate_cycles(G.n):
-        gains = _cycle_gains(G, cycle)
-        if any(isinstance(g, Zero) for g in gains):
-            verdicts.append(CycleVerdict(cycle, None, skipped=True))
-            continue
-        v = check_contraction(compose_chain(gains), grid)
-        verdicts.append(CycleVerdict(cycle, v))
-        if not v.holds and failing is None:
-            failing = cycle
-            witness = v.witness
-    return SmallGainReport(holds=failing is None, cycles=tuple(verdicts),
-                           failing_cycle=failing, witness=witness)
+    verdicts = sorted(
+        (CycleVerdict(cycle, check_contraction(chain, grid, collapsed=norm))
+         for cycle, chain, norm in support_circuits(G)),
+        key=_cycle_order)
+    failing = next((cv for cv in verdicts if not cv.holds), None)
+    return SmallGainReport(
+        holds=failing is None, cycles=tuple(verdicts),
+        failing_cycle=None if failing is None else failing.cycle,
+        witness=None if failing is None else failing.verdict.witness)
 
 
 def gas_witness_search(G: GainMatrix, samples: int = 100_000,
@@ -226,7 +321,7 @@ def gas_witness_search(G: GainMatrix, samples: int = 100_000,
     if report is None:
         report = check_small_gain(G)
     for cv in report.cycles:
-        if cv.skipped or cv.holds or cv.verdict.witness is None:
+        if cv.holds or cv.verdict.witness is None:
             continue
         x = _cycle_witness(G, cv.cycle, cv.verdict.witness)
         if x is not None:

@@ -63,9 +63,13 @@ class Signal:
         k = max(0, int(math.floor(t / self.dt_switch)))
         cache = self._noise_cache
         if k >= len(cache):
+            # the draws of one generator are a prefix of any longer batch, so
+            # redrawing at least twice as many keeps every value and makes
+            # a forward sweep over K intervals cost O(K)
             rng = np.random.default_rng(self.seed)
-            draws = rng.uniform(-self.amplitude, self.amplitude, size=k + 1)
-            cache[:] = list(draws)
+            size = max(k + 1, 2 * len(cache))
+            cache[:] = list(rng.uniform(-self.amplitude, self.amplitude,
+                                        size=size))
         return cache[k]
 
 

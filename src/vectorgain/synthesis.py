@@ -80,9 +80,9 @@ class QEnvelope(GainFn):
         return float(q.max() if self.index is None else q[self.index])
 
     def to_json(self) -> dict:
+        # the gain matrix is written once, by CompositeGain.to_json
         return {"kind": "q_envelope",
                 "index": None if self.index is None else self.index + 1,
-                "gains": matrix_to_json(self.gains),
                 "inner": _to_json(self.inner)}
 
 
@@ -107,8 +107,7 @@ class ThetaInner(GainFn):
         return float(max(self.M * pu, self.M * py, z))
 
     def to_json(self) -> dict:
-        return {"kind": "theta_inner", "gains": matrix_to_json(self.gains),
-                "zeta": gain_to_json(self.zeta),
+        return {"kind": "theta_inner", "zeta": gain_to_json(self.zeta),
                 "p": [gain_to_json(p) for p in self.p_list], "M": self.M}
 
 
@@ -140,7 +139,10 @@ class OverallGain:
         self.theta = theta
 
     def __call__(self, s: float) -> float:
-        y = self.theta(s)
+        return self.inverse_at(self.theta(s))
+
+    def inverse_at(self, y: float) -> float:
+        """a1^{-1}(y), for a value y = theta(s) the caller already has."""
         if y == 0.0:
             return 0.0
         bracket = 1.0
@@ -159,8 +161,9 @@ class OverallGain:
 
 @dataclass(frozen=True)
 class CompositeGain:
-    """The synthesized closed-loop gain objects."""
+    """The synthesized closed-loop gain objects over the gain matrix."""
 
+    gains: GainMatrix
     phi: Tuple[GainFn, ...]
     theta: GainFn
     gmap: Tuple[GainFn, ...]
@@ -168,6 +171,7 @@ class CompositeGain:
 
     def to_json(self) -> dict:
         return {
+            "gains": matrix_to_json(self.gains),
             "phi": [_to_json(f) for f in self.phi],
             "theta": _to_json(self.theta),
             "gmap": [_to_json(g) for g in self.gmap],
@@ -183,5 +187,5 @@ def overall_gain(inp: SynthesisInput,
     inner = ThetaInner(G, inp.zeta, inp.p_list, inp.M)
     theta = QEnvelope(G, inner)
     gmap = tuple(QEnvelope(G, inner, i) for i in range(G.n))
-    return CompositeGain(phi=tuple(phi), theta=theta, gmap=gmap,
+    return CompositeGain(gains=G, phi=tuple(phi), theta=theta, gmap=gmap,
                          overall=OverallGain(inp.a1, theta))

@@ -72,7 +72,8 @@ def test_synth_outputs(tmp_path, sg_config):
     assert main(["synth", "--input", sg_config, "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
     assert report["status"] == "synthesized"
-    assert set(report["composite"]) == {"phi", "theta", "gmap", "overall"}
+    assert set(report["composite"]) == {"gains", "phi", "theta", "gmap",
+                                        "overall"}
     table = (out / "gain_table.csv").read_text().splitlines()
     assert table[0] == "s,theta,overall"
     assert len(table) > 100
@@ -213,6 +214,48 @@ def test_deep_json_rejected(tmp_path, capsys):
         assert main(["check-sg", "--input", cfg,
                      "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_check_sg_power_self_gain_near_one(tmp_path, capsys):
+    # 0.5*s**1.0001 crosses the identity at e^6931, outside the float range
+    cfg = _write(tmp_path / "pow.json", {"gains": {"n": 1, "gains": [
+        {"i": 1, "j": 1, "fn": {"kind": "power", "k": 0.5, "p": 1.0001}}]}})
+    out = tmp_path / "out"
+    assert main(["check-sg", "--input", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ""
+    sg = json.loads((out / "report.json").read_text())["small_gain"]
+    assert sg["failing_cycle"] == [1] and sg["witness"] is None
+    assert sg["cycles"][0]["status"] == "exact-false"
+
+
+def _count_equal(node, target):
+    if node == target:
+        return 1
+    if isinstance(node, dict):
+        return sum(_count_equal(v, target) for v in node.values())
+    if isinstance(node, list):
+        return sum(_count_equal(v, target) for v in node)
+    return 0
+
+
+def test_synth_report_holds_gain_matrix_once(tmp_path):
+    # 16 entries, each a 99-level scale chain over a linear gain
+    entries = []
+    for i in range(4):
+        for j in range(4):
+            fn = {"kind": "linear", "k": 0.2}
+            for _ in range(99):
+                fn = {"kind": "scale", "k": 1.0, "fn": fn}
+            entries.append({"i": i + 1, "j": j + 1, "fn": fn})
+    gains = {"n": 4, "gains": entries}
+    cfg = _write(tmp_path / "deep4.json", {
+        "gains": gains, "synthesis": {"zeta": {"kind": "linear", "k": 0.5}},
+        "analysis": {"table_points": 5}})
+    out = tmp_path / "out"
+    assert main(["synth", "--input", cfg, "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["composite"]["gains"] == gains
+    assert _count_equal(report, gains) == 1
 
 
 def test_repro_unknown_name_rejected(tmp_path, capsys):

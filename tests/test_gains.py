@@ -106,6 +106,22 @@ def test_power_contraction_exact_cases():
         assert g(v.witness) >= v.witness
 
 
+def test_power_contraction_exponent_near_one():
+    # the crossing point k*s**(p-1) = 1 is e^6931 for p = 1.0001 and e^-6931
+    # for p = 0.9999: refuted, with no float witness instead of an overflow
+    # or a witness of 0
+    for g in (Power(0.5, 1.0001), Power(0.5, 0.9999)):
+        v = check_contraction(g)
+        assert v.status == "exact-false" and not v.holds
+        assert v.witness is None
+        assert "no witness" in v.detail
+    # crossing points at about 1e30 and 1e-69 are still representable
+    for g in (Power(0.5, 1.01), Power(0.2, 0.99)):
+        v = check_contraction(g)
+        assert v.status == "exact-false"
+        assert v.witness > 0 and g(v.witness) >= v.witness
+
+
 def test_logexpsq_contraction_iff_param_below_one():
     assert check_contraction(LogExpSq(0.5, 0.97)).status == "exact-true"
     v = check_contraction(LogExpSq(0.5, 1.0))

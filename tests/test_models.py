@@ -36,6 +36,21 @@ def test_noise_signal_deterministic_and_order_independent():
     assert a(0.1) == a(0.4) and a(0.1) != a(0.6)
 
 
+def test_noise_signal_forward_sweep_draws_geometrically(monkeypatch):
+    real = np.random.default_rng
+    created = []
+
+    def counting_rng(seed):
+        created.append(seed)
+        return real(seed)
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    K = 10_000
+    sig = Signal(kind="noise", amplitude=2.0, seed=11, dt_switch=0.1)
+    values = [sig((k + 0.5) * 0.1) for k in range(K)]
+    assert values == list(real(11).uniform(-2.0, 2.0, size=K))
+    assert len(created) <= 2 + math.ceil(math.log2(K))
+
+
 def test_signal_validation():
     with pytest.raises(ValueError):
         Signal(kind="ramp")

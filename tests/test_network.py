@@ -1,14 +1,18 @@
 import itertools
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from vectorgain.gains import Compose, Linear, LogExpSq, Power, Zero, compose_chain
+from vectorgain.gains import (
+    Compose, GridSpec, Linear, LogExpSq, Max, Power, Scale, Zero,
+    check_contraction, compose_chain,
+)
 from vectorgain.network import (
-    GainMatrix, as_plus_vec, check_small_gain, enumerate_cycles, gamma_apply,
-    gas_witness_search, matrix_from_json, matrix_to_json, q_operator, vec_max,
+    GainMatrix, as_plus_vec, check_small_gain, gamma_apply, gas_witness_search,
+    matrix_from_json, matrix_to_json, q_operator, support_circuits, vec_max,
 )
 from vectorgain.recipes import random_linear_matrix
 from conftest import random_verified_matrix
@@ -61,21 +65,108 @@ def test_q_operator_matches_oracle(rng):
         assert np.array_equal(q_operator(G, x), q_oracle(G, x))
 
 
+def _complete_digraph(n):
+    return GainMatrix.from_entries([[Linear(0.5)] * n for _ in range(n)])
+
+
 def test_enumerate_cycles_counts():
-    # n self-loops + sum_r C(n,r)*(r-1)!
+    # the complete digraph: n self-loops + sum_r C(n,r)*(r-1)!
     expected = {1: 1, 2: 3, 3: 8, 4: 24}
     for n, count in expected.items():
-        cycles = enumerate_cycles(n)
+        cycles = [c for c, _, _ in support_circuits(_complete_digraph(n))]
         assert len(cycles) == count
         assert len(set(cycles)) == count
         for cyc in cycles:
             assert len(set(cyc)) == len(cyc)
-            if len(cyc) > 1:
-                assert cyc[0] == min(cyc)  # canonical rotation
+            assert cyc[0] == min(cyc)  # canonical rotation
+
+
+def _brute_force_cycles(G):
+    """Reference: every node sequence, kept in its canonical rotation when
+    every coupling along it is non-Zero, in the order check_small_gain
+    reports (length, node set, rotation)."""
+    n = G.n
+    cycles = []
+    for r in range(1, n + 1):
+        for nodes in itertools.permutations(range(n), r):
+            if nodes[0] != min(nodes):
+                continue
+            if all(not isinstance(G.gain(nodes[m], nodes[(m + 1) % r]), Zero)
+                   for m in range(r)):
+                cycles.append(nodes)
+    return sorted(cycles, key=lambda c: (len(c), sorted(c), c))
+
+
+def _random_sparse_gain(rng):
+    kind = int(rng.integers(0, 8))
+    if kind == 0:
+        return Zero()
+    if kind == 1:
+        return Linear(0.0)
+    if kind == 2:
+        return Linear(float(rng.uniform(0.0, 1.3)))
+    if kind == 3:
+        return LogExpSq(0.5, float(rng.uniform(0.3, 1.2)))
+    if kind == 4:
+        return Scale(float(rng.uniform(0.5, 1.0)),
+                     LogExpSq(0.5, float(rng.uniform(0.3, 0.9))))
+    if kind == 5:
+        return Power(float(rng.uniform(0.3, 1.5)), float(rng.choice([0.5, 2.0])))
+    if kind == 6:
+        return Max(Linear(float(rng.uniform(0.0, 0.9))),
+                   LogExpSq(float(rng.uniform(0.2, 0.45)),
+                            float(rng.uniform(0.3, 0.9))))
+    return LogExpSq(float(rng.uniform(0.2, 0.6)), float(rng.uniform(0.3, 1.2)))
+
+
+def test_support_circuits_match_brute_force(rng):
+    grid = GridSpec(points=64)
+    for _ in range(300):
+        n = int(rng.integers(1, 6))
+        density = rng.uniform(0.2, 0.8)
+        G = GainMatrix.from_entries(
+            [[_random_sparse_gain(rng) if rng.uniform() < density else Zero()
+              for _ in range(n)] for _ in range(n)])
+        expected = _brute_force_cycles(G)
+        report = check_small_gain(G, grid)
+        assert [cv.cycle for cv in report.cycles] == expected
+        failing = None
+        for cv in report.cycles:
+            r = len(cv.cycle)
+            chain = compose_chain([G.gain(cv.cycle[m], cv.cycle[(m + 1) % r])
+                                   for m in range(r)])
+            assert cv.verdict == check_contraction(chain, grid)
+            assert not cv.skipped
+            if failing is None and not cv.holds:
+                failing = cv
+        assert report.holds == (failing is None)
+        if failing is not None:
+            assert report.failing_cycle == failing.cycle
+            assert report.witness == failing.verdict.witness
+
+
+def test_ring_reports_one_cycle():
+    n = 30
+    G = GainMatrix.zeros(n)
+    for i in range(n):
+        G = G.with_entry(i, (i + 1) % n, LogExpSq(0.3, 0.8))
+    report = check_small_gain(G)
+    assert [cv.cycle for cv in report.cycles] == [tuple(range(n))]
+    assert report.holds
+
+
+def test_ring_longer_than_recursion_limit():
+    n = sys.getrecursionlimit() + 100
+    rows = [[Zero()] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][(i + 1) % n] = Linear(0.999)
+    report = check_small_gain(GainMatrix.from_entries(rows))
+    assert len(report.cycles) == 1 and report.cycles[0].cycle == tuple(range(n))
+    assert report.holds and report.cycles[0].verdict.status == "exact-true"
 
 
 def test_one_rotation_per_cycle_is_enough(rng):
-    """Brute-force check of the design decision behind enumerate_cycles:
+    """Brute-force check of the design decision behind support_circuits:
     the contraction verdict of a cycle composition is rotation-invariant,
     so checking one rotation per cycle gives the same overall verdict as
     checking all of them."""

@@ -113,7 +113,9 @@ def test_composite_gain_json(rng):
     comp = overall_gain(inp)
     d = comp.to_json()
     json.dumps(d)
-    assert set(d) == {"phi", "theta", "gmap", "overall"}
+    assert set(d) == {"gains", "phi", "theta", "gmap", "overall"}
+    # the matrix is written once, at the top level
+    assert d["gains"] == matrix_to_json(G)
     assert d["overall"]["kind"] == "inverse_compose"
     assert d["overall"]["inner"] == d["theta"]
     assert [f["index"] for f in d["phi"]] == [1, 2]
@@ -121,9 +123,10 @@ def test_composite_gain_json(rng):
     assert d["theta"]["index"] is None
     for node in d["phi"] + d["gmap"] + [d["theta"]]:
         assert node["kind"] == "q_envelope"
-        assert node["gains"] == matrix_to_json(G)
+        assert "gains" not in node
     assert d["phi"][0]["inner"] == {"kind": "linear", "k": 1.0}
     assert d["theta"]["inner"]["kind"] == "theta_inner"
+    assert "gains" not in d["theta"]["inner"]
     assert d["theta"]["inner"]["zeta"] == {"kind": "linear", "k": 0.5}
 
 
