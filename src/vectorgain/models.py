@@ -99,19 +99,24 @@ def _ldn_rhs(spec: SystemSpec):
     a = np.asarray(p["a"], dtype=float)
     c = np.asarray(p["c"], dtype=float)
     r = float(p.get("r", 0.0))
-    mode = p.get("coupling", "sign_aligned")
     d_sig = spec.disturbance_signal
+    disturbed = d_sig.kind != "zero"
+    neg_a = -a
 
-    def rhs(t, x, hist):
-        scale = d_sig(t) if d_sig.kind != "zero" else 1.0
-        if mode == "sign_aligned":
-            w = hist.window_absmax(t)
-            drive = np.array([np.max(c[i] * w) for i in range(x.size)])
-            g = np.where(x >= 0, 1.0, -1.0) * drive * scale
-        else:
-            xd = hist.interp(t - r)
-            g = (c @ xd) * scale
-        return -a * x + g
+    if p.get("coupling", "sign_aligned") == "sign_aligned":
+        def rhs(t, x, hist):
+            drive = (c * hist.window_absmax(t)).max(axis=1)  # >= 0
+            # sgn(x) with sgn(+-0) = +1: x + 0.0 turns -0.0 into +0.0
+            g = np.copysign(drive, x + 0.0)
+            if disturbed:
+                g *= d_sig(t)
+            return neg_a * x + g
+    else:
+        def rhs(t, x, hist):
+            g = c @ hist.interp(t - r)
+            if disturbed:
+                g *= d_sig(t)
+            return neg_a * x + g
 
     return rhs
 
@@ -155,15 +160,25 @@ def _bio_rhs(spec: SystemSpec):
     tau = np.asarray(p["tau"], dtype=float)
     g = make_g(p["g"])
     n = a.size
+    # channels that read the same positive delay share one interpolation
+    groups = [(d, [j for j in range(n) if tau[j] == d])
+              for d in model_delays(spec)]
+    if len(groups) == 1 and len(groups[0][1]) == n:
+        d0 = groups[0][0]
+        source = lambda t, x, hist: hist.interp(t - d0)
+    else:
+        def source(t, x, hist):
+            src = x.copy()
+            for d, idx in groups:
+                src[idx] = hist.interp(t - d)[idx]
+            return src
+    prev = np.arange(n) - 1  # channel j - 1 drives channel j; -1 wraps to n - 1
 
     def rhs(t, x, hist):
-        dx = np.empty(n)
-        xn_del = hist.interp(t - tau[n - 1])[n - 1] if tau[n - 1] > 0 else x[n - 1]
-        dx[0] = g(max(xn_del, 0.0)) - a[0] * x[0]
-        for i in range(1, n):
-            xprev = (hist.interp(t - tau[i - 1])[i - 1]
-                     if tau[i - 1] > 0 else x[i - 1])
-            dx[i] = xprev - a[i] * x[i]
+        src = source(t, x, hist)  # src[j]: x_j at its own delay
+        ax = a * x
+        dx = src[prev] - ax
+        dx[0] = g(max(src[n - 1], 0.0)) - ax[0]
         return dx
 
     return rhs

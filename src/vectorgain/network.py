@@ -20,8 +20,7 @@ import numpy as np
 
 from .gains import (
     Compose, ContractionVerdict, GainFn, GridSpec, Zero, _collapse,
-    _collapse_compose, check_contraction, compose_chain, gain_from_json,
-    gain_to_json,
+    _collapse_compose, check_contraction, gain_from_json, gain_to_json,
 )
 
 __all__ = [
@@ -342,16 +341,16 @@ def _cycle_witness(G: GainMatrix, cycle: Tuple[int, ...],
 
     For a cycle (i1, ..., ir) whose composed gain reaches the identity at
     s: set x_{i1} = s and walk the cycle backwards, x_{ij} the composition
-    of the remaining gains applied to s.  Verifies Gamma(x) >= x before
-    returning.
+    of the remaining gains applied to s, one gain per position:
+    x_{ir} = gamma_{ir i1}(s), x_{ij} = gamma_{ij i(j+1)}(x_{i(j+1)}).
+    Verifies Gamma(x) >= x before returning.
     """
     r = len(cycle)
     x = np.zeros(G.n)
-    x[cycle[0]] = s
+    x[cycle[0]] = v = s
     for j in range(r - 1, 0, -1):
-        # gains from position j around to the cycle start, applied to s
-        gains = [G.gain(cycle[m], cycle[(m + 1) % r]) for m in range(j, r)]
-        x[cycle[j]] = compose_chain(gains)(s)
+        v = G.gain(cycle[j], cycle[(j + 1) % r])(v)
+        x[cycle[j]] = v
     if np.any(x > 0) and np.all(gamma_apply(G, x) >= x):
         return x
     return None

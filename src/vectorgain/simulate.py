@@ -74,15 +74,17 @@ class Trajectory:
 
 
 def _check_escape(x: np.ndarray, t: float) -> None:
-    if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > ESCAPE_BOUND:
+    # a NaN fails the comparison and an inf exceeds the bound
+    if not abs(x).max() <= ESCAPE_BOUND:
         raise FiniteEscapeError(t)
 
 
-def _rk4_step(f, t: float, x: np.ndarray, dt: float) -> np.ndarray:
-    k1 = f(t, x)
-    k2 = f(t + 0.5 * dt, x + 0.5 * dt * k1)
-    k3 = f(t + 0.5 * dt, x + 0.5 * dt * k2)
-    k4 = f(t + dt, x + dt * k3)
+def _rk4_step(f, t: float, x: np.ndarray, dt: float, *extra) -> np.ndarray:
+    """One RK4 step of dx/dt = f(t, x, *extra); f returns an (n,) array."""
+    k1 = f(t, x, *extra)
+    k2 = f(t + 0.5 * dt, x + 0.5 * dt * k1, *extra)
+    k3 = f(t + 0.5 * dt, x + 0.5 * dt * k2, *extra)
+    k4 = f(t + dt, x + dt * k3, *extra)
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -96,13 +98,12 @@ def integrate_ode(spec: SystemSpec, x0, horizon: float, dt: float,
     n = model_dim(spec)
     x = np.asarray(x0, dtype=float).reshape(n)
     rhs = model_rhs(spec)
-    f = lambda t, y: np.asarray(rhs(t, y), dtype=float).reshape(n)
     steps = int(round(horizon / dt))
     times = t0 + dt * np.arange(steps + 1)
     states = np.empty((steps + 1, n))
     states[0] = x
     for k in range(steps):
-        x = _rk4_step(f, times[k], x, dt)
+        x = _rk4_step(rhs, times[k], x, dt)
         _check_escape(x, times[k + 1])
         states[k + 1] = x
     return Trajectory(times=times, states=states, dt=dt)
@@ -115,7 +116,11 @@ class _History:
     returns per-channel sup of |x| over the trailing delay window, read
     from stored nodes (first-order accurate between nodes, like the stage
     interpolation itself).  Frontier queries are served from per-channel
-    monotone deques so the sliding maximum costs O(1) amortized per step.
+    monotone deques of Python floats, so the sliding maximum costs O(1)
+    amortized per step.  The last frontier result is memoized on the
+    window start and the number of valid rows, (i0, filled): RK4 stages
+    1-3 of a step usually share both, and the returned array is shared
+    between those calls, so callers must not write to it.
     """
 
     def __init__(self, times: np.ndarray, states: np.ndarray, dt: float,
@@ -125,17 +130,18 @@ class _History:
         self.dt = dt
         self.r = r
         self.filled = filled  # number of valid rows
+        self._t0 = float(times[0])
         n = states.shape[1]
         # deques of (row index, |value|), indices increasing, values decreasing
         self._deques: List[deque] = [deque() for _ in range(n)]
         self._pushed = 0
         self._push_rows(filled)
+        self._memo_key = None
+        self._memo = None
 
     def _push_rows(self, upto: int) -> None:
         for k in range(self._pushed, upto):
-            row = np.abs(self.states[k])
-            for ch, dq in enumerate(self._deques):
-                v = row[ch]
+            for v, dq in zip(np.abs(self.states[k]).tolist(), self._deques):
                 while dq and dq[-1][1] <= v:
                     dq.pop()
                 dq.append((k, v))
@@ -147,7 +153,7 @@ class _History:
         self._push_rows(filled)
 
     def interp(self, t: float) -> np.ndarray:
-        pos = (t - self.times[0]) / self.dt
+        pos = (t - self._t0) / self.dt
         i = int(math.floor(pos))
         i = min(max(i, 0), self.filled - 1)
         frac = pos - i
@@ -156,21 +162,24 @@ class _History:
         return (1.0 - frac) * self.states[i] + frac * self.states[i + 1]
 
     def window_absmax(self, t: float) -> np.ndarray:
-        lo = (t - self.r - self.times[0]) / self.dt
+        lo = (t - self.r - self._t0) / self.dt
         i0 = max(int(math.floor(lo)), 0)
-        i1 = min(int(math.ceil((t - self.times[0]) / self.dt)) + 1, self.filled)
+        i1 = min(int(math.ceil((t - self._t0) / self.dt)) + 1, self.filled)
         if i1 <= i0:
             i0, i1 = self.filled - 1, self.filled
-        if i1 >= self.filled:
+        if i1 < self.filled:
+            return np.max(np.abs(self.states[i0:i1]), axis=0)
+        key = (i0, self.filled)
+        if key != self._memo_key:
             # frontier query: window start only moves forward, so front
-            # entries below i0 are never needed again
-            out = np.empty(len(self._deques))
-            for ch, dq in enumerate(self._deques):
-                while dq and dq[0][0] < i0:
+            # entries below i0 are never needed again; each deque keeps
+            # its newest row, filled - 1 >= i0, so none runs empty
+            for dq in self._deques:
+                while dq[0][0] < i0:
                     dq.popleft()
-                out[ch] = dq[0][1] if dq else np.abs(self.states[i1 - 1, ch])
-            return out
-        return np.max(np.abs(self.states[i0:i1]), axis=0)
+            self._memo_key = key
+            self._memo = np.array([dq[0][1] for dq in self._deques])
+        return self._memo
 
 
 def _history_array(history, r: float, dt: float, n: int) -> np.ndarray:
@@ -216,11 +225,11 @@ def integrate_delay(spec: SystemSpec, history, horizon: float,
     states[: m + 1] = hist_states
     hist = _History(times, states, dt, r, filled=m + 1)
     rhs = model_rhs(spec)
-    f = lambda t, y: np.asarray(rhs(t, y, hist), dtype=float).reshape(n)
     x = states[m].copy()
     for k in range(steps):
-        t = times[m + k]
-        x = _rk4_step(f, t, x, dt)
+        # a Python float: the same value, cheaper arithmetic in every stage
+        t = float(times[m + k])
+        x = _rk4_step(rhs, t, x, dt, hist)
         _check_escape(x, t + dt)
         states[m + k + 1] = x
         hist.advance(m + k + 2)
@@ -276,14 +285,14 @@ def integrate_sampled(spec: SystemSpec, x0, horizon: float, dt: float,
         span = min(tau_next, t_end) - tau
         substeps = max(1, int(math.ceil(span / dt - 1e-12)))
         hstep = span / substeps
-        held = x.copy()
-        f = lambda t, y: np.asarray(rhs(t, y, held), dtype=float).reshape(n)
+        # _rk4_step returns a new array, so x is never written in place
+        held = x
         for k in range(substeps):
             t = tau + k * hstep
-            x = _rk4_step(f, t, x, hstep)
+            x = _rk4_step(rhs, t, x, hstep, held)
             _check_escape(x, t + hstep)
             times.append(t + hstep)
-            states.append(x.copy())
+            states.append(x)
         tau = tau_next
         if tau <= t_end + 1e-15:
             sampling.append(tau)

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -226,6 +227,19 @@ def test_check_sg_power_self_gain_near_one(tmp_path, capsys):
     sg = json.loads((out / "report.json").read_text())["small_gain"]
     assert sg["failing_cycle"] == [1] and sg["witness"] is None
     assert sg["cycles"][0]["status"] == "exact-false"
+
+
+def test_check_sg_ring_longer_than_recursion_limit(tmp_path, capsys):
+    n = sys.getrecursionlimit() + 100
+    cfg = _write(tmp_path / "ring.json", {"gains": {"n": n, "gains": [
+        {"i": i + 1, "j": (i + 1) % n + 1, "fn": {"kind": "linear", "k": 1.001}}
+        for i in range(n)]}})
+    out = tmp_path / "out"
+    assert main(["check-sg", "--input", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ""
+    report = json.loads((out / "report.json").read_text())
+    assert report["small_gain"]["failing_cycle"] == list(range(1, n + 1))
+    assert report["gas_witness"] is not None
 
 
 def _count_equal(node, target):

@@ -6,7 +6,7 @@ import pytest
 
 from vectorgain.models import (
     ModelError, SystemSpec, biochem_equilibrium, biochem_hypothesis, make_g,
-    model_delays, model_dim, spec_from_json, spec_to_json,
+    model_delays, model_dim, model_rhs, spec_from_json, spec_to_json,
 )
 from vectorgain.signals import Signal, signal_from_json, signal_to_json
 
@@ -114,6 +114,92 @@ def test_make_g_forms():
     assert hill(1.0) == pytest.approx(1.0)
     with pytest.raises(ModelError):
         make_g({"form": "linear"})
+
+
+# -- right-hand sides against row-wise transcriptions -----------------------
+
+class _StubHistory:
+    """Stands in for the integrator's history: made-up functions of t.
+
+    interp returns multiples of 1/16, so with coefficients in eighths every
+    product and partial sum of a delayed_linear row is exact and the
+    order of summation cannot matter.
+    """
+
+    def __init__(self, n, seed):
+        rng = np.random.default_rng(seed)
+        self.amp = rng.uniform(0.2, 2.0, n)
+        self.freq = rng.uniform(0.5, 3.0, n)
+        self.w = rng.uniform(0.0, 1.5, n)
+
+    def interp(self, t):
+        return np.round(16.0 * self.amp * np.cos(self.freq * t)) / 16.0
+
+    def window_absmax(self, t):
+        return self.w * (1.0 + 0.1 * math.sin(t))
+
+
+def _same_bits(got, ref):
+    return got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+def _ldn_rowwise(p, d_sig, t, x, hist):
+    """The model comment, one row at a time."""
+    a, c, n = p["a"], p["c"], len(p["a"])
+    scale = d_sig(t) if d_sig.kind != "zero" else 1.0
+    if p["coupling"] == "sign_aligned":
+        w = hist.window_absmax(t)
+        g = [(1.0 if x[i] >= 0 else -1.0) * max(c[i][j] * w[j] for j in range(n))
+             * scale for i in range(n)]
+    else:
+        xd = hist.interp(t - p["r"])
+        g = [sum(c[i][j] * xd[j] for j in range(n)) * scale for i in range(n)]
+    return np.array([-a[i] * x[i] + g[i] for i in range(n)])
+
+
+@pytest.mark.parametrize("coupling", ["sign_aligned", "delayed_linear"])
+@pytest.mark.parametrize("disturbance", [
+    Signal(), Signal(kind="sinusoid", amplitude=0.9, frequency=0.7, phase=0.3)])
+def test_ldn_rhs_matches_rowwise_formula(coupling, disturbance):
+    rng = np.random.default_rng(5)
+    n = 4
+    c = rng.integers(0, 9, (n, n)) / 8
+    c[1] = 0.0  # a row with no coupling: the drive is +0.0
+    p = {"a": [float(v) for v in rng.integers(1, 9, n) / 8],
+         "c": [[float(v) for v in row] for row in c],
+         "r": 0.25, "coupling": coupling}
+    spec = SystemSpec(kind="delay", model="linear_delay_network", params=p,
+                      disturbance_signal=disturbance)
+    rhs = model_rhs(spec)
+    hist = _StubHistory(n, 6)
+    for t in np.linspace(0.0, 5.0, 41):
+        x = rng.standard_normal(n)
+        x[rng.choice(n, 2, replace=False)] = (0.0, -0.0)
+        assert _same_bits(rhs(t, x, hist), _ldn_rowwise(p, disturbance, t, x, hist))
+
+
+def _bio_channelwise(p, t, x, hist):
+    a, tau, n = p["a"], p["tau"], len(p["a"])
+    g = make_g(p["g"])
+
+    def src(j):
+        return hist.interp(t - tau[j])[j] if tau[j] > 0 else x[j]
+    return np.array([g(max(src(n - 1), 0.0)) - a[0] * x[0]]
+                    + [src(i - 1) - a[i] * x[i] for i in range(1, n)])
+
+
+@pytest.mark.parametrize("g", [{"form": "mm", "c": 3.0, "K": 0.8},
+                               {"form": "hill", "c": 2.5, "p": 3.5}])
+@pytest.mark.parametrize("tau", [[0.1, 0.0, 0.2], [0.1, 0.1, 0.1],
+                                 [0.0, 0.0, 0.0]])
+def test_bio_rhs_matches_channelwise_formula(g, tau):
+    p = {"a": [1.1, 0.9, 1.3], "tau": tau, "g": g}
+    rhs = model_rhs(SystemSpec(kind="delay", model="biochem_circuit", params=p))
+    hist = _StubHistory(3, 8)
+    rng = np.random.default_rng(9)
+    for t in np.linspace(0.0, 3.0, 31):
+        x = rng.uniform(-0.5, 3.0, 3)
+        assert _same_bits(rhs(t, x, hist), _bio_channelwise(p, t, x, hist))
 
 
 # -- equilibrium and sector hypothesis --------------------------------------

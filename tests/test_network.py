@@ -11,8 +11,9 @@ from vectorgain.gains import (
     check_contraction, compose_chain,
 )
 from vectorgain.network import (
-    GainMatrix, as_plus_vec, check_small_gain, gamma_apply, gas_witness_search,
-    matrix_from_json, matrix_to_json, q_operator, support_circuits, vec_max,
+    GainMatrix, _cycle_witness, as_plus_vec, check_small_gain, gamma_apply,
+    gas_witness_search, matrix_from_json, matrix_to_json, q_operator,
+    support_circuits, vec_max,
 )
 from vectorgain.recipes import random_linear_matrix
 from conftest import random_verified_matrix
@@ -163,6 +164,38 @@ def test_ring_longer_than_recursion_limit():
     report = check_small_gain(GainMatrix.from_entries(rows))
     assert len(report.cycles) == 1 and report.cycles[0].cycle == tuple(range(n))
     assert report.holds and report.cycles[0].verdict.status == "exact-true"
+
+
+def test_cycle_witness_on_ring_longer_than_recursion_limit():
+    n = sys.getrecursionlimit() + 100
+    rows = [[Zero()] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][(i + 1) % n] = Linear(1.001)
+    G = GainMatrix.from_entries(rows)
+    report = check_small_gain(G)
+    assert not report.holds
+    x = gas_witness_search(G, samples=1, report=report)
+    assert x is not None and np.all(x > 0)
+    assert np.all(gamma_apply(G, x) >= x)
+
+
+def test_cycle_witness_matches_composed_chains():
+    # the backward walk gives x_{c_j} = (gamma_{c_j c_j+1} o ... o
+    # gamma_{c_r-1 c_0})(s), the value of the composed chain, bit for bit
+    cycle = (0, 3, 1, 4, 2)
+    fns = [LogExpSq(0.6, 0.9), Power(1.3, 1.1), Linear(1.7),
+           Compose(Linear(1.2), LogExpSq(0.55, 0.7)), Power(0.9, 0.95)]
+    G = GainMatrix.zeros(5)
+    for m, fn in enumerate(fns):
+        G = G.with_entry(cycle[m], cycle[(m + 1) % 5], fn)
+    s = 3.7
+    x = _cycle_witness(G, cycle, s)
+    assert x is not None
+    expected = np.zeros(5)
+    expected[cycle[0]] = s
+    for j in range(1, 5):
+        expected[cycle[j]] = compose_chain(fns[j:])(s)
+    assert np.array_equal(x, expected)
 
 
 def test_one_rotation_per_cycle_is_enough(rng):

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from vectorgain.models import SystemSpec
+from vectorgain.models import SystemSpec, make_g
 from vectorgain.signals import Signal
 from vectorgain.simulate import (
-    ConfigError, FiniteEscapeError, Trajectory, _History, integrate_delay,
-    integrate_ode, integrate_sampled, log_transform,
+    ConfigError, FiniteEscapeError, Trajectory, _check_escape, _History,
+    integrate_delay, integrate_ode, integrate_sampled, log_transform,
 )
 from oracles import rk4_reference
 
@@ -72,6 +72,13 @@ def test_finite_escape_detected():
     with pytest.raises(FiniteEscapeError) as exc:
         integrate_delay(spec, np.array([1.0]), horizon=100.0, dt=0.01)
     assert exc.value.time > 0
+
+
+def test_check_escape_rejects_nan_inf_and_large_states():
+    _check_escape(np.array([-1e12, 0.0, 1e12]), 1.0)
+    for bad in (np.nan, np.inf, -np.inf, -2e12):
+        with pytest.raises(FiniteEscapeError):
+            _check_escape(np.array([1.0, bad, 0.0]), 1.0)
 
 
 # -- delay integrator -------------------------------------------------------
@@ -171,6 +178,100 @@ def test_window_absmax_matches_brute_force():
             assert np.array_equal(got, ref)
         states[m + k + 1] = rng.standard_normal(2)
         hist.advance(m + k + 2)
+
+
+def _reference_delay_run(deriv, hist0, r, dt, steps):
+    """Plain method-of-steps RK4, written apart from integrate_delay.
+
+    deriv(t, x, delayed, window) reads delayed(ch, t), one channel linearly
+    interpolated between stored nodes, and window(t), the brute-force
+    sup of |x| over the stored nodes of [t - r, t] (the frontier row when
+    the window holds none).  The window start never moves back, as in a
+    sliding-window maximum: when rounding puts a stage-1 start just below
+    the node that the previous stage 4 started at, that node still starts
+    the window.
+    """
+    m = int(round(r / dt))
+    times = dt * np.arange(-m, steps + 1)
+    states = np.empty((m + steps + 1, np.shape(hist0)[-1]))
+    states[: m + 1] = hist0
+    filled = m + 1
+    start = 0
+
+    def delayed(ch, t):
+        pos = (t - times[0]) / dt
+        i = min(max(math.floor(pos), 0), filled - 1)
+        frac = pos - i
+        if frac <= 0 or i + 1 >= filled:
+            return states[i, ch]
+        return (1.0 - frac) * states[i, ch] + frac * states[i + 1, ch]
+
+    def window(t):
+        nonlocal start
+        i0 = max(math.floor((t - r - times[0]) / dt), 0)
+        i1 = min(math.ceil((t - times[0]) / dt) + 1, filled)
+        if i1 <= i0:
+            i0, i1 = filled - 1, filled
+        start = max(start, i0)
+        return np.max(np.abs(states[start:i1]), axis=0)
+
+    def f(t, x):
+        return deriv(t, x, delayed, window)
+
+    x = states[m].copy()
+    for k in range(steps):
+        t = times[m + k]
+        k1 = f(t, x)
+        k2 = f(t + 0.5 * dt, x + 0.5 * dt * k1)
+        k3 = f(t + 0.5 * dt, x + 0.5 * dt * k2)
+        k4 = f(t + dt, x + dt * k3)
+        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states[m + k + 1] = x
+        filled += 1
+    return states[m:]
+
+
+@pytest.mark.parametrize("disturbance", [
+    Signal(), Signal(kind="sinusoid", amplitude=0.8, frequency=1.3)])
+def test_delay_network_trajectory_matches_reference(disturbance):
+    a = [1.0, 0.8, 1.2]
+    c = [[0.4, 0.6, 0.5], [0.5, 0.0, 0.7], [0.6, 0.5, 0.4]]
+    r, dt, steps = 0.2, 0.01, 300
+    spec = SystemSpec(kind="delay", model="linear_delay_network",
+                      params={"a": a, "c": c, "r": r},
+                      disturbance_signal=disturbance)
+
+    def deriv(t, x, delayed, window):
+        w = window(t)
+        scale = disturbance(t) if disturbance.kind != "zero" else 1.0
+        return np.array([
+            -a[i] * x[i] + (1.0 if x[i] >= 0 else -1.0)
+            * max(c[i][j] * w[j] for j in range(3)) * scale for i in range(3)])
+
+    hist0 = np.array([0.8, -0.5, 0.0])
+    traj = integrate_delay(spec, hist0, horizon=steps * dt, dt=dt)
+    ref = _reference_delay_run(deriv, hist0, r, dt, steps)
+    assert np.array_equal(traj.states, ref)
+
+
+@pytest.mark.parametrize("tau", [[0.1, 0.1, 0.1], [0.1, 0.0, 0.2]])
+def test_biochem_trajectory_matches_reference(tau):
+    a, g = [1.0, 0.9, 1.1], make_g({"form": "mm", "c": 3.0, "K": 0.8})
+    dt, steps = 0.01, 300
+    spec = SystemSpec(kind="delay", model="biochem_circuit",
+                      params={"a": a, "tau": tau,
+                              "g": {"form": "mm", "c": 3.0, "K": 0.8}})
+
+    def deriv(t, x, delayed, window):
+        def src(j):
+            return delayed(j, t - tau[j]) if tau[j] > 0 else x[j]
+        return np.array([g(max(src(2), 0.0)) - a[0] * x[0],
+                         src(0) - a[1] * x[1], src(1) - a[2] * x[2]])
+
+    hist0 = lambda t: np.array([1.5 + t, 0.4 - 2.0 * t, 2.2 + math.sin(9 * t)])
+    traj = integrate_delay(spec, hist0, horizon=steps * dt, dt=dt)
+    ref = _reference_delay_run(deriv, traj.history_states, max(tau), dt, steps)
+    assert np.array_equal(traj.states, ref)
 
 
 # -- sampled-data loop ------------------------------------------------------
