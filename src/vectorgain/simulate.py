@@ -125,7 +125,6 @@ class _History:
 
     def __init__(self, times: np.ndarray, states: np.ndarray, dt: float,
                  r: float, filled: int):
-        self.times = times
         self.states = states
         self.dt = dt
         self.r = r
