@@ -24,15 +24,13 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .gains import GainFn, GridSpec, Linear, Zero, gain_from_json, gain_to_json
+from .gains import GridSpec, Linear, Zero, gain_from_json
 from .iteration import TOL_CONV, iterate
-from .models import SystemSpec, spec_from_json, spec_to_json
+from .models import SystemSpec, spec_from_json
 from .network import (
     GainMatrix, check_small_gain, gas_witness_search, matrix_from_json,
-    matrix_to_json,
 )
 from .recipes import RECIPES, run_recipe
-from .signals import Signal
 from .simulate import (
     ConfigError, FiniteEscapeError, SimulationError, Trajectory,
     integrate_delay, integrate_ode, integrate_sampled,

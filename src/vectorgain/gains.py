@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Optional, Sequence
 
+import numpy as np
+
 __all__ = [
     "GainFn", "Zero", "Linear", "Power", "LogExpSq", "Max", "Compose",
     "Scale", "GridSpec", "ContractionVerdict", "GainError", "BracketError",
@@ -45,14 +47,24 @@ class DomainError(GainError):
 
 
 class GainFn:
-    """Base class for gain expression nodes.  Instances are immutable."""
+    """Base class for gain expression nodes.  Instances are immutable.
 
-    def __call__(self, s: float) -> float:
-        if not s >= 0:  # also catches NaN
+    The nodes of this module are called on a float or, elementwise, on a
+    1-d float ndarray.  Floats are evaluated with :mod:`math`, arrays with
+    the matching numpy functions, whose results can differ from the float
+    path in the last bit (power, expm1, log1p).
+    """
+
+    def __call__(self, s):
+        if isinstance(s, np.ndarray):
+            if not np.all(s >= 0):  # also catches NaN
+                raise GainError("gain argument must be nonnegative, got an "
+                                "array with a negative or NaN entry")
+        elif not s >= 0:
             raise GainError(f"gain argument must be nonnegative, got {s}")
         return self._eval(s)
 
-    def _eval(self, s: float) -> float:
+    def _eval(self, s):
         raise NotImplementedError
 
 
@@ -65,8 +77,9 @@ def _require_finite(name: str, value: float) -> None:
 class Zero(GainFn):
     """The identically-zero gain."""
 
-    def _eval(self, s: float) -> float:
-        return 0.0
+    def _eval(self, s):
+        # not 0*s, which is NaN at s = inf
+        return np.zeros_like(s) if isinstance(s, np.ndarray) else 0.0
 
 
 @dataclass(frozen=True)
@@ -80,7 +93,7 @@ class Linear(GainFn):
         if self.k < 0:
             raise GainError(f"Linear coefficient must be >= 0, got {self.k}")
 
-    def _eval(self, s: float) -> float:
+    def _eval(self, s):
         return self.k * s
 
 
@@ -99,8 +112,11 @@ class Power(GainFn):
         if self.p <= 0:
             raise GainError(f"Power exponent must be > 0, got {self.p}")
 
-    def _eval(self, s: float) -> float:
-        return self.k * s ** self.p
+    def _eval(self, s):
+        try:
+            return self.k * s ** self.p
+        except OverflowError:  # float ** past the float range; numpy gives inf
+            return self.k * math.inf
 
 
 @dataclass(frozen=True)
@@ -122,7 +138,12 @@ class LogExpSq(GainFn):
         if self.th <= 0:
             raise GainError(f"LogExpSq parameter must be > 0, got {self.th}")
 
-    def _eval(self, s: float) -> float:
+    def _eval(self, s):
+        if isinstance(s, np.ndarray):
+            t = np.sqrt(2.0 * s)
+            near = np.log1p(self.th * np.expm1(np.minimum(t, _EXP_OVERFLOW)))
+            inner = np.where(t > _EXP_OVERFLOW, t + math.log(self.th), near)
+            return self.c * inner * inner
         t = math.sqrt(2.0 * s)
         if t > _EXP_OVERFLOW:
             inner = t + math.log(self.th)
@@ -142,7 +163,9 @@ class Max(GainFn):
         if not isinstance(self.a, GainFn) or not isinstance(self.b, GainFn):
             raise GainError("Max children must be GainFn instances")
 
-    def _eval(self, s: float) -> float:
+    def _eval(self, s):
+        if isinstance(s, np.ndarray):
+            return np.maximum(self.a._eval(s), self.b._eval(s))
         return max(self.a._eval(s), self.b._eval(s))
 
 
@@ -157,7 +180,7 @@ class Compose(GainFn):
         if not isinstance(self.outer, GainFn) or not isinstance(self.inner, GainFn):
             raise GainError("Compose children must be GainFn instances")
 
-    def _eval(self, s: float) -> float:
+    def _eval(self, s):
         return self.outer._eval(self.inner._eval(s))
 
 
@@ -175,7 +198,7 @@ class Scale(GainFn):
         if not isinstance(self.fn, GainFn):
             raise GainError("Scale child must be a GainFn instance")
 
-    def _eval(self, s: float) -> float:
+    def _eval(self, s):
         return self.k * self.fn._eval(s)
 
 
@@ -296,7 +319,7 @@ def _power_witness(g: "Power") -> Optional[float]:
     log_w = -math.log(g.k) / (g.p - 1.0) + (_LN2 if g.p > 1 else -_LN2)
     try:
         w = math.exp(log_w)
-        return w if w > 0 and g(w) >= w else None
+        return w if 0 < w <= g(w) < math.inf else None
     except OverflowError:
         return None
 

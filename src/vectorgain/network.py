@@ -14,6 +14,7 @@ gamma_ij is not the Zero gain) are enumerated, with Johnson's algorithm
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -29,6 +30,9 @@ __all__ = [
     "check_small_gain", "gas_witness_search", "matrix_to_json",
     "matrix_from_json",
 ]
+
+# sampled values (rows times n) per block of the GAS witness sampler
+_WITNESS_BLOCK = 1 << 16
 
 
 def as_plus_vec(x, n: Optional[int] = None) -> np.ndarray:
@@ -93,13 +97,29 @@ class GainMatrix:
     def gain(self, i: int, j: int) -> GainFn:
         return self.entries[i][j]
 
+    @cached_property
+    def support(self) -> Tuple[Tuple[int, ...], ...]:
+        """Columns of the entries of each row that are not the Zero gain,
+        ascending: the successors of each node in the support graph."""
+        return tuple(tuple(j for j, g in enumerate(row) if not isinstance(g, Zero))
+                     for row in self.entries)
+
 
 def gamma_apply(G: GainMatrix, x) -> np.ndarray:
-    """Apply the induced map: y_i = max_j gamma_ij(x_j)."""
-    v = as_plus_vec(x, G.n)
+    """Apply the induced map: y_i = max_j gamma_ij(x_j).
+
+    Only the support entries of each row are evaluated, plus entry 0 when
+    it is Zero: max keeps the first of equal values, so a row whose values
+    are all zero then yields the signed zero that the full row would.
+    """
+    xs = as_plus_vec(x, G.n).tolist()
     out = np.empty(G.n)
-    for i in range(G.n):
-        out[i] = max(G.entries[i][j](v[j]) for j in range(G.n))
+    for i, cols in enumerate(G.support):
+        row = G.entries[i]
+        vals = [row[j]._eval(xs[j]) for j in cols]
+        if not cols or cols[0] != 0:
+            vals.insert(0, 0.0)
+        out[i] = max(vals)
     return out
 
 
@@ -114,13 +134,7 @@ def q_operator(G: GainMatrix, x) -> np.ndarray:
     return acc
 
 
-def _support(G: GainMatrix) -> List[List[int]]:
-    """Successors of each node in the support graph, ascending."""
-    return [[j for j in range(G.n) if not isinstance(G.entries[i][j], Zero)]
-            for i in range(G.n)]
-
-
-def _cyclic_components(succ: List[List[int]], nodes: Set[int]) -> List[Set[int]]:
+def _cyclic_components(succ: Sequence[Sequence[int]], nodes: Set[int]) -> List[Set[int]]:
     """Strongly connected components of the subgraph induced by `nodes`
     that contain a cycle (Tarjan's algorithm, iterative)."""
     index: Dict[int, int] = {}
@@ -180,7 +194,7 @@ def support_circuits(G: GainMatrix
     current path, so each extension costs one Compose and one shallow
     normalization step.
     """
-    succ = _support(G)
+    succ = G.support
     normal = [{w: _collapse(G.entries[v][w]) for w in succ[v]}
               for v in range(G.n)]
     todo = _cyclic_components(succ, set(range(G.n)))
@@ -313,7 +327,10 @@ def gas_witness_search(G: GainMatrix, samples: int = 100_000,
     Such an x refutes global asymptotic stability of the iteration.  Tries
     the deterministic cycle-based witness for every refuted cycle of the
     small-gain report (computed if not supplied) first, then samples
-    log-uniformly.  Returns the witness vector or None.
+    log-uniformly.  The samples are drawn in blocks of rows, the same values
+    in the same order as one draw per row, and Gamma(x) >= x is decided for
+    a block with array gains; the first passing row is confirmed with
+    gamma_apply before it is returned.  Returns the witness vector or None.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -328,10 +345,21 @@ def gas_witness_search(G: GainMatrix, samples: int = 100_000,
     rng = np.random.default_rng(seed)
     lo = np.log(1e-6 * radius)
     hi = np.log(radius)
-    for _ in range(samples):
-        x = np.exp(rng.uniform(lo, hi, size=G.n))
-        if np.all(gamma_apply(G, x) >= x):
-            return x
+    rows = max(1, _WITNESS_BLOCK // G.n)
+    for start in range(0, samples, rows):
+        X = np.exp(rng.uniform(lo, hi, size=(min(rows, samples - start), G.n)))
+        hits = np.ones(X.shape[0], dtype=bool)
+        for i, cols in enumerate(G.support):
+            y = np.zeros(X.shape[0])
+            for j in cols:
+                y = np.maximum(y, G.entries[i][j](X[:, j]))
+            hits &= y >= X[:, i]
+            if not hits.any():
+                break
+        for k in np.flatnonzero(hits):
+            x = X[k].copy()
+            if np.all(gamma_apply(G, x) >= x):
+                return x
     return None
 
 

@@ -13,15 +13,12 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .gains import Linear, LogExpSq, Power, Zero
+from .gains import Linear, LogExpSq, Zero
 from .iteration import iterate
 from .models import SystemSpec, biochem_equilibrium, biochem_hypothesis
-from .network import GainMatrix, check_small_gain, gamma_apply
+from .network import GainMatrix, check_small_gain
 from .simulate import FiniteEscapeError, integrate_delay, integrate_ode, log_transform
-from .validate import (
-    LyapunovSetup, biochem_rho_chain, biochem_rho_first, check_convergence,
-    check_implication, ldn_rho, quadratic_channels,
-)
+from .validate import quadratic_channels
 
 __all__ = [
     "random_linear_matrix", "brute_force_gas", "cycle_test_sweep", "rk4_order",

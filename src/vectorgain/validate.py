@@ -31,6 +31,8 @@ TOL_IMPL = 1e-8
 TOL_TAIL = 1e-6
 TAIL_FRACTION = 0.2
 TOL_GAIN = 0.05
+# samples drawn and decided per array pass of check_implication
+_IMPL_BLOCK = 4096
 
 
 class InconclusiveError(RuntimeError):
@@ -42,47 +44,50 @@ def quadratic_channels(n: int) -> List[Callable[[np.ndarray], float]]:
     return [(lambda row, i=i: 0.5 * float(row[i]) ** 2) for i in range(n)]
 
 
-def ldn_rho(a: Sequence[float], lam: float) -> List[Callable[[float], float]]:
+def ldn_rho(a: Sequence[float], lam: float) -> List[Callable]:
     """Decay rates 2*(1-lam)*a_i*s for the linear delay network."""
     return [(lambda s, ai=float(ai): 2.0 * (1.0 - lam) * ai * s) for ai in a]
 
 
 def biochem_rho_first(a1: float, lam: float, theta: float,
-                      b: float) -> Callable[[float], float]:
+                      b: float) -> Callable:
     """Decay rate of the first (g-curve fed) channel of the circuit."""
 
-    def rho(s: float) -> float:
-        t = math.sqrt(2.0 * s)
-        if t == 0.0:
-            return 0.0
-        em = math.expm1(t)
-        branch1 = (1.0 - lam / theta) * (1.0 - math.exp(-t))
-        branch2 = (b + 1.0 - b / theta) * em / (b + 1.0 + (b / theta) * em)
-        return a1 * t * min(branch1, branch2)
+    def rho(s):
+        # with e = exp(-t), d = 1 - e: expm1(t) = d/e, written so that
+        # nothing overflows at large t
+        t = np.sqrt(2.0 * s)
+        e, d = np.exp(-t), -np.expm1(-t)
+        branch1 = (1.0 - lam / theta) * d
+        branch2 = (b + 1.0 - b / theta) * d / ((b + 1.0) * e + (b / theta) * d)
+        return a1 * t * np.minimum(branch1, branch2)
 
     return rho
 
 
-def biochem_rho_chain(ai: float, mu: float) -> Callable[[float], float]:
+def biochem_rho_chain(ai: float, mu: float) -> Callable:
     """Decay rate of the cascade channels of the circuit."""
 
-    def rho(s: float) -> float:
-        t = math.sqrt(2.0 * s)
-        if t == 0.0:
-            return 0.0
-        return ((1.0 - 1.0 / mu) * ai * t * (1.0 - math.exp(-t))
-                / (1.0 + math.expm1(t) / mu))
+    def rho(s):
+        # (1 - e) / (1 + expm1(t)/mu) = (1 - e) e / (e + (1 - e)/mu), e = exp(-t)
+        t = np.sqrt(2.0 * s)
+        e, d = np.exp(-t), -np.expm1(-t)
+        return (1.0 - 1.0 / mu) * ai * t * d * e / (e + d / mu)
 
     return rho
 
 
 @dataclass
 class LyapunovSetup:
-    """Gains, input gain and decay rates tied to a family of channels."""
+    """Gains, input gain and decay rates tied to a family of channels.
+
+    Each callable of rho_list maps a 1-d float array of channel values to
+    the array of their decay rates, elementwise.
+    """
 
     gains: GainMatrix
     zeta: GainFn = field(default_factory=Zero)
-    rho_list: Optional[List[Callable[[float], float]]] = None
+    rho_list: Optional[List[Callable[[np.ndarray], np.ndarray]]] = None
 
     def __post_init__(self):
         if self.rho_list is not None and len(self.rho_list) != self.gains.n:
@@ -90,11 +95,11 @@ class LyapunovSetup:
 
 
 # ---------------------------------------------------------------------------
-# Per-model worst-case channel derivatives.  Each evaluator receives the
-# sampled point (channel index, pointwise value x_i, delayed channel
-# levels V_j, input magnitude u) and returns the supremum of the channel
-# derivative over admissible disturbances and delayed arguments within
-# the Razumikhin bounds sqrt(2 V_j).
+# Per-model worst-case channel derivatives.  Each evaluator receives a batch
+# of sampled points (channel indices, pointwise values x_i, rows of delayed
+# channel levels V_j, input magnitudes u) and returns, for each point, the
+# supremum of the channel derivative over admissible disturbances and
+# delayed arguments within the Razumikhin bounds sqrt(2 V_j).
 # ---------------------------------------------------------------------------
 
 def _ldn_deriv_sup(spec: SystemSpec):
@@ -102,9 +107,10 @@ def _ldn_deriv_sup(spec: SystemSpec):
     c = np.asarray(spec.params["c"], dtype=float)
     bu = float(spec.params.get("bu", 0.0))
 
-    def dsup(i: int, xi: float, V: np.ndarray, u: float) -> float:
-        drive = float(np.max(c[i] * np.sqrt(2.0 * V))) + bu * abs(u)
-        return -a[i] * xi * xi + abs(xi) * drive
+    def dsup(idx: np.ndarray, x: np.ndarray, V: np.ndarray,
+             u: np.ndarray) -> np.ndarray:
+        drive = np.max(c[idx] * np.sqrt(2.0 * V), axis=1) + bu * np.abs(u)
+        return -a[idx] * x * x + np.abs(x) * drive
 
     return dsup
 
@@ -116,17 +122,23 @@ def _biochem_deriv_sup(spec: SystemSpec):
     g_star = g(xn_star)
     n = a.size
 
-    def dsup(i: int, xi: float, V: np.ndarray, u: float) -> float:
-        if i == 0:
-            bound = math.sqrt(2.0 * V[n - 1])
-            ws = np.linspace(-bound, bound, 41)
-            vals = [a[0] * xi * (g(xn_star * math.exp(w)) / g_star
-                                 * math.exp(-xi) - 1.0) for w in ws]
-            return max(vals)
-        bound = math.sqrt(2.0 * V[i - 1])
-        cands = [a[i] * xi * (math.exp(w - xi) - 1.0)
-                 for w in (-bound, 0.0, bound)]
-        return max(cands)
+    def dsup(idx: np.ndarray, x: np.ndarray, V: np.ndarray,
+             u: np.ndarray) -> np.ndarray:
+        out = np.empty(x.size)
+        first = idx == 0
+        # channel 1: the g-curve of the delayed last level, on a 41-point grid
+        x0 = x[first][:, None]
+        bound = np.sqrt(2.0 * V[first, n - 1])
+        ws = np.linspace(-bound, bound, 41, axis=1)
+        out[first] = np.max(a[0] * x0 * (g(xn_star * np.exp(ws)) / g_star
+                                          * np.exp(-x0) - 1.0), axis=1)
+        # cascade channels: the delayed predecessor at -bound, 0 or bound
+        rest = ~first
+        i, xr = idx[rest], x[rest][:, None]
+        bound = np.sqrt(2.0 * V[rest, i - 1])
+        ws = np.stack([-bound, np.zeros_like(bound), bound], axis=1)
+        out[rest] = np.max(a[i][:, None] * xr * (np.exp(ws - xr) - 1.0), axis=1)
+        return out
 
     return dsup
 
@@ -146,6 +158,31 @@ def _deriv_sup(spec: SystemSpec):
             f"{spec.model!r}")
 
 
+def _violations(setup: LyapunovSetup, dsup, idx: np.ndarray, x: np.ndarray,
+                V: np.ndarray, u: np.ndarray, tol_impl: float) -> List[Dict]:
+    """The points of a batch where the premise holds and the decay
+    conclusion fails, in batch order."""
+    G = setup.gains
+    q = 0.5 * x * x
+    ok = np.ones(x.size, dtype=bool)
+    if not isinstance(setup.zeta, Zero):
+        ok &= setup.zeta(np.abs(u)) <= q
+    for i, cols in enumerate(G.support):
+        r = np.flatnonzero(idx == i)
+        for j in cols:
+            ok[r] &= G.entries[i][j](V[r, j]) <= q[r]
+    hit = np.flatnonzero(ok)
+    ih, qh = idx[hit], q[hit]
+    deriv = dsup(ih, x[hit], V[hit], u[hit])
+    bound = np.empty(hit.size)
+    for i, rho in enumerate(setup.rho_list):
+        bound[ih == i] = -rho(qh[ih == i])
+    return [{"i": int(idx[k]) + 1, "x_i": float(x[k]),
+             "V": V[k].tolist(), "u": float(u[k]),
+             "derivative": float(deriv[m]), "bound": float(bound[m])}
+            for m, k in enumerate(hit) if deriv[m] > bound[m] + tol_impl]
+
+
 def check_implication(setup: LyapunovSetup, model: SystemSpec,
                       sample_count: int = 10_000, radius: float = 10.0,
                       seed: int = 0, tol_impl: float = TOL_IMPL) -> List[Dict]:
@@ -155,59 +192,47 @@ def check_implication(setup: LyapunovSetup, model: SystemSpec,
     wherever the premise (every coupling gain of the delayed levels, and
     the input gain of the input, at or below the channel value) holds,
     the worst-case channel derivative must not exceed -rho_i of the
-    channel value plus tol_impl.  Returns the violations found; an empty
-    list means not falsified at this density.
+    channel value plus tol_impl.  Returns the violations found, in sample
+    order; an empty list means not falsified at this density.
+
+    Samples are drawn in blocks of _IMPL_BLOCK (the last block holds the
+    remainder).  Each block of B samples draws, in this order: the channel
+    indices ``integers(n, size=B)``, the log-magnitudes of x_i
+    ``uniform(lo, hi, B)``, the signs ``random(B)`` (negative where >= 0.5),
+    the log-levels ``uniform(lo, hi, (B, n))`` (V_j = exp(.)**2 / 2), and,
+    only when the input gain is not Zero, the log-inputs ``uniform(lo, hi,
+    B)``, with lo, hi = log(1e-6 * radius), log(radius).
     """
     if setup.rho_list is None:
         raise ValueError("implication check requires rho_list")
-    G = setup.gains
-    n = G.n
+    n = setup.gains.n
     dsup = _deriv_sup(model)
     rng = np.random.default_rng(seed)
     has_input = not isinstance(setup.zeta, Zero)
     violations: List[Dict] = []
     lo, hi = math.log(1e-6 * radius), math.log(radius)
-    for _ in range(sample_count):
-        i = int(rng.integers(n))
-        xi = float(np.exp(rng.uniform(lo, hi))) * (1 if rng.random() < 0.5 else -1)
-        V = np.exp(rng.uniform(lo, hi, size=n)) ** 2 / 2.0
-        qi = 0.5 * xi * xi
-        u = float(np.exp(rng.uniform(lo, hi))) if has_input else 0.0
-        if has_input and setup.zeta(u) > qi:
-            continue
-        premise = all(
-            isinstance(G.gain(i, j), Zero) or G.gain(i, j)(V[j]) <= qi
-            for j in range(n))
-        if not premise:
-            continue
-        deriv = dsup(i, xi, V, u)
-        bound = -setup.rho_list[i](qi)
-        if deriv > bound + tol_impl:
-            violations.append({
-                "i": i + 1, "x_i": xi, "V": [float(v) for v in V],
-                "u": u, "derivative": deriv, "bound": bound,
-            })
+    for start in range(0, sample_count, _IMPL_BLOCK):
+        B = min(_IMPL_BLOCK, sample_count - start)
+        idx = rng.integers(n, size=B)
+        mag = np.exp(rng.uniform(lo, hi, B))
+        x = np.where(rng.random(B) < 0.5, mag, -mag)
+        V = np.exp(rng.uniform(lo, hi, (B, n))) ** 2 / 2.0
+        u = np.exp(rng.uniform(lo, hi, B)) if has_input else np.zeros(B)
+        violations += _violations(setup, dsup, idx, x, V, u, tol_impl)
     return violations
 
 
 def recheck_violation(setup: LyapunovSetup, model: SystemSpec,
                       violation: Dict, tol_impl: float = TOL_IMPL) -> bool:
-    """Re-evaluate one reported violation point in isolation."""
-    i = violation["i"] - 1
-    xi = violation["x_i"]
-    V = np.asarray(violation["V"], dtype=float)
-    u = violation.get("u", 0.0)
-    qi = 0.5 * xi * xi
-    G = setup.gains
-    premise = all(
-        isinstance(G.gain(i, j), Zero) or G.gain(i, j)(V[j]) <= qi
-        for j in range(G.n))
-    if not isinstance(setup.zeta, Zero) and setup.zeta(abs(u)) > qi:
-        premise = False
-    if not premise:
-        return False
-    deriv = _deriv_sup(model)(i, xi, V, u)
-    return deriv > -setup.rho_list[i](qi) + tol_impl
+    """Re-evaluate one reported violation point in isolation: a batch of
+    one sample through the code of check_implication."""
+    if setup.rho_list is None:
+        raise ValueError("implication check requires rho_list")
+    return bool(_violations(
+        setup, _deriv_sup(model), np.array([violation["i"] - 1]),
+        np.array([float(violation["x_i"])]),
+        np.asarray(violation["V"], dtype=float).reshape(1, setup.gains.n),
+        np.array([float(violation.get("u", 0.0))]), tol_impl))
 
 
 def _tail(traj: Trajectory, tail_fraction: float) -> np.ndarray:

@@ -260,3 +260,69 @@ def test_composition_associative(f, g, h, s):
     lhs = Compose(f, Compose(g, h))(s)
     rhs = Compose(Compose(f, g), h)(s)
     assert lhs == rhs
+
+
+# -- array evaluation --------------------------------------------------------
+
+def _gain_trees(leaves):
+    return st.recursive(leaves, lambda kids: st.one_of(
+        st.builds(Max, kids, kids),
+        st.builds(Compose, kids, kids),
+        st.builds(Scale, st.floats(0.01, 3.0), kids)), max_leaves=5)
+
+
+LINEAR_TREES = _gain_trees(st.one_of(
+    st.just(Zero()), st.builds(Linear, st.floats(0.01, 3.0))))
+ALL_TREES = _gain_trees(st.one_of(
+    st.just(Zero()), st.builds(Linear, st.floats(0.01, 3.0)),
+    st.builds(Power, st.floats(0.01, 3.0), st.floats(0.25, 2.0)),
+    st.builds(LogExpSq, st.floats(0.1, 2.0), st.floats(0.1, 10.0))))
+# s = 1e6 puts LogExpSq on its log-space branch (sqrt(2s) > 700)
+S_ARRAYS = st.lists(st.one_of(st.floats(0.0, 1e6),
+                              st.sampled_from([0.0, 1e6, math.inf])),
+                    min_size=1, max_size=16)
+
+
+def _elementwise(g, s):
+    return np.array([g(v) for v in s])
+
+
+@settings(max_examples=200, deadline=None)
+@given(LINEAR_TREES, S_ARRAYS)
+def test_array_eval_equals_scalar_eval(g, s):
+    s = np.array(s)
+    out = g(s)
+    assert out.shape == s.shape
+    np.testing.assert_array_equal(out, _elementwise(g, s.tolist()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ALL_TREES, S_ARRAYS)
+def test_array_eval_close_to_scalar_eval_with_power_and_logexpsq(g, s):
+    # numpy's power, expm1 and log1p differ from libm in the last bit on
+    # a few per cent of arguments
+    s = np.array(s)
+    with np.errstate(over="ignore"):
+        out = g(s)
+    np.testing.assert_allclose(out, _elementwise(g, s.tolist()),
+                               rtol=1e-14, atol=0.0)
+
+
+def test_zero_gain_array_is_zero_at_inf():
+    out = Zero()(np.array([0.0, 1.0, math.inf]))
+    assert out.tolist() == [0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("bad", [[1.0, math.nan], [0.5, -1e-300]])
+def test_array_argument_with_nan_or_negative_rejected(bad):
+    for g in (Zero(), Linear(1.0), LogExpSq(0.5, 0.8),
+              Max(Linear(1.0), Power(0.5, 2.0))):
+        with pytest.raises(GainError, match="nonnegative"):
+            g(np.array(bad))
+
+
+def test_power_overflow_is_inf_on_floats_and_arrays():
+    g = Power(1.0, 30.0)
+    assert g(1e11) == math.inf
+    with np.errstate(over="ignore"):
+        assert g(np.array([1e11])).tolist() == [math.inf]

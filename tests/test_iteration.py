@@ -3,7 +3,9 @@ import pytest
 
 from vectorgain.gains import Linear, Power
 from vectorgain.iteration import iterate, sandwich_oracle, lfp_bound_check
-from vectorgain.network import GainMatrix, gamma_apply, q_operator
+from vectorgain.network import (
+    GainMatrix, SmallGainReport, check_small_gain, gamma_apply, q_operator,
+)
 from vectorgain.recipes import random_linear_matrix
 from conftest import random_verified_matrix
 
@@ -43,6 +45,16 @@ def test_iterate_validates_input():
         iterate(G, [1.0])  # wrong dimension
     with pytest.raises(ValueError):
         iterate(G, [1.0, 2.0], max_steps=0)
+
+
+def test_iterates_are_one_read_only_array():
+    G = _two_node(0.5, 0.4)
+    res = iterate(G, [1.0, 2.0])
+    assert res.iterates.shape == (res.steps + 1, 2)
+    assert np.array_equal(res.iterates[1], gamma_apply(G, [1.0, 2.0]))
+    assert res.sup_norm_trace == tuple(res.iterates.max(axis=1).tolist())
+    with pytest.raises(ValueError):
+        res.iterates[0, 0] = 0.0
 
 
 def test_iterates_monotone_from_dominating_start(rng):
@@ -100,3 +112,16 @@ def test_lfp_fixed_point_is_exactly_q_on_linear_example():
 def test_lfp_requires_small_gain():
     with pytest.raises(ValueError):
         lfp_bound_check(_two_node(1.2, 1.0), [1.0, 1.0])
+
+
+def test_oracles_use_a_supplied_report():
+    G = _two_node(0.5, 0.4)
+    report = check_small_gain(G)
+    assert lfp_bound_check(G, [1.0, 2.0], report=report)
+    assert sandwich_oracle(G, [4.0, 4.0], [1.0, 2.0], report=report)
+    # the supplied report is what decides the precondition
+    refuted = SmallGainReport(holds=False, cycles=())
+    with pytest.raises(ValueError, match="small-gain"):
+        lfp_bound_check(G, [1.0, 2.0], report=refuted)
+    with pytest.raises(ValueError, match="small-gain"):
+        sandwich_oracle(G, [4.0, 4.0], [1.0, 2.0], report=refuted)

@@ -10,10 +10,11 @@ from vectorgain.gains import (
     Compose, GridSpec, Linear, LogExpSq, Max, Power, Scale, Zero,
     check_contraction, compose_chain,
 )
+import vectorgain.network as network
 from vectorgain.network import (
-    GainMatrix, _cycle_witness, as_plus_vec, check_small_gain, gamma_apply,
-    gas_witness_search, matrix_from_json, matrix_to_json, q_operator,
-    support_circuits, vec_max,
+    GainMatrix, SmallGainReport, _cycle_witness, as_plus_vec, check_small_gain,
+    gamma_apply, gas_witness_search, matrix_from_json, matrix_to_json,
+    q_operator, support_circuits, vec_max,
 )
 from vectorgain.recipes import random_linear_matrix
 from conftest import random_verified_matrix
@@ -118,6 +119,56 @@ def _random_sparse_gain(rng):
                    LogExpSq(float(rng.uniform(0.2, 0.45)),
                             float(rng.uniform(0.3, 0.9))))
     return LogExpSq(float(rng.uniform(0.2, 0.6)), float(rng.uniform(0.3, 1.2)))
+
+
+def _random_sparse_matrix(rng, n):
+    """Mixed sparse gains; about one row in four is all Zero."""
+    return GainMatrix.from_entries(
+        [[Zero()] * n if rng.random() < 0.25
+         else [_random_sparse_gain(rng) for _ in range(n)] for _ in range(n)])
+
+
+def test_gamma_apply_matches_full_row_formula(rng):
+    """Support-only evaluation gives the bytes of max over every entry of
+    the row, signed zeros included."""
+    for _ in range(300):
+        n = int(rng.integers(1, 7))
+        G = _random_sparse_matrix(rng, n)
+        x = rng.uniform(0.0, 10.0, size=n) * (rng.random(n) < 0.7)
+        x[rng.random(n) < 0.2] = -0.0
+        v = as_plus_vec(x)
+        expect = np.array([max(G.entries[i][j](v[j]) for j in range(n))
+                           for i in range(n)])
+        assert gamma_apply(G, x).tobytes() == expect.tobytes()
+
+
+def _witness_per_row(G, samples, radius, seed):
+    """The sampler as one draw and one gamma_apply per row."""
+    rng = np.random.default_rng(seed)
+    lo, hi = np.log(1e-6 * radius), np.log(radius)
+    for _ in range(samples):
+        x = np.exp(rng.uniform(lo, hi, size=G.n))
+        if np.all(gamma_apply(G, x) >= x):
+            return x
+    return None
+
+
+def test_witness_sampler_matches_per_row_loop(rng, monkeypatch):
+    # blocks of a few rows, so that block boundaries fall inside the run
+    monkeypatch.setattr(network, "_WITNESS_BLOCK", 10)
+    no_cycles = SmallGainReport(holds=True, cycles=())
+    found = 0
+    for k in range(60):
+        G = _random_sparse_matrix(rng, int(rng.integers(1, 5)))
+        expect = _witness_per_row(G, 300, 1e2, k)
+        got = gas_witness_search(G, samples=300, radius=1e2, seed=k,
+                                 report=no_cycles)
+        if expect is None:
+            assert got is None
+        else:
+            found += 1
+            assert got.tobytes() == expect.tobytes()
+    assert found >= 5
 
 
 def test_support_circuits_match_brute_force(rng):

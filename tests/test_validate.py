@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from vectorgain.gains import Linear, Power, Zero
-from vectorgain.models import SystemSpec
+from vectorgain.gains import Linear, LogExpSq, Power, Zero
+from vectorgain.models import (
+    SystemSpec, biochem_equilibrium, biochem_hypothesis, make_g,
+)
 from vectorgain.network import GainMatrix
 from vectorgain.signals import Signal
 from vectorgain.simulate import Trajectory, integrate_delay, integrate_ode
 from vectorgain.validate import (
-    InconclusiveError, LyapunovSetup, check_asymptotic_gain, check_convergence,
+    _IMPL_BLOCK, InconclusiveError, LyapunovSetup, biochem_rho_chain,
+    biochem_rho_first, check_asymptotic_gain, check_convergence,
     check_implication, ldn_rho, quadratic_channels, recheck_violation,
 )
 
@@ -73,6 +76,115 @@ def test_implication_network_instance():
     model = SystemSpec(kind="delay", model="linear_delay_network",
                        params={"a": a, "c": c, "r": 0.5})
     assert check_implication(setup, model, sample_count=20_000, seed=2) == []
+
+
+def _ldn_case(gain_scale, input_gain):
+    a = [1.0, 1.2, 0.9]
+    c = [[0.4, 0.6, 0.0], [0.5, 0.4, 0.6], [0.0, 0.5, 0.4]]
+    lam = 0.95
+    rows = [[Zero() if c[i][j] == 0.0 else
+             Linear(gain_scale * c[i][j] ** 2 / (lam * lam * a[i] ** 2))
+             for j in range(3)] for i in range(3)]
+    setup = LyapunovSetup(gains=GainMatrix.from_entries(rows),
+                          zeta=Linear(0.3) if input_gain else Zero(),
+                          rho_list=ldn_rho(a, lam))
+    model = SystemSpec(kind="delay", model="linear_delay_network",
+                       params={"a": a, "c": c, "r": 0.5,
+                               "bu": 0.5 if input_gain else 0.0})
+    return setup, model
+
+
+def _biochem_case(gain_scale, input_gain):
+    params = {"a": [1.0, 1.1, 0.9], "tau": [0.1] * 3,
+              "g": {"form": "mm", "c": 3.0, "K": 1.0}}
+    model = SystemSpec(kind="delay", model="biochem_circuit", params=params)
+    hyp = biochem_hypothesis(model)
+    theta, mu = 0.6, 1.1
+    G = GainMatrix.zeros(3).with_entry(0, 2, LogExpSq(0.5, theta * gain_scale))
+    for i in (1, 2):
+        G = G.with_entry(i, i - 1, LogExpSq(0.5, mu * gain_scale))
+    rho = [biochem_rho_first(params["a"][0], hyp["lam"], theta, hyp["b"])]
+    rho += [biochem_rho_chain(params["a"][i], mu) for i in (1, 2)]
+    setup = LyapunovSetup(gains=G, zeta=Linear(0.3) if input_gain else Zero(),
+                          rho_list=rho)
+    return setup, model
+
+
+def _dsup_ldn(model):
+    a, c = model.params["a"], model.params["c"]
+
+    def dsup(i, xi, V, u):
+        drive = (max(c[i][j] * math.sqrt(2.0 * V[j]) for j in range(len(a)))
+                 + model.params["bu"] * abs(u))
+        return -a[i] * xi * xi + abs(xi) * drive
+    return dsup
+
+
+def _dsup_biochem(model):
+    # np.exp on single floats: the function the batch applies to arrays
+    a, n = model.params["a"], len(model.params["a"])
+    g = make_g(model.params["g"])
+    xn = float(biochem_equilibrium(model)[-1])
+
+    def dsup(i, xi, V, u):
+        if i == 0:
+            bound = math.sqrt(2.0 * V[n - 1])
+            return max(a[0] * xi * (g(xn * np.exp(w)) / g(xn) * np.exp(-xi) - 1.0)
+                       for w in np.linspace(-bound, bound, 41))
+        bound = math.sqrt(2.0 * V[i - 1])
+        return max(a[i] * xi * (np.exp(w - xi) - 1.0)
+                   for w in (-bound, 0.0, bound))
+    return dsup
+
+
+def _implication_reference(setup, model, dsup, sample_count, seed,
+                           radius=10.0, tol=1e-8):
+    """One sample at a time, on the arrays check_implication draws (its
+    documented block order), with scalar gains."""
+    G, n = setup.gains, setup.gains.n
+    has_input = not isinstance(setup.zeta, Zero)
+    dsup = dsup(model)
+    rng = np.random.default_rng(seed)
+    lo, hi = math.log(1e-6 * radius), math.log(radius)
+    out = []
+    for start in range(0, sample_count, _IMPL_BLOCK):
+        B = min(_IMPL_BLOCK, sample_count - start)
+        idx = rng.integers(n, size=B)
+        mag = np.exp(rng.uniform(lo, hi, B))
+        sign = rng.random(B)
+        V = np.exp(rng.uniform(lo, hi, (B, n))) ** 2 / 2.0
+        u = np.exp(rng.uniform(lo, hi, B)) if has_input else np.zeros(B)
+        for k in range(B):
+            i, Vk, uk = int(idx[k]), V[k].tolist(), float(u[k])
+            xi = float(mag[k]) * (1 if sign[k] < 0.5 else -1)
+            qi = 0.5 * xi * xi
+            if has_input and setup.zeta(uk) > qi:
+                continue
+            if not all(isinstance(G.gain(i, j), Zero) or G.gain(i, j)(Vk[j]) <= qi
+                       for j in range(n)):
+                continue
+            deriv = float(dsup(i, xi, Vk, uk))
+            bound = -float(setup.rho_list[i](qi))
+            if deriv > bound + tol:
+                out.append({"i": i + 1, "x_i": xi, "V": Vk, "u": uk,
+                            "derivative": deriv, "bound": bound})
+    return out
+
+
+@pytest.mark.parametrize("case, dsup", [(_ldn_case, _dsup_ldn),
+                                        (_biochem_case, _dsup_biochem)])
+@pytest.mark.parametrize("input_gain", [False, True])
+def test_implication_matches_per_sample_loop(case, dsup, input_gain):
+    found = 0
+    for gain_scale in (1.0, 0.1):
+        setup, model = case(gain_scale, input_gain)
+        got = check_implication(setup, model, sample_count=6000, seed=3)
+        assert got == _implication_reference(setup, model, dsup, 6000, 3)
+        assert all(type(v) is float for d in got
+                   for v in [d["x_i"], d["u"], d["derivative"], d["bound"]] + d["V"])
+        assert all(recheck_violation(setup, model, d) for d in got)
+        found += len(got)
+    assert found > 0
 
 
 # -- convergence ------------------------------------------------------------
