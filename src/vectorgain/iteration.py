@@ -9,13 +9,13 @@ x -> MAX{a, Gamma(x)}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from .network import (
-    GainMatrix, SmallGainReport, as_plus_vec, check_small_gain, gamma_apply,
-    q_operator, vec_max,
+    GainMatrix, as_plus_vec, check_small_gain, gamma_apply, q_operator,
+    vec_max,
 )
 
 __all__ = ["IterationResult", "iterate", "sandwich_oracle", "lfp_bound_check"]
@@ -71,13 +71,11 @@ def iterate(G: GainMatrix, x0, max_steps: int = 200,
 
 
 def sandwich_oracle(G: GainMatrix, x, y, max_steps: int = 200,
-                    tol_conv: float = TOL_CONV,
-                    report: Optional[SmallGainReport] = None) -> bool:
+                   tol_conv: float = TOL_CONV) -> bool:
     """Convergence of iterates from y when y <= x and Gamma(x) <= x.
 
     Also asserts the sandwich Gamma^(k)(y) <= Gamma^(k)(x) at every step.
-    Preconditions (dominance, decrease at x, small gain) are enforced; the
-    small-gain report of G is computed if not supplied.
+    Preconditions (dominance, decrease at x, small gain) are enforced.
     """
     xv = as_plus_vec(x, G.n)
     yv = as_plus_vec(y, G.n)
@@ -85,7 +83,7 @@ def sandwich_oracle(G: GainMatrix, x, y, max_steps: int = 200,
         raise ValueError("precondition Gamma(x) <= x fails")
     if not np.all(yv <= xv):
         raise ValueError("precondition y <= x fails")
-    if not (check_small_gain(G) if report is None else report).holds:
+    if not check_small_gain(G).holds:
         raise ValueError("precondition: small-gain condition not established")
     cx, cy = xv, yv
     for _ in range(max_steps):
@@ -99,17 +97,15 @@ def sandwich_oracle(G: GainMatrix, x, y, max_steps: int = 200,
 
 
 def lfp_bound_check(G: GainMatrix, a, max_steps: int = 1000,
-                    tol_conv: float = TOL_CONV,
-                    report: Optional[SmallGainReport] = None) -> bool:
+                       tol_conv: float = TOL_CONV) -> bool:
     """Least fixed point of x -> MAX{a, Gamma(x)} stays below Q(a).
 
     The fixed point is reached by monotone iteration from a itself; this
     is the extremal solution of the inequality x <= MAX{a, Gamma(x)}, so
-    checking it checks the sharpest case of the envelope bound.  The
-    small-gain report of G is computed if not supplied.
+    checking it checks the sharpest case of the envelope bound.
     """
     av = as_plus_vec(a, G.n)
-    if not (check_small_gain(G) if report is None else report).holds:
+    if not check_small_gain(G).holds:
         raise ValueError("precondition: small-gain condition not established")
     x = av.copy()
     for _ in range(max_steps):

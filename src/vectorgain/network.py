@@ -33,6 +33,9 @@ __all__ = [
 
 # sampled values (rows times n) per block of the GAS witness sampler
 _WITNESS_BLOCK = 1 << 16
+# relative slack of the witness sampler's array filter: array gains can
+# differ from the float path in the last bit, and gamma_apply decides
+_WITNESS_SLACK = 1e-12
 
 
 def as_plus_vec(x, n: Optional[int] = None) -> np.ndarray:
@@ -328,9 +331,10 @@ def gas_witness_search(G: GainMatrix, samples: int = 100_000,
     the deterministic cycle-based witness for every refuted cycle of the
     small-gain report (computed if not supplied) first, then samples
     log-uniformly.  The samples are drawn in blocks of rows, the same values
-    in the same order as one draw per row, and Gamma(x) >= x is decided for
-    a block with array gains; the first passing row is confirmed with
-    gamma_apply before it is returned.  Returns the witness vector or None.
+    in the same order as one draw per row.  Array gains filter a block with
+    a small relative slack, and the candidates are decided in order with
+    gamma_apply, so the witness is the one a per-row gamma_apply loop finds.
+    Returns the witness vector or None.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -353,7 +357,7 @@ def gas_witness_search(G: GainMatrix, samples: int = 100_000,
             y = np.zeros(X.shape[0])
             for j in cols:
                 y = np.maximum(y, G.entries[i][j](X[:, j]))
-            hits &= y >= X[:, i]
+            hits &= y >= X[:, i] * (1.0 - _WITNESS_SLACK)
             if not hits.any():
                 break
         for k in np.flatnonzero(hits):

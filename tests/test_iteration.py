@@ -3,9 +3,7 @@ import pytest
 
 from vectorgain.gains import Linear, Power
 from vectorgain.iteration import iterate, sandwich_oracle, lfp_bound_check
-from vectorgain.network import (
-    GainMatrix, SmallGainReport, check_small_gain, gamma_apply, q_operator,
-)
+from vectorgain.network import GainMatrix, gamma_apply, q_operator
 from vectorgain.recipes import random_linear_matrix
 from conftest import random_verified_matrix
 
@@ -112,16 +110,3 @@ def test_lfp_fixed_point_is_exactly_q_on_linear_example():
 def test_lfp_requires_small_gain():
     with pytest.raises(ValueError):
         lfp_bound_check(_two_node(1.2, 1.0), [1.0, 1.0])
-
-
-def test_oracles_use_a_supplied_report():
-    G = _two_node(0.5, 0.4)
-    report = check_small_gain(G)
-    assert lfp_bound_check(G, [1.0, 2.0], report=report)
-    assert sandwich_oracle(G, [4.0, 4.0], [1.0, 2.0], report=report)
-    # the supplied report is what decides the precondition
-    refuted = SmallGainReport(holds=False, cycles=())
-    with pytest.raises(ValueError, match="small-gain"):
-        lfp_bound_check(G, [1.0, 2.0], report=refuted)
-    with pytest.raises(ValueError, match="small-gain"):
-        sandwich_oracle(G, [4.0, 4.0], [1.0, 2.0], report=refuted)

@@ -2,12 +2,13 @@ import itertools
 import json
 import math
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from vectorgain.gains import (
-    Compose, GridSpec, Linear, LogExpSq, Max, Power, Scale, Zero,
+    Compose, GainFn, GridSpec, Linear, LogExpSq, Max, Power, Scale, Zero,
     check_contraction, compose_chain,
 )
 import vectorgain.network as network
@@ -169,6 +170,26 @@ def test_witness_sampler_matches_per_row_loop(rng, monkeypatch):
             found += 1
             assert got.tobytes() == expect.tobytes()
     assert found >= 5
+
+
+@dataclass(frozen=True)
+class _LowOnArrays(GainFn):
+    """The identity on floats, one ulp low on arrays."""
+
+    def _eval(self, s):
+        return np.nextafter(s, 0.0) if isinstance(s, np.ndarray) else s
+
+
+def test_witness_sampler_keeps_last_bit_rows():
+    """A row that passes gamma_apply only by the last bit is not dropped
+    by the array filter."""
+    G = GainMatrix.from_entries([[_LowOnArrays()]])
+    no_cycles = SmallGainReport(holds=True, cycles=())
+    expect = _witness_per_row(G, 5, 1e2, 0)
+    assert expect is not None
+    got = gas_witness_search(G, samples=5, radius=1e2, seed=0,
+                             report=no_cycles)
+    assert got.tobytes() == expect.tobytes()
 
 
 def test_support_circuits_match_brute_force(rng):
