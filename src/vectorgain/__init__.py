@@ -2,7 +2,7 @@
 trajectory-based validation for interconnected nonlinear systems."""
 
 from .gains import (
-    BracketError, Compose, ContractionVerdict, DomainError, GainError, GainFn,
+    BracketError, Compose, ContractionVerdict, GainError, GainFn,
     GridSpec, Linear, LogExpSq, Max, Power, Scale, Zero, check_contraction,
     compose_chain, gain_from_json, gain_to_json, invert,
 )

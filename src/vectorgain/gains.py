@@ -20,15 +20,13 @@ import numpy as np
 __all__ = [
     "GainFn", "Zero", "Linear", "Power", "LogExpSq", "Max", "Compose",
     "Scale", "GridSpec", "ContractionVerdict", "GainError", "BracketError",
-    "DomainError", "compose_chain", "check_contraction", "invert",
-    "gain_to_json", "gain_from_json", "TOL_INV", "MAX_JSON_DEPTH",
+    "compose_chain", "check_contraction", "invert", "gain_to_json",
+    "gain_from_json", "MAX_JSON_DEPTH",
 ]
 
-TOL_INV = 1e-10
 # deepest gain expression gain_from_json accepts: evaluation, normalization
 # and the exact contraction rules recurse once or twice per level
 MAX_JSON_DEPTH = 100
-_BISECT_MAX_ITER = 200
 # exp argument above which LogExpSq switches to its log-space asymptote
 _EXP_OVERFLOW = 700.0
 _LN2 = math.log(2.0)
@@ -39,11 +37,7 @@ class GainError(ValueError):
 
 
 class BracketError(GainError):
-    """Inversion target lies above the gain value at the bracket end."""
-
-
-class DomainError(GainError):
-    """Gain is not strictly increasing where inversion requires it."""
+    """No finite float reaches the inversion target."""
 
 
 class GainFn:
@@ -393,52 +387,62 @@ def _grid_contraction(g: GainFn, grid: GridSpec) -> ContractionVerdict:
                f"[{grid.s_min:g}, {grid.s_max:g}]")
 
 
-def invert(g: GainFn, y: float, bracket: float = 1e6) -> float:
-    """Solve g(s) = y for s in [0, bracket] to within TOL_INV in value.
+def _closed_inverse(c: GainFn, y: float) -> Optional[float]:
+    """The inverse of a collapsed Linear, Power or LogExpSq gain at y, up to
+    rounding, or None."""
+    try:
+        if isinstance(c, Linear):
+            s = y / c.k
+        elif isinstance(c, Power):
+            s = (y / c.k) ** (1.0 / c.p)
+        elif isinstance(c, LogExpSq):
+            # sqrt(y/c) = ln(1 + th*expm1(t)) with t = sqrt(2s), or t + ln th
+            # on the asymptote the gain takes past _EXP_OVERFLOW
+            inner = math.sqrt(y / c.c)
+            t = inner - math.log(c.th)
+            if t <= _EXP_OVERFLOW:
+                t = math.log1p(math.expm1(inner) / c.th)
+            s = 0.5 * t * t
+        else:
+            return None
+    except (OverflowError, ZeroDivisionError):
+        return None
+    return s if s < math.inf else None
 
-    Uses the analytic inverse for (collapsed) linear and power gains and
-    bisection otherwise.  Requires g strictly increasing on the bracket.
+
+def invert(g: GainFn, y: float) -> float:
+    """g^{-1}(y) rounded up: a float s with g(s) >= y > g(the float below s).
+
+    The search starts at the closed form of a collapsed Linear, Power or
+    LogExpSq gain with a step of one ulp, else at 1 with a step of 1.  The
+    step doubles until g(lo) < y <= g(hi), and the bracket is bisected
+    until its ends are adjacent floats.  There is no tolerance.  Raises
+    BracketError when the bracket reaches inf, as it does for a zero gain.
     """
-    if y < 0:
+    if not y >= 0:
         raise GainError(f"inversion target must be >= 0, got {y}")
-    if bracket <= 0:
-        raise GainError(f"bracket must be > 0, got {bracket}")
     if y == 0:
         return 0.0
-    c = _collapse(g)
-    if isinstance(c, Zero):
-        raise BracketError(f"cannot invert the zero gain at y={y}")
-    if isinstance(c, Linear):
-        if c.k == 0:
-            raise BracketError(f"cannot invert the zero gain at y={y}")
-        return y / c.k
-    if isinstance(c, Power):
-        if c.k == 0:
-            raise BracketError(f"cannot invert the zero gain at y={y}")
-        return (y / c.k) ** (1.0 / c.p)
-    hi_val = g(bracket)
-    if hi_val < y:
-        raise BracketError(
-            f"g({bracket:g}) = {hi_val:g} < y = {y:g}; enlarge the bracket")
-    # monotonicity sanity scan; a decrease means the tree is not a gain
-    prev = 0.0
-    for i in range(1, 33):
-        v = g(bracket * i / 32.0)
-        if v < prev:
-            raise DomainError("gain is decreasing on the bracket")
-        prev = v
-    lo, hi = 0.0, bracket
-    s = 0.5 * bracket
-    for _ in range(_BISECT_MAX_ITER):
-        s = 0.5 * (lo + hi)
-        v = g(s)
-        if abs(v - y) <= TOL_INV:
-            return s
-        if v < y:
-            lo = s
+    start = _closed_inverse(_collapse(g), y)
+    start, step = (1.0, 1.0) if start is None else (start, math.ulp(start))
+    lo = hi = start
+    while g(hi) < y:
+        lo, hi, step = hi, start + step, 2.0 * step
+        if hi == math.inf:
+            raise BracketError(f"no finite float reaches g(s) >= {y:g}")
+    if lo == hi:  # g(start) >= y: grow downwards, to 0 at most
+        lo = max(start - step, 0.0)
+        while g(lo) >= y:
+            step *= 2.0
+            lo, hi = max(start - step, 0.0), lo
+    while True:
+        mid = lo + 0.5 * (hi - lo)
+        if not lo < mid < hi:
+            return hi
+        if g(mid) < y:
+            lo = mid
         else:
-            hi = s
-    return s
+            hi = mid
 
 
 def gain_to_json(g: GainFn) -> dict:

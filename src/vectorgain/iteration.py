@@ -8,14 +8,16 @@ x -> MAX{a, Gamma(x)}.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
 
 from .network import (
-    GainMatrix, as_plus_vec, check_small_gain, gamma_apply, q_operator,
-    vec_max,
+    _VEC_ENTRIES, GainMatrix, _gamma_step, as_plus_vec, check_small_gain,
+    q_operator,
 )
 
 __all__ = ["IterationResult", "iterate", "sandwich_oracle", "lfp_bound_check"]
@@ -43,8 +45,9 @@ def iterate(G: GainMatrix, x0, max_steps: int = 200,
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     x = as_plus_vec(x0, G.n)
+    xs = x.tolist()
     iterates: List[np.ndarray] = [x]
-    trace: List[float] = [float(np.max(x))]
+    trace: List[float] = [float(x.max())]
     status = "stalled"
     steps = 0
     for k in range(max_steps):
@@ -56,9 +59,10 @@ def iterate(G: GainMatrix, x0, max_steps: int = 200,
             status = "diverged"
             steps = k
             break
-        x = gamma_apply(G, x)
+        xs = _gamma_step(G, xs)
+        x = np.array(xs)
         iterates.append(x)
-        trace.append(float(np.max(x)))
+        trace.append(float(x.max()))
     else:
         steps = max_steps
         if trace[-1] < tol_conv:
@@ -77,23 +81,23 @@ def sandwich_oracle(G: GainMatrix, x, y, max_steps: int = 200,
     Also asserts the sandwich Gamma^(k)(y) <= Gamma^(k)(x) at every step.
     Preconditions (dominance, decrease at x, small gain) are enforced.
     """
-    xv = as_plus_vec(x, G.n)
-    yv = as_plus_vec(y, G.n)
-    if not np.all(gamma_apply(G, xv) <= xv):
+    cx = as_plus_vec(x, G.n).tolist()
+    cy = as_plus_vec(y, G.n).tolist()
+    if not all(map(operator.le, _gamma_step(G, cx), cx)):
         raise ValueError("precondition Gamma(x) <= x fails")
-    if not np.all(yv <= xv):
+    if not all(map(operator.le, cy, cx)):
         raise ValueError("precondition y <= x fails")
     if not check_small_gain(G).holds:
         raise ValueError("precondition: small-gain condition not established")
-    cx, cy = xv, yv
     for _ in range(max_steps):
-        cx = gamma_apply(G, cx)
-        cy = gamma_apply(G, cy)
-        if not np.all(cy <= cx):
+        cx = _gamma_step(G, cx)
+        cy = _gamma_step(G, cy)
+        # false on nan too, so the Python max below never sees one
+        if not all(map(operator.le, cy, cx)):
             raise AssertionError("sandwich Gamma^(k)(y) <= Gamma^(k)(x) broken")
-        if np.max(cy) < tol_conv:
+        if max(cy) < tol_conv:
             return True
-    return bool(np.max(cy) < tol_conv)
+    return max(cy) < tol_conv
 
 
 def lfp_bound_check(G: GainMatrix, a, max_steps: int = 1000,
@@ -109,7 +113,10 @@ def lfp_bound_check(G: GainMatrix, a, max_steps: int = 1000,
         raise ValueError("precondition: small-gain condition not established")
     x = av.copy()
     for _ in range(max_steps):
-        nxt = vec_max([av, gamma_apply(G, x)])
+        y = _gamma_step(G, x.tolist())
+        if not all(map(math.isfinite, y)):  # the last step has no next one
+            raise ValueError(_VEC_ENTRIES)
+        nxt = np.maximum(av, y)
         if np.max(np.abs(nxt - x)) < tol_conv:
             x = nxt
             break

@@ -13,6 +13,7 @@ gamma_ij is not the Zero gain) are enumerated, with Johnson's algorithm
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
@@ -26,7 +27,7 @@ from .gains import (
 
 __all__ = [
     "GainMatrix", "CycleVerdict", "SmallGainReport", "as_plus_vec",
-    "vec_max", "gamma_apply", "q_operator", "support_circuits",
+    "gamma_apply", "q_operator", "support_circuits",
     "check_small_gain", "gas_witness_search", "matrix_to_json",
     "matrix_from_json",
 ]
@@ -36,6 +37,7 @@ _WITNESS_BLOCK = 1 << 16
 # relative slack of the witness sampler's array filter: array gains can
 # differ from the float path in the last bit, and gamma_apply decides
 _WITNESS_SLACK = 1e-12
+_VEC_ENTRIES = "vector entries must be finite and >= 0"
 
 
 def as_plus_vec(x, n: Optional[int] = None) -> np.ndarray:
@@ -46,20 +48,8 @@ def as_plus_vec(x, n: Optional[int] = None) -> np.ndarray:
     if n is not None and v.size != n:
         raise ValueError(f"dimension mismatch: expected {n}, got {v.size}")
     if not np.all(np.isfinite(v)) or np.any(v < 0):
-        raise ValueError("vector entries must be finite and >= 0")
+        raise ValueError(_VEC_ENTRIES)
     return v
-
-
-def vec_max(xs: Sequence[np.ndarray]) -> np.ndarray:
-    """Componentwise maximum of a non-empty list of equal-length vectors."""
-    if len(xs) == 0:
-        raise ValueError("vec_max requires a non-empty list")
-    vs = [as_plus_vec(x) for x in xs]
-    n = vs[0].size
-    for v in vs[1:]:
-        if v.size != n:
-            raise ValueError("vec_max: dimension mismatch")
-    return np.maximum.reduce(vs)
 
 
 @dataclass(frozen=True)
@@ -89,7 +79,7 @@ class GainMatrix:
 
     @staticmethod
     def zeros(n: int) -> "GainMatrix":
-        return GainMatrix(n, tuple(tuple(Zero() for _ in range(n)) for _ in range(n)))
+        return GainMatrix(n, ((Zero(),) * n,) * n)
 
     def with_entry(self, i: int, j: int, g: GainFn) -> "GainMatrix":
         """Return a copy with entry (i, j) replaced (0-based indices)."""
@@ -109,20 +99,27 @@ class GainMatrix:
 
 
 def gamma_apply(G: GainMatrix, x) -> np.ndarray:
-    """Apply the induced map: y_i = max_j gamma_ij(x_j).
+    """Apply the induced map: y_i = max_j gamma_ij(x_j)."""
+    return np.array(_gamma_step(G, as_plus_vec(x, G.n).tolist()))
+
+
+def _gamma_step(G: GainMatrix, xs: List[float]) -> List[float]:
+    """Gamma on a list of n nonnegative Python floats; it checks only that
+    they are finite, which a step can break (overflow, or 0*inf = nan).
 
     Only the support entries of each row are evaluated, plus entry 0 when
     it is Zero: max keeps the first of equal values, so a row whose values
     are all zero then yields the signed zero that the full row would.
     """
-    xs = as_plus_vec(x, G.n).tolist()
-    out = np.empty(G.n)
+    if not all(map(math.isfinite, xs)):
+        raise ValueError(_VEC_ENTRIES)
+    out = []
     for i, cols in enumerate(G.support):
         row = G.entries[i]
         vals = [row[j]._eval(xs[j]) for j in cols]
         if not cols or cols[0] != 0:
             vals.insert(0, 0.0)
-        out[i] = max(vals)
+        out.append(max(vals))
     return out
 
 
@@ -130,9 +127,10 @@ def q_operator(G: GainMatrix, x) -> np.ndarray:
     """MAX of the first n iterates {x, Gamma(x), ..., Gamma^(n-1)(x)}."""
     v = as_plus_vec(x, G.n)
     acc = v.copy()
-    cur = v
+    cur = v.tolist()
     for _ in range(G.n - 1):
-        cur = gamma_apply(G, cur)
+        cur = _gamma_step(G, cur)
+        # np.maximum, not max: it decides the sign of a zero differently
         acc = np.maximum(acc, cur)
     return acc
 
@@ -404,11 +402,11 @@ def matrix_from_json(d: dict) -> GainMatrix:
         n = int(d["n"])
     except (TypeError, KeyError):
         raise ValueError(f"matrix JSON requires an integer field 'n': {d!r}")
-    G = GainMatrix.zeros(n)
-    rows = [list(row) for row in G.entries]
+    zero = Zero()
+    rows = [[zero] * n for _ in range(n)]
     for item in d.get("gains", []):
         i, j = int(item["i"]) - 1, int(item["j"]) - 1
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"gain index out of range: {item}")
         rows[i][j] = gain_from_json(item["fn"])
-    return GainMatrix.from_entries(rows)
+    return GainMatrix(n, tuple(map(tuple, rows)))

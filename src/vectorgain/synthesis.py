@@ -21,7 +21,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .gains import BracketError, GainFn, Linear, gain_to_json, invert
+from .gains import GainFn, Linear, gain_to_json, invert
 from .network import (
     GainMatrix, SmallGainReport, check_small_gain, gamma_apply, matrix_to_json,
     q_operator,
@@ -128,11 +128,8 @@ def build_phi(G: GainMatrix,
 
 
 class OverallGain:
-    """Evaluable a1^{-1} o theta; the inverse is taken at call time.
-
-    The inversion bracket grows geometrically until it covers the target
-    value, so callers never pick one by hand.
-    """
+    """Evaluable a1^{-1} o theta; the inverse is taken at call time and
+    rounded up, so a1(overall(s)) >= theta(s) on the float path."""
 
     def __init__(self, a1: GainFn, theta: GainFn):
         self.a1 = a1
@@ -143,15 +140,7 @@ class OverallGain:
 
     def inverse_at(self, y: float) -> float:
         """a1^{-1}(y), for a value y = theta(s) the caller already has."""
-        if y == 0.0:
-            return 0.0
-        bracket = 1.0
-        while self.a1(bracket) < y:
-            bracket *= 2.0
-            if bracket > 1e300:
-                raise BracketError(
-                    f"lower comparison function never reaches y={y:g}")
-        return invert(self.a1, y, bracket)
+        return invert(self.a1, y)
 
     def to_json(self) -> dict:
         return {"kind": "inverse_compose",

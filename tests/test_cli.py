@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from vectorgain.cli import main
+from vectorgain.gains import LogExpSq
 
 
 def _write(path, payload):
@@ -78,6 +79,27 @@ def test_synth_outputs(tmp_path, sg_config):
     table = (out / "gain_table.csv").read_text().splitlines()
     assert table[0] == "s,theta,overall"
     assert len(table) > 100
+
+
+def test_synth_overall_gain_rounds_a1_inverse_up(tmp_path):
+    # vgbench.workloads.BISECT_CONFIG: theta runs from 5e-7, where an
+    # absolute bisection tolerance of 1e-10 missed 45 of the 121 rows
+    cfg = _write(tmp_path / "bisect.json", {
+        "gains": {"n": 3, "gains": [
+            {"i": 1, "j": 2, "fn": {"kind": "linear", "k": 0.3}},
+            {"i": 1, "j": 3, "fn": {"kind": "logexpsq", "c": 0.5, "th": 0.4}},
+            {"i": 2, "j": 3, "fn": {"kind": "logexpsq", "c": 0.5, "th": 0.5}},
+            {"i": 3, "j": 1, "fn": {"kind": "linear", "k": 0.2}}]},
+        "synthesis": {"zeta": {"kind": "linear", "k": 0.5},
+                      "a1": {"kind": "logexpsq", "c": 0.5, "th": 0.5}}})
+    out = tmp_path / "out"
+    assert main(["synth", "--input", cfg, "--out", str(out)]) == 0
+    a1 = LogExpSq(0.5, 0.5)
+    rows = (out / "gain_table.csv").read_text().splitlines()[1:]
+    assert len(rows) == 121
+    for row in rows:
+        _, theta, overall = map(float, row.split(","))
+        assert theta <= a1(overall) <= theta * (1 + 1e-12), row
 
 
 def test_synth_refuted_exit_2(tmp_path):

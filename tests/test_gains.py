@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vectorgain.gains import (
-    MAX_JSON_DEPTH, BracketError, Compose, DomainError, GainError, GridSpec,
+    MAX_JSON_DEPTH, BracketError, Compose, GainError, GridSpec,
     Linear, LogExpSq, Max, Power, Scale, Zero, check_contraction,
     compose_chain, gain_from_json, gain_to_json, invert,
 )
@@ -183,13 +183,12 @@ def test_invert_linear_and_power_analytic():
 
 
 def test_invert_bisection_round_trip():
-    # tolerance is 1e-10 in VALUE space, so check the value round trip
-    g = LogExpSq(0.5, 0.9)
+    g = Max(LogExpSq(0.5, 0.9), Linear(0.01))  # no closed form: bisection
     for s in (1e-4, 0.3, 2.0, 50.0):
         y = g(s)
-        s_inv = invert(g, y, bracket=1e6)
-        assert abs(g(s_inv) - y) <= 1e-9
-        assert s_inv == pytest.approx(s, rel=1e-5, abs=1e-8)
+        s_inv = invert(g, y)
+        assert g(s_inv) >= y
+        assert s_inv == pytest.approx(s, rel=1e-12, abs=0.0)
 
 
 def test_invert_rejects_zero_gain():
@@ -198,9 +197,65 @@ def test_invert_rejects_zero_gain():
 
 
 def test_invert_bracket_error():
-    # the curve never reaches y = 1e6 within bracket 1.0
+    # Linear(1e-10) stays below 1e300 up to the largest float
     with pytest.raises(BracketError):
-        invert(LogExpSq(0.5, 0.9), 1e6, bracket=1.0)
+        invert(Linear(1e-10), 1e300)
+    with pytest.raises(BracketError):
+        invert(Max(Linear(1e-10), Linear(1e-20)), 1e300)  # no closed form
+
+
+def test_invert_small_targets_round_up():
+    # an absolute stopping tolerance of 1e-10 returned g(s) = 5.55e-11 here
+    g = LogExpSq(0.5, 0.5)
+    s = invert(g, 1e-12)
+    assert 1e-12 <= g(s) <= 1e-12 * (1 + 1e-12)
+    assert g(math.nextafter(s, 0.0)) < 1e-12
+    # and 7.6e-6 here, where the root is sqrt(2e-14)
+    g = Max(Power(0.5, 2.0), Linear(1e-30))
+    s = invert(g, 1e-14)
+    assert s == pytest.approx(math.sqrt(2e-14), rel=1e-12, abs=0.0)
+    assert 1e-14 <= g(s) <= 1e-14 * (1 + 1e-12)
+
+
+def test_invert_power_at_the_ends_of_the_float_range():
+    with pytest.raises(BracketError):  # (1e300)**10 overflows
+        invert(Power(1.0, 0.1), 1e300)
+    s = invert(Power(1.0, 0.1), 1e30)
+    assert s == pytest.approx(1e300, rel=1e-12)
+    assert Power(1.0, 0.1)(s) >= 1e30
+    # y/k underflows to 0, some 1e291 ulps below the root (about 4.4e-33,
+    # where s**10 reaches the subnormals): the search doubles its step
+    g = Power(1e300, 10.0)
+    s = invert(g, 1e-30)
+    assert g(s) >= 1e-30 > g(math.nextafter(s, 0.0))
+    assert 1e-33 < s < 1e-32
+
+
+# two leaves keep every intermediate value of a root for y in [1e-30, 1e30]
+# within the float range; deeper chains of Power(k, 0.2) overflow or
+# underflow inside, and g then jumps between adjacent floats
+INVERT_TREES = st.recursive(st.one_of(
+    st.builds(Linear, st.floats(1e-3, 1e3)),
+    st.builds(Power, st.floats(1e-3, 1e3), st.floats(0.2, 5.0)),
+    st.builds(LogExpSq, st.floats(0.1, 2.0), st.floats(0.1, 10.0))),
+    lambda kids: st.one_of(
+        st.builds(Max, kids, kids),
+        st.builds(Compose, kids, kids),
+        st.builds(Scale, st.floats(1e-3, 1e3), kids)), max_leaves=2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(INVERT_TREES, st.floats(1e-30, 1e30))
+def test_invert_rounds_up_without_tolerance(g, y):
+    try:
+        s = invert(g, y)
+    except BracketError:
+        assert g(1.7976931348623157e308) < y
+        return
+    assert y <= g(s)
+    assert g(math.nextafter(s, 0.0)) < y
+    if s >= 2.2250738585072014e-308:  # normal: relative spacing <= 2**-52
+        assert g(s) <= y * (1 + 1e-12)
 
 
 # -- JSON round trips -------------------------------------------------------

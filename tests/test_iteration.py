@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vectorgain.gains import Linear, Power
+from vectorgain.gains import Linear, Power, Scale, Zero
 from vectorgain.iteration import iterate, sandwich_oracle, lfp_bound_check
 from vectorgain.network import GainMatrix, gamma_apply, q_operator
 from vectorgain.recipes import random_linear_matrix
@@ -53,6 +53,22 @@ def test_iterates_are_one_read_only_array():
     assert res.sup_norm_trace == tuple(res.iterates.max(axis=1).tolist())
     with pytest.raises(ValueError):
         res.iterates[0, 0] = 0.0
+
+
+def test_non_finite_step_raises_value_error():
+    # Power(1, 500)(5) overflows to inf and Scale(0, .) turns it into nan;
+    # small gain holds, since the only cycle collapses to Zero
+    inf_nan = Scale(0.0, Power(1.0, 500.0))
+    G = GainMatrix.from_entries([[inf_nan, Zero()], [Power(1.0, 500.0), Zero()]])
+    with pytest.raises(ValueError, match="finite"):
+        iterate(G, [5.0, 5.0])  # at step 2, whose input holds nan
+    with pytest.raises(ValueError, match="finite"):
+        lfp_bound_check(G, [5.0, 5.0], max_steps=1)  # not "did not settle"
+    G3 = GainMatrix.from_entries([[Zero(), Power(1.0, 500.0), Zero()],
+                                  [Zero(), Zero(), Zero()],
+                                  [Zero(), Zero(), Zero()]])
+    with pytest.raises(ValueError, match="finite"):
+        q_operator(G3, [0.0, 5.0, 0.0])  # Gamma(x) holds inf, Gamma^2 raises
 
 
 def test_iterates_monotone_from_dominating_start(rng):

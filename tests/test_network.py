@@ -15,7 +15,7 @@ import vectorgain.network as network
 from vectorgain.network import (
     GainMatrix, SmallGainReport, _cycle_witness, as_plus_vec, check_small_gain,
     gamma_apply, gas_witness_search, matrix_from_json, matrix_to_json,
-    q_operator, support_circuits, vec_max,
+    q_operator, support_circuits,
 )
 from vectorgain.recipes import random_linear_matrix
 from conftest import random_verified_matrix
@@ -32,13 +32,6 @@ def test_as_plus_vec_validation():
         as_plus_vec([1.0, float("inf")])
     with pytest.raises(ValueError):
         as_plus_vec([1.0], n=2)
-
-
-def test_vec_max():
-    out = vec_max([np.array([1.0, 0.0]), np.array([0.5, 2.0])])
-    assert np.array_equal(out, np.array([1.0, 2.0]))
-    with pytest.raises(ValueError):
-        vec_max([])
 
 
 def test_matrix_construction_and_entries():
@@ -141,6 +134,22 @@ def test_gamma_apply_matches_full_row_formula(rng):
         expect = np.array([max(G.entries[i][j](v[j]) for j in range(n))
                            for i in range(n)])
         assert gamma_apply(G, x).tobytes() == expect.tobytes()
+
+
+def test_q_operator_matches_gamma_apply_loop_by_bytes(rng):
+    """q_operator's unchecked steps give the bytes of a loop of gamma_apply
+    and np.maximum, signed zeros included (Python's max keeps the first of
+    0.0 and -0.0, np.maximum does not)."""
+    for _ in range(300):
+        n = int(rng.integers(1, 7))
+        G = _random_sparse_matrix(rng, n)
+        x = rng.uniform(0.0, 10.0, size=n) * (rng.random(n) < 0.7)
+        x[rng.random(n) < 0.2] = -0.0
+        acc = cur = as_plus_vec(x)
+        for _ in range(n - 1):
+            cur = gamma_apply(G, cur)
+            acc = np.maximum(acc, cur)
+        assert q_operator(G, x).tobytes() == acc.tobytes()
 
 
 def _witness_per_row(G, samples, radius, seed):
