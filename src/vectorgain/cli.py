@@ -4,8 +4,8 @@ Subcommands: check-sg, synth, iterate, simulate, validate, repro.  All
 take a JSON config (``--input``) and write artifacts into an output
 directory (``--out``): ``report.json`` with the verdicts, CSV sidecars
 where trajectories or tables are produced, and ``effective_config.json``
-with every default resolved so a run is reproducible from its artifacts
-alone.  Wall-clock metadata goes to ``run_meta.json`` so the reports stay
+with the config as given plus the seed used, so a run of the same version
+is reproducible from its artifacts alone.  Wall-clock metadata goes to ``run_meta.json`` so the reports stay
 byte-identical across reruns.
 
 Exit codes: 0 = analysis ran and all verdicts positive, 2 = analysis ran
@@ -75,23 +75,25 @@ def _require(cfg: Dict, field: str) -> Dict:
     return cfg[field]
 
 
-def _gains_from_config(cfg: Dict) -> GainMatrix:
+def _parse(field: str, value, parse):
+    """parse(value); a field of the wrong shape or JSON type becomes a
+    CliError that names the field."""
     try:
-        return matrix_from_json(_require(cfg, "gains"))
-    except (ValueError, KeyError) as exc:
-        raise CliError(f"config field 'gains': {exc}")
+        return parse(value)
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise CliError(f"config field {field!r}: {exc}")
+
+
+def _gains_from_config(cfg: Dict) -> GainMatrix:
+    return _parse("gains", _require(cfg, "gains"), matrix_from_json)
 
 
 def _system_from_config(cfg: Dict) -> SystemSpec:
-    try:
-        return spec_from_json(_require(cfg, "system"))
-    except (ValueError, KeyError) as exc:
-        raise CliError(f"config field 'system': {exc}")
+    return _parse("system", _require(cfg, "system"), spec_from_json)
 
 
 def _synthesis_from_config(cfg: Dict, G: GainMatrix) -> SynthesisInput:
-    syn = _require(cfg, "synthesis")
-    try:
+    def build(syn: Dict) -> SynthesisInput:
         zeta = gain_from_json(syn["zeta"]) if "zeta" in syn else Zero()
         p_raw = syn.get("p", [])
         p_list = tuple(gain_from_json(d) for d in p_raw) if p_raw \
@@ -100,8 +102,8 @@ def _synthesis_from_config(cfg: Dict, G: GainMatrix) -> SynthesisInput:
             else Linear(1.0 / (2.0 * G.n))
         return SynthesisInput(gains=G, zeta=zeta, p_list=p_list, a1=a1,
                               M=float(syn.get("M", 1.0)))
-    except (ValueError, KeyError) as exc:
-        raise CliError(f"config field 'synthesis': {exc}")
+
+    return _parse("synthesis", _require(cfg, "synthesis"), build)
 
 
 class _Out:
@@ -156,9 +158,11 @@ def _grid_from_analysis(analysis: Dict) -> Optional[GridSpec]:
     g = analysis.get("grid")
     if g is None:
         return None
-    return GridSpec(s_min=float(g.get("s_min", 1e-12)),
-                    s_max=float(g.get("s_max", 1e12)),
-                    points=int(g.get("points", 2048)))
+    d = GridSpec()
+    return _parse("analysis.grid", g, lambda g: GridSpec(
+        s_min=float(g.get("s_min", d.s_min)),
+        s_max=float(g.get("s_max", d.s_max)),
+        points=int(g.get("points", d.points))))
 
 
 # ---------------------------------------------------------------------------

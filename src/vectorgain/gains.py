@@ -11,6 +11,7 @@ everything else.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import reduce
 from typing import Optional, Sequence
@@ -118,7 +119,8 @@ class LogExpSq(GainFn):
     """s -> c*[ln(1 + th*(exp(sqrt(2s)) - 1))]**2 with c, th > 0.
 
     Evaluated in log-space once sqrt(2s) would overflow exp: the value
-    approaches c*(sqrt(2s) + ln th)**2 from below.
+    approaches c*(sqrt(2s) + ln th)**2 from below.  The same holds earlier
+    for a large th, once th*(exp(sqrt(2s)) - 1) would overflow.
     """
 
     c: float
@@ -133,16 +135,28 @@ class LogExpSq(GainFn):
             raise GainError(f"LogExpSq parameter must be > 0, got {self.th}")
 
     def _eval(self, s):
+        # with e = expm1(t), ln(1 + th*e) is ln th + ln e to rounding once
+        # th*e is past half the float range; for th above about 8.9e3 that
+        # happens below t = _EXP_OVERFLOW, and th*e can overflow there
         if isinstance(s, np.ndarray):
             t = np.sqrt(2.0 * s)
-            near = np.log1p(self.th * np.expm1(np.minimum(t, _EXP_OVERFLOW)))
+            e = np.expm1(np.minimum(t, _EXP_OVERFLOW))
+            cap = 0.5 * sys.float_info.max / self.th
+            if cap < math.expm1(_EXP_OVERFLOW):
+                near = np.where(e <= cap, np.log1p(self.th * np.minimum(e, cap)),
+                                math.log(self.th) + np.log(np.maximum(e, cap)))
+            else:
+                near = np.log1p(self.th * e)
             inner = np.where(t > _EXP_OVERFLOW, t + math.log(self.th), near)
             return self.c * inner * inner
         t = math.sqrt(2.0 * s)
         if t > _EXP_OVERFLOW:
             inner = t + math.log(self.th)
         else:
-            inner = math.log1p(self.th * math.expm1(t))
+            e = math.expm1(t)
+            inner = math.log1p(self.th * e)
+            if inner == math.inf:  # th*e overflowed
+                inner = math.log(self.th) + math.log(e)
         return self.c * inner * inner
 
 
@@ -254,7 +268,8 @@ def _collapse(g: GainFn) -> GainFn:
 
     Rewrites compositions of linear/power gains to a single Power, products
     of half-scaled LogExpSq gains to a single LogExpSq (their parameters
-    multiply under composition), and eliminates Zero subtrees.
+    multiply under composition), and eliminates Zero subtrees.  A merged
+    coefficient that is not a normal positive float is not formed.
     """
     if isinstance(g, Scale):
         if g.k == 0:
@@ -286,20 +301,24 @@ def _collapse_compose(outer: GainFn, inner: GainFn) -> GainFn:
     """
     if isinstance(outer, Zero) or isinstance(inner, Zero):
         return Zero()
-    if isinstance(outer, Linear) and isinstance(inner, Linear):
-        # the power rule below with p = 1 gives k*(k'**1.0), exactly k*k'
-        return Linear(outer.k * inner.k)
-    if isinstance(outer, Linear):
-        outer = Power(outer.k, 1.0)
-    if isinstance(inner, Linear):
-        inner = Power(inner.k, 1.0)
-    if isinstance(outer, Power) and isinstance(inner, Power):
-        k = outer.k * inner.k ** outer.p
-        p = outer.p * inner.p
-        return Linear(k) if p == 1.0 else Power(k, p)
+    # a merged coefficient or exponent outside the normal floats (an
+    # underflow, a subnormal or an overflow) keeps the composition as it
+    # is, for the grid to decide
+    if isinstance(outer, (Linear, Power)) and isinstance(inner, (Linear, Power)):
+        p_out = outer.p if isinstance(outer, Power) else 1.0
+        p = p_out * inner.p if isinstance(inner, Power) else p_out
+        try:
+            k = outer.k * inner.k ** p_out  # with p_out = 1, exactly k*k'
+        except OverflowError:
+            k = math.inf
+        lo = sys.float_info.min
+        if lo <= k < math.inf and lo <= p < math.inf:
+            return Linear(k) if p == 1.0 else Power(k, p)
     if (isinstance(outer, LogExpSq) and isinstance(inner, LogExpSq)
             and outer.c == 0.5 and inner.c == 0.5):
-        return LogExpSq(0.5, outer.th * inner.th)
+        th = outer.th * inner.th
+        if sys.float_info.min <= th < math.inf:
+            return LogExpSq(0.5, th)
     return Compose(outer, inner)
 
 
@@ -330,10 +349,6 @@ def _exact_contraction(g: GainFn) -> Optional[ContractionVerdict]:
     if isinstance(g, Power):
         # k*s**p vs s: for p != 1 the inequality fails near 0 (p < 1)
         # or near infinity (p > 1).
-        if g.k == 0:
-            return ContractionVerdict("exact-true", detail="zero coefficient")
-        if g.p == 1.0:
-            return _exact_contraction(Linear(g.k))
         detail = f"power with exponent {g.p} != 1 exceeds identity"
         w = _power_witness(g)
         if w is None:

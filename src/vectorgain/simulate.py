@@ -112,24 +112,25 @@ def integrate_ode(spec: SystemSpec, x0, horizon: float, dt: float,
 class _History:
     """Grid-backed accessor for delayed state values.
 
-    interp(t) linearly interpolates between stored nodes; window_absmax(t)
-    returns per-channel sup of |x| over the trailing delay window, read
-    from stored nodes (first-order accurate between nodes, like the stage
-    interpolation itself).  Frontier queries are served from per-channel
-    monotone deques of Python floats, so the sliding maximum costs O(1)
-    amortized per step.  The last frontier result is memoized on the
-    window start and the number of valid rows, (i0, filled): RK4 stages
-    1-3 of a step usually share both, and the returned array is shared
-    between those calls, so callers must not write to it.
+    A query time t sits at the half-step position h = round(2(t - t0)/dt)
+    from the oldest row.  RK4 stage times, and stage times minus a
+    grid-aligned delay, lie on the half-step grid, so h is exact.
+    interp(t) is row h/2 for even h, else the mean of rows (h -/+ 1)/2.
+    window_absmax(t) is the per-channel max of |x| over rows
+    max((h - 2m) // 2, 0) to the newest valid row, m = r/dt: the stored
+    nodes of [t - r, t].  The window start only moves forward, so
+    per-channel monotone deques of Python floats serve it in O(1)
+    amortized per step.  The result is memoized on (start, filled), which
+    RK4 stages 1-3 of a step share; callers must not write to it.
     """
 
-    def __init__(self, times: np.ndarray, states: np.ndarray, dt: float,
-                 r: float, filled: int):
+    def __init__(self, states: np.ndarray, dt: float, t0: float, m: int,
+                 filled: int):
         self.states = states
         self.dt = dt
-        self.r = r
+        self.t0 = t0
+        self.m = m
         self.filled = filled  # number of valid rows
-        self._t0 = float(times[0])
         n = states.shape[1]
         # deques of (row index, |value|), indices increasing, values decreasing
         self._deques: List[deque] = [deque() for _ in range(n)]
@@ -151,28 +152,21 @@ class _History:
         self.filled = filled
         self._push_rows(filled)
 
+    def _half_steps(self, t: float) -> int:
+        return round(2.0 * (t - self.t0) / self.dt)
+
     def interp(self, t: float) -> np.ndarray:
-        pos = (t - self._t0) / self.dt
-        i = int(math.floor(pos))
-        i = min(max(i, 0), self.filled - 1)
-        frac = pos - i
-        if frac <= 0 or i + 1 >= self.filled:
-            return self.states[i]
-        return (1.0 - frac) * self.states[i] + frac * self.states[i + 1]
+        i, odd = divmod(self._half_steps(t), 2)
+        if odd:
+            return 0.5 * (self.states[i] + self.states[i + 1])
+        return self.states[i]
 
     def window_absmax(self, t: float) -> np.ndarray:
-        lo = (t - self.r - self._t0) / self.dt
-        i0 = max(int(math.floor(lo)), 0)
-        i1 = min(int(math.ceil((t - self._t0) / self.dt)) + 1, self.filled)
-        if i1 <= i0:
-            i0, i1 = self.filled - 1, self.filled
-        if i1 < self.filled:
-            return np.max(np.abs(self.states[i0:i1]), axis=0)
+        i0 = max((self._half_steps(t) - 2 * self.m) // 2, 0)
         key = (i0, self.filled)
         if key != self._memo_key:
-            # frontier query: window start only moves forward, so front
-            # entries below i0 are never needed again; each deque keeps
-            # its newest row, filled - 1 >= i0, so none runs empty
+            # front entries below i0 are never needed again; each deque
+            # keeps its newest row, filled - 1 >= i0, so none runs empty
             for dq in self._deques:
                 while dq[0][0] < i0:
                     dq.popleft()
@@ -201,8 +195,8 @@ def integrate_delay(spec: SystemSpec, history, horizon: float,
     """Method of steps with RK4 inside each step.
 
     Every model delay must sit on the grid (an integer multiple of dt);
-    delayed values at half-step stage times are linearly interpolated
-    between stored nodes.  The history covers [-r, 0] and may be given as
+    a delayed value at a half-step stage time is the mean of the two
+    stored nodes around it.  The history covers [-r, 0] and may be given as
     a callable of t, a constant vector, or a pre-sampled array.
     """
     if spec.kind != "delay":
@@ -222,7 +216,7 @@ def integrate_delay(spec: SystemSpec, history, horizon: float,
     times = dt * np.arange(-m, steps + 1)
     states = np.empty((m + steps + 1, n))
     states[: m + 1] = hist_states
-    hist = _History(times, states, dt, r, filled=m + 1)
+    hist = _History(states, dt, float(times[0]), m, filled=m + 1)
     rhs = model_rhs(spec)
     x = states[m].copy()
     for k in range(steps):

@@ -251,6 +251,45 @@ def test_check_sg_power_self_gain_near_one(tmp_path, capsys):
     assert sg["cycles"][0]["status"] == "exact-false"
 
 
+def test_check_sg_power_ring_past_float_range(tmp_path, capsys):
+    # the composed coefficient of the ring, 1000**156, overflows a float:
+    # the cycle is left to the grid instead of ending in an OverflowError
+    cfg = _write(tmp_path / "ring.json", {"gains": {"n": 4, "gains": [
+        {"i": i + 1, "j": (i + 1) % 4 + 1,
+         "fn": {"kind": "power", "k": 1000.0, "p": 5.0}} for i in range(4)]}})
+    out = tmp_path / "out"
+    assert main(["check-sg", "--input", cfg, "--out", str(out)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    sg = json.loads((out / "report.json").read_text())["small_gain"]
+    assert sg["cycles"][0]["status"] == "grid-refuted"
+
+
+_SG_GAINS = {"n": 1, "gains": [
+    {"i": 1, "j": 1, "fn": {"kind": "linear", "k": 0.5}}]}
+_ODE = {"kind": "ode", "model": "scalar_linear", "params": {"a": 1.0}}
+_ODE_RUN = {"horizon": 0.1, "dt": 0.01, "x0": [1.0]}
+
+
+@pytest.mark.parametrize("command, field, cfg", [
+    ("check-sg", "analysis.grid", {"gains": _SG_GAINS, "analysis": {"grid": 5}}),
+    ("check-sg", "gains", {"gains": {"n": 1, "gains": [5]}}),
+    ("simulate", "system", {"system": 5, "analysis": _ODE_RUN}),
+    ("simulate", "system", {"system": dict(_ODE, params=5),
+                            "analysis": _ODE_RUN}),
+    ("simulate", "system", {"system": dict(_ODE, input_signal=5),
+                            "analysis": _ODE_RUN}),
+    ("synth", "synthesis", {"gains": _SG_GAINS, "synthesis": 5}),
+    ("synth", "synthesis", {"gains": _SG_GAINS, "synthesis": {"p": 5}}),
+])
+def test_config_field_of_wrong_json_type_rejected(tmp_path, capsys, command,
+                                                  field, cfg):
+    path = _write(tmp_path / "cfg.json", cfg)
+    assert main([command, "--input", path, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config field '{field}': ")
+    assert "Traceback" not in err
+
+
 def test_check_sg_ring_longer_than_recursion_limit(tmp_path, capsys):
     n = sys.getrecursionlimit() + 100
     cfg = _write(tmp_path / "ring.json", {"gains": {"n": n, "gains": [

@@ -3,12 +3,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from vectorgain.gains import (
     MAX_JSON_DEPTH, BracketError, Compose, GainError, GridSpec,
-    Linear, LogExpSq, Max, Power, Scale, Zero, check_contraction,
+    Linear, LogExpSq, Max, Power, Scale, Zero, _collapse, check_contraction,
     compose_chain, gain_from_json, gain_to_json, invert,
 )
 from oracles import logexpsq_closed_form
@@ -157,6 +157,40 @@ def test_composition_collapse_logexpsq_parameters_multiply():
         assert g(s) == pytest.approx(merged(s), rel=1e-9)
     assert check_contraction(g).exact
     assert check_contraction(g).holds == (a * b < 1)
+
+
+def test_collapse_underflow_is_no_proof():
+    # 1e-200*(1e-200*s**2)**2 = 1e-600*s**4 >= s for s >= 1e200: the
+    # merged coefficient underflows to 0, which proves nothing
+    g = compose_chain([Power(1e-200, 2.0)] * 2)
+    v = check_contraction(g)
+    assert not v.exact and v.status.startswith("grid-")
+
+
+@pytest.mark.parametrize("g", [
+    compose_chain([Linear(1e200)] * 2),           # k*k' = 1e400
+    compose_chain([Power(1000.0, 5.0)] * 4),      # 1000**156
+    compose_chain([LogExpSq(0.5, 1e200)] * 2),    # th*th' = 1e400
+])
+def test_collapse_overflow_is_left_to_the_grid(g):
+    v = check_contraction(g)
+    assert v.status == "grid-refuted" and g(v.witness) >= v.witness
+    s = invert(g, 1.0)
+    assert g(s) >= 1.0 > g(math.nextafter(s, 0.0))
+
+
+def test_logexpsq_large_th_is_finite_where_th_expm1_overflows():
+    # ln(1 + th*(e^t - 1)) = ln th + t + ln(1 - e^-t), t = sqrt(2s); for
+    # th = 1e305 the product th*expm1(t) overflows up to t = 700
+    th = 1e305
+    g = LogExpSq(0.5, th)
+    s = np.array([1e-20, 100.0, 2.4e5, 2.45e5, 2.6e5])
+    t = np.sqrt(2.0 * s)
+    expected = 0.5 * (math.log(th) + t + np.log(-np.expm1(-t))) ** 2
+    np.testing.assert_allclose([g(v) for v in s.tolist()], expected,
+                               rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(g(s), expected, rtol=1e-12, atol=0.0)
+    assert g(100.0) == pytest.approx(2.5664e5, rel=1e-4)
 
 
 def test_grid_verdict_for_mixed_tree():
@@ -315,6 +349,80 @@ def test_composition_associative(f, g, h, s):
     lhs = Compose(f, Compose(g, h))(s)
     rhs = Compose(Compose(f, g), h)(s)
     assert lhs == rhs
+
+
+def _wide(lo, hi):
+    """Floats log-uniform over [10**lo, 10**hi]."""
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+# coefficients over [1e-200, 1e200]: a product of two or three of them can
+# leave the float range, as a merged coefficient of _collapse can; th up
+# to 1e305 makes th*expm1(sqrt(2s)) overflow in LogExpSq
+WIDE_TREES = st.recursive(st.one_of(
+    st.builds(Linear, _wide(-200, 200)),
+    st.builds(Power, _wide(-200, 200), st.floats(0.2, 5.0)),
+    st.builds(LogExpSq, st.one_of(st.just(0.5), st.floats(0.1, 2.0)),
+              _wide(-200, 305))),
+    lambda kids: st.one_of(
+        st.builds(Max, kids, kids),
+        st.builds(Compose, kids, kids),
+        st.builds(Scale, _wide(-200, 200), kids)), max_leaves=3)
+WIDE_S = st.one_of(st.just(0.0), _wide(-300, 300))
+
+
+@settings(max_examples=300, deadline=None)
+@given(WIDE_TREES, WIDE_S, WIDE_S)
+def test_every_node_nondecreasing_on_floats_and_arrays(g, s1, s2):
+    lo, hi = min(s1, s2), max(s1, s2)
+    assert g(lo) <= g(hi)
+    with np.errstate(over="ignore"):  # past the float range a gain is inf
+        out = g(np.array([lo, hi]))
+    assert out[0] <= out[1]
+
+
+def _steps(g, s):
+    """g(s) first, then every value computed on the way, s**p included."""
+    if isinstance(g, Compose):
+        inner = _steps(g.inner, s)
+        return _steps(g.outer, inner[0]) + inner
+    if isinstance(g, Max):
+        a, b = _steps(g.a, s), _steps(g.b, s)
+        return [max(a[0], b[0])] + a + b
+    if isinstance(g, Scale):
+        fn = _steps(g.fn, s)
+        return [g.k * fn[0]] + fn
+    if isinstance(g, Power):
+        try:
+            return [g(s), s ** g.p]
+        except OverflowError:
+            return [g(s), math.inf]
+    return [g(s)]
+
+
+def _normal(v):
+    return 2.2250738585072014e-308 <= v < math.inf
+
+
+@settings(max_examples=300, deadline=None)
+@given(WIDE_TREES, _wide(-300, 300))
+def test_collapse_keeps_the_value(g, s):
+    # Compared only where no step of either evaluation leaves the normal
+    # floats: a step that underflows or overflows makes that evaluation
+    # wrong, not the rewrite.  A merge rounds a coefficient or exponent
+    # once, and pow and expm1 scale a relative error of their argument by
+    # |p ln s| <= 709*125 and by t = sqrt(2s) <= 709, so one merge moves
+    # the value by at most about 709*125*2**-52 = 2e-11, and a three-leaf
+    # tree merges twice at most.
+    c = _collapse(g)
+    assume(all(map(_normal, _steps(g, s) + _steps(c, s))))
+    assert c(s) == pytest.approx(g(s), rel=1e-10, abs=0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(WIDE_TREES)
+def test_gain_json_round_trip_property(g):
+    assert gain_from_json(json.loads(json.dumps(gain_to_json(g)))) == g
 
 
 # -- array evaluation --------------------------------------------------------

@@ -158,73 +158,65 @@ def test_biochem_positivity_and_equilibrium_invariance():
         assert np.all(traj.states > 0.0)
 
 
-def test_window_absmax_matches_brute_force():
+def test_window_absmax_takes_its_start_from_the_step_index():
+    # rows are 0-based from the oldest history row: at t_k and t_k + dt/2
+    # the window is rows [k, filled), at t_k + dt it is rows [k + 1, filled)
     rng = np.random.default_rng(11)
-    dt, r = 1e-2, 0.3
+    dt, r = 0.01, 0.2
     m = int(round(r / dt))
-    steps = 200
+    steps = 300
     times = dt * np.arange(-m, steps + 1)
-    states = np.zeros((m + steps + 1, 2))
-    states[: m + 1] = rng.standard_normal((m + 1, 2))
-    hist = _History(times, states, dt, r, filled=m + 1)
+    states = np.zeros((m + steps + 1, 3))
+    states[: m + 1] = rng.standard_normal((m + 1, 3))
+    hist = _History(states, dt, float(times[0]), m, filled=m + 1)
     for k in range(steps):
-        t = times[m + k]
-        for tq in (t, t + 0.5 * dt, t + dt):
-            got = hist.window_absmax(tq)
-            lo = (tq - r - times[0]) / dt
-            i0 = max(int(math.floor(lo)), 0)
-            i1 = min(int(math.ceil((tq - times[0]) / dt)) + 1, hist.filled)
-            ref = np.max(np.abs(states[i0:i1]), axis=0)
-            assert np.array_equal(got, ref)
-        states[m + k + 1] = rng.standard_normal(2)
+        t = float(times[m + k])
+        for tq, start in ((t, k), (t + 0.5 * dt, k), (t + dt, k + 1)):
+            ref = np.max(np.abs(states[start:hist.filled]), axis=0)
+            assert np.array_equal(hist.window_absmax(tq), ref)
+        states[m + k + 1] = rng.standard_normal(3)
         hist.advance(m + k + 2)
 
 
 def _reference_delay_run(deriv, hist0, r, dt, steps):
     """Plain method-of-steps RK4, written apart from integrate_delay.
 
-    deriv(t, x, delayed, window) reads delayed(ch, t), one channel linearly
-    interpolated between stored nodes, and window(t), the brute-force
-    sup of |x| over the stored nodes of [t - r, t] (the frontier row when
-    the window holds none).  The window start never moves back, as in a
-    sliding-window maximum: when rounding puts a stage-1 start just below
-    the node that the previous stage 4 started at, that node still starts
-    the window.
+    deriv(t, x, delayed, window) reads delayed(ch, d), channel ch at the
+    stage time minus the grid-aligned delay d, and window(), the sup of
+    |x| over the stored nodes of [t - r, t].  Both place the stage on the
+    half-step grid from the step index and the stage, in integers: the
+    delayed value is a stored node or the mean of two, and the window
+    runs from row k (stages 1-3 of step k) or k + 1 (stage 4) to the
+    newest row.
     """
     m = int(round(r / dt))
     times = dt * np.arange(-m, steps + 1)
     states = np.empty((m + steps + 1, np.shape(hist0)[-1]))
     states[: m + 1] = hist0
     filled = m + 1
-    start = 0
+    k = half = 0  # step index, and the stage offset in half-steps
 
-    def delayed(ch, t):
-        pos = (t - times[0]) / dt
-        i = min(max(math.floor(pos), 0), filled - 1)
-        frac = pos - i
-        if frac <= 0 or i + 1 >= filled:
-            return states[i, ch]
-        return (1.0 - frac) * states[i, ch] + frac * states[i + 1, ch]
+    def delayed(ch, d):
+        i, odd = divmod(2 * (m + k) + half - 2 * int(round(d / dt)), 2)
+        if odd:
+            return 0.5 * (states[i, ch] + states[i + 1, ch])
+        return states[i, ch]
 
-    def window(t):
-        nonlocal start
-        i0 = max(math.floor((t - r - times[0]) / dt), 0)
-        i1 = min(math.ceil((t - times[0]) / dt) + 1, filled)
-        if i1 <= i0:
-            i0, i1 = filled - 1, filled
-        start = max(start, i0)
-        return np.max(np.abs(states[start:i1]), axis=0)
+    def window():
+        return np.max(np.abs(states[k + half // 2:filled]), axis=0)
 
-    def f(t, x):
+    def f(t, x, stage_half):
+        nonlocal half
+        half = stage_half
         return deriv(t, x, delayed, window)
 
     x = states[m].copy()
     for k in range(steps):
         t = times[m + k]
-        k1 = f(t, x)
-        k2 = f(t + 0.5 * dt, x + 0.5 * dt * k1)
-        k3 = f(t + 0.5 * dt, x + 0.5 * dt * k2)
-        k4 = f(t + dt, x + dt * k3)
+        k1 = f(t, x, 0)
+        k2 = f(t + 0.5 * dt, x + 0.5 * dt * k1, 1)
+        k3 = f(t + 0.5 * dt, x + 0.5 * dt * k2, 1)
+        k4 = f(t + dt, x + dt * k3, 2)
         x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         states[m + k + 1] = x
         filled += 1
@@ -242,7 +234,7 @@ def test_delay_network_trajectory_matches_reference(disturbance):
                       disturbance_signal=disturbance)
 
     def deriv(t, x, delayed, window):
-        w = window(t)
+        w = window()
         scale = disturbance(t) if disturbance.kind != "zero" else 1.0
         return np.array([
             -a[i] * x[i] + (1.0 if x[i] >= 0 else -1.0)
@@ -264,7 +256,7 @@ def test_biochem_trajectory_matches_reference(tau):
 
     def deriv(t, x, delayed, window):
         def src(j):
-            return delayed(j, t - tau[j]) if tau[j] > 0 else x[j]
+            return delayed(j, tau[j]) if tau[j] > 0 else x[j]
         return np.array([g(max(src(2), 0.0)) - a[0] * x[0],
                          src(0) - a[1] * x[1], src(1) - a[2] * x[2]])
 
