@@ -136,17 +136,14 @@ class LogExpSq(GainFn):
 
     def _eval(self, s):
         # with e = expm1(t), ln(1 + th*e) is ln th + ln e to rounding once
-        # th*e is past half the float range; for th above about 8.9e3 that
-        # happens below t = _EXP_OVERFLOW, and th*e can overflow there
+        # e passes cap, where th*e is half the float range; for th above
+        # about 8.9e3 that happens below t = _EXP_OVERFLOW
+        cap = 0.5 * sys.float_info.max / self.th
         if isinstance(s, np.ndarray):
             t = np.sqrt(2.0 * s)
             e = np.expm1(np.minimum(t, _EXP_OVERFLOW))
-            cap = 0.5 * sys.float_info.max / self.th
-            if cap < math.expm1(_EXP_OVERFLOW):
-                near = np.where(e <= cap, np.log1p(self.th * np.minimum(e, cap)),
-                                math.log(self.th) + np.log(np.maximum(e, cap)))
-            else:
-                near = np.log1p(self.th * e)
+            near = np.where(e <= cap, np.log1p(self.th * np.minimum(e, cap)),
+                            math.log(self.th) + np.log(np.maximum(e, cap)))
             inner = np.where(t > _EXP_OVERFLOW, t + math.log(self.th), near)
             return self.c * inner * inner
         t = math.sqrt(2.0 * s)
@@ -154,9 +151,10 @@ class LogExpSq(GainFn):
             inner = t + math.log(self.th)
         else:
             e = math.expm1(t)
-            inner = math.log1p(self.th * e)
-            if inner == math.inf:  # th*e overflowed
+            if e > cap:
                 inner = math.log(self.th) + math.log(e)
+            else:
+                inner = math.log1p(self.th * e)
         return self.c * inner * inner
 
 

@@ -105,7 +105,9 @@ def _ldn_rhs(spec: SystemSpec):
 
     if p.get("coupling", "sign_aligned") == "sign_aligned":
         def rhs(t, x, hist):
-            drive = (c * hist.window_absmax(t)).max(axis=1)  # >= 0
+            # with r = 0 the window [t - r, t] holds the present state alone
+            w = hist.window_absmax(t) if r > 0 else np.abs(x)
+            drive = (c * w).max(axis=1)  # >= 0
             # sgn(x) with sgn(+-0) = +1: x + 0.0 turns -0.0 into +0.0
             g = np.copysign(drive, x + 0.0)
             if disturbed:
@@ -113,7 +115,7 @@ def _ldn_rhs(spec: SystemSpec):
             return neg_a * x + g
     else:
         def rhs(t, x, hist):
-            g = c @ hist.interp(t - r)
+            g = c @ (hist.interp(t - r) if r > 0 else x)
             if disturbed:
                 g *= d_sig(t)
             return neg_a * x + g

@@ -114,7 +114,8 @@ class _History:
 
     A query time t sits at the half-step position h = round(2(t - t0)/dt)
     from the oldest row.  RK4 stage times, and stage times minus a
-    grid-aligned delay, lie on the half-step grid, so h is exact.
+    grid-aligned delay, lie on the half-step grid, so h is exact; a delay
+    of at least one step keeps every query at or before the newest row.
     interp(t) is row h/2 for even h, else the mean of rows (h -/+ 1)/2.
     window_absmax(t) is the per-channel max of |x| over rows
     max((h - 2m) // 2, 0) to the newest valid row, m = r/dt: the stored
@@ -166,7 +167,8 @@ class _History:
         key = (i0, self.filled)
         if key != self._memo_key:
             # front entries below i0 are never needed again; each deque
-            # keeps its newest row, filled - 1 >= i0, so none runs empty
+            # keeps its newest row, filled - 1 >= i0 as m >= 1, so none
+            # runs empty
             for dq in self._deques:
                 while dq[0][0] < i0:
                     dq.popleft()
@@ -194,7 +196,8 @@ def integrate_delay(spec: SystemSpec, history, horizon: float,
                     dt: float) -> Trajectory:
     """Method of steps with RK4 inside each step.
 
-    Every model delay must sit on the grid (an integer multiple of dt);
+    Every model delay must sit on the grid (a positive integer multiple
+    of dt), so no stage reads past the newest stored node;
     a delayed value at a half-step stage time is the mean of the two
     stored nodes around it.  The history covers [-r, 0] and may be given as
     a callable of t, a constant vector, or a pre-sampled array.
@@ -205,9 +208,10 @@ def integrate_delay(spec: SystemSpec, history, horizon: float,
         raise ConfigError("need 0 < dt <= horizon")
     for tau in model_delays(spec):
         ratio = tau / dt
-        if abs(ratio - round(ratio)) > DELAY_ALIGN_TOL * max(1.0, ratio):
+        k = round(ratio)
+        if k < 1 or abs(ratio - k) > DELAY_ALIGN_TOL * max(1.0, ratio):
             raise ConfigError(
-                f"delay {tau} is not an integer multiple of dt = {dt}")
+                f"delay {tau} is not a positive integer multiple of dt = {dt}")
     n = model_dim(spec)
     r = max_delay(spec)
     m = int(round(r / dt))

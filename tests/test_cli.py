@@ -162,6 +162,21 @@ def test_simulate_finite_escape_exit_2(tmp_path):
     assert report["escape_time"] > 0
 
 
+def test_simulate_delay_network_without_delay(tmp_path, capsys):
+    # r defaults to 0 (the present state drives the coupling); a positive
+    # delay below one step is a config error
+    for params, code in [({"a": [1.0], "c": [[0.5]]}, 0),
+                         ({"a": [1.0], "c": [[0.5]], "r": 1e-20}, 1)]:
+        cfg = _write(tmp_path / "sim.json", {
+            "system": {"kind": "delay", "model": "linear_delay_network",
+                       "params": params},
+            "analysis": {"horizon": 1.0, "dt": 0.01, "history": [1.0]}})
+        out = tmp_path / f"out{code}"
+        assert main(["simulate", "--input", cfg, "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") if code else err == ""
+
+
 def test_validate_convergence_and_gain(tmp_path):
     cfg = _write(tmp_path / "val.json", {
         "system": {"kind": "ode", "model": "scalar_linear",

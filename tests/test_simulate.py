@@ -92,6 +92,31 @@ def test_delay_alignment_enforced():
     integrate_delay(spec, np.array([1.0]), horizon=1.0, dt=0.05)
 
 
+def test_delay_shorter_than_one_step_rejected():
+    # a positive delay that rounds to 0 steps would read rows not yet written
+    for model, params in [
+            ("linear_delay_network", {"a": [1.0], "c": [[0.1]], "r": 1e-20}),
+            ("biochem_circuit", {"a": [1.0, 1.0], "tau": [1e-20, 0.1],
+                                 "g": {"form": "mm", "c": 1.0, "K": 1.0}})]:
+        spec = SystemSpec(kind="delay", model=model, params=params)
+        with pytest.raises(ConfigError, match="positive integer multiple"):
+            integrate_delay(spec, np.array([1.0, 1.0][:len(params["a"])]),
+                            horizon=1.0, dt=0.01)
+
+
+@pytest.mark.parametrize("coupling", ["sign_aligned", "delayed_linear"])
+def test_delay_network_without_delay_reads_present_state(coupling):
+    # r = 0: dx = -x + 0.5*x(t) under both couplings for x > 0, so the
+    # run is plain RK4 on that ODE
+    spec = SystemSpec(kind="delay", model="linear_delay_network",
+                      params={"a": [1.0], "c": [[0.5]], "r": 0.0,
+                              "coupling": coupling})
+    traj = integrate_delay(spec, np.array([2.0]), horizon=2.0, dt=0.01)
+    ref = rk4_reference(lambda t, x: -1.0 * x + 0.5 * x, np.array([2.0]),
+                        0.0, 2.0, 200)
+    assert traj.states[-1] == pytest.approx(ref, rel=1e-14)
+
+
 def test_delay_first_interval_analytic():
     # dx = -x + 0.5*x(t-1), history = 1: on [0,1], dx = -x + 0.5,
     # so x(t) = 0.5 + 0.5*exp(-t)
