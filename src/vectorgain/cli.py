@@ -1,12 +1,21 @@
 """Command-line entry point.
 
-Subcommands: check-sg, synth, iterate, simulate, validate, repro.  All
-take a JSON config (``--input``) and write artifacts into an output
-directory (``--out``): ``report.json`` with the verdicts, CSV sidecars
-where trajectories or tables are produced, and ``effective_config.json``
-with the config as given plus the seed used, so a run of the same version
-is reproducible from its artifacts alone.  Wall-clock metadata goes to ``run_meta.json`` so the reports stay
-byte-identical across reruns.
+Subcommands: check-sg, synth, iterate, simulate, validate, repro.  All but
+repro take a JSON config (``--input``); all write artifacts into an output
+directory (``--out``).
+
+There is one write path.  A subcommand only computes: it returns its exit
+code, its report payload, its CSV sidecars and its message.  ``main``
+loads the config, resolves the seed, runs the subcommand (a finite escape
+becomes an exit-2 report here) and then writes, in this order:
+``report.json`` (the payload plus ``"command"``), the sidecars,
+``effective_config.json`` (the config as given plus the seed used, so a
+run of the same version is reproducible from its artifacts alone) and
+``run_meta.json`` (wall-clock metadata, kept apart so the other artifacts
+are byte-identical across reruns).  A run that fails before this point
+writes nothing and creates no output directory.  Every numeric
+``analysis`` field is read by ``_number``, so a value of the wrong type is
+an error that names the field.
 
 Exit codes: 0 = analysis ran and all verdicts positive, 2 = analysis ran
 but a verdict is negative (small gain refuted, iteration not converged,
@@ -20,7 +29,7 @@ import datetime
 import json
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -80,7 +89,8 @@ def _parse(field: str, value, parse):
     CliError that names the field."""
     try:
         return parse(value)
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError,
+            OverflowError) as exc:
         raise CliError(f"config field {field!r}: {exc}")
 
 
@@ -106,41 +116,6 @@ def _synthesis_from_config(cfg: Dict, G: GainMatrix) -> SynthesisInput:
     return _parse("synthesis", _require(cfg, "synthesis"), build)
 
 
-class _Out:
-    """Output directory with overwrite protection and JSON/CSV writers."""
-
-    def __init__(self, path: str, force: bool):
-        self.dir = Path(path)
-        self.force = force
-        self.dir.mkdir(parents=True, exist_ok=True)
-
-    def _target(self, name: str) -> Path:
-        p = self.dir / name
-        if p.exists() and not self.force:
-            raise CliError(f"refusing to overwrite {p}; pass --force")
-        return p
-
-    def write_json(self, name: str, payload: Dict) -> None:
-        with self._target(name).open("w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    def write_lines(self, name: str, lines) -> None:
-        with self._target(name).open("w") as fh:
-            for line in lines:
-                fh.write(line + "\n")
-
-
-def _emit_common(out: _Out, command: str, cfg: Dict,
-                 seed: Optional[int]) -> None:
-    out.write_json("effective_config.json",
-                   {"command": command, "config": cfg, "seed": seed})
-    out.write_json("run_meta.json", {
-        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "argv": sys.argv[1:],
-    })
-
-
 def _analysis(cfg: Dict) -> Dict:
     a = cfg.get("analysis", {})
     if not isinstance(a, dict):
@@ -148,10 +123,15 @@ def _analysis(cfg: Dict) -> Dict:
     return a
 
 
-def _resolve_seed(args, analysis: Dict) -> int:
-    if args.seed is not None:
-        return args.seed
-    return int(analysis.get("seed", 0))
+def _vector(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
+def _number(analysis: Dict, name: str, default=None, parse=float):
+    """analysis[name] read by parse (float, int or _vector), default when
+    absent or null; a value parse rejects is a CliError naming the field."""
+    value = analysis.get(name)
+    return default if value is None else _parse(f"analysis.{name}", value, parse)
 
 
 def _grid_from_analysis(analysis: Dict) -> Optional[GridSpec]:
@@ -166,102 +146,82 @@ def _grid_from_analysis(analysis: Dict) -> Optional[GridSpec]:
 
 
 # ---------------------------------------------------------------------------
-# subcommands; each returns the process exit code
+# subcommands; each takes the config, its analysis object, the seed and the
+# output directory (named in messages only) and returns (exit code, report
+# payload, {sidecar name: lines}, message), which main writes and prints
 # ---------------------------------------------------------------------------
 
-def _cmd_check_sg(args) -> int:
-    cfg = _load_config(args.input)
-    analysis = _analysis(cfg)
+_Result = Tuple[int, Dict, Dict[str, Iterable[str]], str]
+
+
+def _cmd_check_sg(cfg: Dict, analysis: Dict, seed: int, out: Path) -> _Result:
     G = _gains_from_config(cfg)
     report = check_small_gain(G, _grid_from_analysis(analysis))
-    payload = {"command": "check-sg", "small_gain": report.to_json()}
+    payload = {"small_gain": report.to_json()}
     if not report.holds:
-        witness = gas_witness_search(G, seed=_resolve_seed(args, analysis),
-                                     report=report)
+        witness = gas_witness_search(G, seed=seed, report=report)
         if witness is not None:
             payload["gas_witness"] = [float(v) for v in witness]
-    out = _Out(args.out, args.force)
-    out.write_json("report.json", payload)
-    _emit_common(out, "check-sg", cfg, _resolve_seed(args, analysis))
-    print(report.table())
-    return 0 if report.holds else 2
+    return (0 if report.holds else 2), payload, {}, report.table()
 
 
-def _cmd_synth(args) -> int:
-    cfg = _load_config(args.input)
-    analysis = _analysis(cfg)
+def _cmd_synth(cfg: Dict, analysis: Dict, seed: int, out: Path) -> _Result:
     G = _gains_from_config(cfg)
     inp = _synthesis_from_config(cfg, G)
-    out = _Out(args.out, args.force)
+    points = _number(analysis, "table_points", 121, int)
     report = check_small_gain(G, _grid_from_analysis(analysis))
     if not report.holds:
-        out.write_json("report.json", {
-            "command": "synth", "status": "small-gain-refuted",
-            "small_gain": report.to_json()})
-        _emit_common(out, "synth", cfg, _resolve_seed(args, analysis))
-        print(report.table())
-        return 2
+        return 2, {"status": "small-gain-refuted",
+                   "small_gain": report.to_json()}, {}, report.table()
     comp = overall_gain(inp, report)
-    out.write_json("report.json", {
-        "command": "synth", "status": "synthesized",
-        "small_gain": report.to_json(), "composite": comp.to_json()})
-    samples = np.logspace(-6, 6, int(analysis.get("table_points", 121)))
     rows = ["s,theta,overall"]
-    for s in samples:
+    for s in np.logspace(-6, 6, points):
         s = float(s)
         theta = comp.theta(s)
         rows.append(f"{s!r},{theta!r},{comp.overall.inverse_at(theta)!r}")
-    out.write_lines("gain_table.csv", rows)
-    _emit_common(out, "synth", cfg, _resolve_seed(args, analysis))
-    print(f"synthesized composite gain over {G.n} nodes; "
-          f"table in {out.dir / 'gain_table.csv'}")
-    return 0
+    payload = {"status": "synthesized", "small_gain": report.to_json(),
+               "composite": comp.to_json()}
+    return 0, payload, {"gain_table.csv": rows}, (
+        f"synthesized composite gain over {G.n} nodes; "
+        f"table in {out / 'gain_table.csv'}")
 
 
-def _cmd_iterate(args) -> int:
-    cfg = _load_config(args.input)
-    analysis = _analysis(cfg)
+def _cmd_iterate(cfg: Dict, analysis: Dict, seed: int, out: Path) -> _Result:
     G = _gains_from_config(cfg)
-    x0 = analysis.get("x0")
+    x0 = _number(analysis, "x0", parse=_vector)
     if x0 is None:
         raise CliError("iterate needs analysis.x0 (initial vector)")
+    max_steps = _number(analysis, "max_steps", 200, int)
+    tol_conv = _number(analysis, "tol_conv", TOL_CONV)
     try:
-        res = iterate(G, np.asarray(x0, dtype=float),
-                      max_steps=int(analysis.get("max_steps", 200)),
-                      tol_conv=float(analysis.get("tol_conv", TOL_CONV)))
+        res = iterate(G, x0, max_steps=max_steps, tol_conv=tol_conv)
     except ValueError as exc:
         raise CliError(str(exc))
-    out = _Out(args.out, args.force)
-    out.write_json("report.json", {
-        "command": "iterate", "status": res.status, "steps": res.steps,
-        "final": [float(v) for v in res.iterates[-1]],
-        "sup_norms": [float(v) for v in res.sup_norm_trace]})
     rows = ["k," + ",".join(f"x{i+1}" for i in range(G.n))]
     for k, x in enumerate(res.iterates):
         rows.append(f"{k}," + ",".join(repr(float(v)) for v in x))
-    out.write_lines("iterates.csv", rows)
-    _emit_common(out, "iterate", cfg, _resolve_seed(args, analysis))
-    print(f"iteration {res.status} after {res.steps} steps")
-    return 0 if res.status == "converged" else 2
+    payload = {"status": res.status, "steps": res.steps,
+               "final": [float(v) for v in res.iterates[-1]],
+               "sup_norms": [float(v) for v in res.sup_norm_trace]}
+    return (0 if res.status == "converged" else 2), payload, \
+        {"iterates.csv": rows}, f"iteration {res.status} after {res.steps} steps"
 
 
 def _run_simulation(spec: SystemSpec, analysis: Dict) -> Trajectory:
-    horizon = float(analysis.get("horizon", 10.0))
-    dt = float(analysis.get("dt", 1e-3))
+    horizon = _number(analysis, "horizon", 10.0)
+    dt = _number(analysis, "dt", 1e-3)
+    x0 = _number(analysis, "x0", parse=_vector)
     try:
         if spec.kind == "ode":
-            x0 = analysis.get("x0")
             if x0 is None:
                 raise CliError("simulate needs analysis.x0 for an ODE model")
             return integrate_ode(spec, x0, horizon=horizon, dt=dt)
         if spec.kind == "delay":
-            hist = analysis.get("history", analysis.get("x0"))
+            hist = _number(analysis, "history", x0, _vector)
             if hist is None:
                 raise CliError(
                     "simulate needs analysis.history (or x0) for a delay model")
-            return integrate_delay(spec, np.asarray(hist, dtype=float),
-                                   horizon=horizon, dt=dt)
-        x0 = analysis.get("x0")
+            return integrate_delay(spec, hist, horizon=horizon, dt=dt)
         if x0 is None:
             raise CliError("simulate needs analysis.x0 for a sampled model")
         return integrate_sampled(spec, x0, horizon=horizon, dt=dt)
@@ -269,72 +229,44 @@ def _run_simulation(spec: SystemSpec, analysis: Dict) -> Trajectory:
         raise CliError(str(exc))
 
 
-def _emit_trajectory(out: _Out, traj: Trajectory) -> None:
-    out.write_lines("trajectory.csv", traj.csv_rows())
+def _trajectory_files(traj: Trajectory) -> Dict[str, Iterable[str]]:
+    files = {"trajectory.csv": traj.csv_rows()}
     if traj.sampling_times is not None:
-        out.write_lines("sampling_times.csv",
-                        ["tau"] + [repr(float(t)) for t in traj.sampling_times])
+        files["sampling_times.csv"] = \
+            ["tau"] + [repr(float(t)) for t in traj.sampling_times]
+    return files
 
 
-def _cmd_simulate(args) -> int:
-    cfg = _load_config(args.input)
-    analysis = _analysis(cfg)
-    spec = _system_from_config(cfg)
-    out = _Out(args.out, args.force)
-    seed = _resolve_seed(args, analysis)
-    try:
-        traj = _run_simulation(spec, analysis)
-    except FiniteEscapeError as exc:
-        out.write_json("report.json", {
-            "command": "simulate", "status": "finite-escape",
-            "escape_time": exc.time})
-        _emit_common(out, "simulate", cfg, seed)
-        print(f"finite escape at t = {exc.time:g}")
-        return 2
+def _cmd_simulate(cfg: Dict, analysis: Dict, seed: int, out: Path) -> _Result:
+    traj = _run_simulation(_system_from_config(cfg), analysis)
     final = traj.states[-1]
-    out.write_json("report.json", {
-        "command": "simulate", "status": "completed",
-        "t_final": float(traj.times[-1]),
-        "final_state": [float(v) for v in final],
-        "final_sup_norm": float(np.max(np.abs(final)))})
-    _emit_trajectory(out, traj)
-    _emit_common(out, "simulate", cfg, seed)
-    print(f"simulated to t = {traj.times[-1]:g}; "
-          f"final sup-norm {np.max(np.abs(final)):.3e}")
-    return 0
+    sup = float(np.max(np.abs(final)))
+    payload = {"status": "completed", "t_final": float(traj.times[-1]),
+               "final_state": [float(v) for v in final],
+               "final_sup_norm": sup}
+    return 0, payload, _trajectory_files(traj), \
+        f"simulated to t = {traj.times[-1]:g}; final sup-norm {sup:.3e}"
 
 
-def _cmd_validate(args) -> int:
-    cfg = _load_config(args.input)
-    analysis = _analysis(cfg)
+def _cmd_validate(cfg: Dict, analysis: Dict, seed: int, out: Path) -> _Result:
     spec = _system_from_config(cfg)
-    out = _Out(args.out, args.force)
-    seed = _resolve_seed(args, analysis)
-    payload: Dict = {"command": "validate"}
-    ok = True
-    try:
-        traj = _run_simulation(spec, analysis)
-    except FiniteEscapeError as exc:
-        out.write_json("report.json", {
-            "command": "validate", "status": "finite-escape",
-            "escape_time": exc.time})
-        _emit_common(out, "validate", cfg, seed)
-        print(f"finite escape at t = {exc.time:g}")
-        return 2
+    tail_fraction = _number(analysis, "tail_fraction", TAIL_FRACTION)
+    tol_tail = _number(analysis, "tol_tail", TOL_TAIL)
+    tol_gain = _number(analysis, "tol_gain", TOL_GAIN)
+    u_sup = _number(analysis, "u_sup")
+    traj = _run_simulation(spec, analysis)
     channels = quadratic_channels(traj.n)
-    tail_fraction = float(analysis.get("tail_fraction", TAIL_FRACTION))
     try:
-        conv = check_convergence(
-            traj, channels, tol_tail=float(analysis.get("tol_tail", TOL_TAIL)),
-            tail_fraction=tail_fraction)
+        conv = check_convergence(traj, channels, tol_tail=tol_tail,
+                                 tail_fraction=tail_fraction)
     except InconclusiveError as exc:
         raise CliError(str(exc))
-    payload["convergence"] = conv
+    payload: Dict = {"convergence": conv}
     lines = [f"channel {k + 1}: {c['status']} (tail sup {c['tail_sup']:.3e})"
              for k, c in enumerate(conv)]
-    if analysis.get("require_convergence", True):
-        ok = ok and all(c["status"] == "converged" for c in conv)
-    if "gains" in cfg and "synthesis" in cfg and "u_sup" in analysis:
+    ok = not analysis.get("require_convergence", True) or \
+        all(c["status"] == "converged" for c in conv)
+    if "gains" in cfg and "synthesis" in cfg and u_sup is not None:
         G = _gains_from_config(cfg)
         inp = _synthesis_from_config(cfg, G)
         report = check_small_gain(G, _grid_from_analysis(analysis))
@@ -342,33 +274,25 @@ def _cmd_validate(args) -> int:
             comp = overall_gain(inp, report)
         except SmallGainRequired as exc:
             raise CliError(str(exc))
-        ag = check_asymptotic_gain(
-            traj, channels, comp.gmap, float(analysis["u_sup"]),
-            tol_gain=float(analysis.get("tol_gain", TOL_GAIN)),
-            tail_fraction=tail_fraction)
+        ag = check_asymptotic_gain(traj, channels, comp.gmap, u_sup,
+                                   tol_gain=tol_gain,
+                                   tail_fraction=tail_fraction)
         payload["asymptotic_gain"] = ag
         ok = ok and all(e["status"] == "satisfied" for e in ag)
         lines += [f"gain bound {k + 1}: {e['status']}"
                   for k, e in enumerate(ag)]
     payload["status"] = "passed" if ok else "failed"
-    out.write_json("report.json", payload)
-    _emit_trajectory(out, traj)
-    _emit_common(out, "validate", cfg, seed)
-    print("\n".join(lines + [f"overall: {payload['status']}"]))
-    return 0 if ok else 2
+    return (0 if ok else 2), payload, _trajectory_files(traj), \
+        "\n".join(lines + [f"overall: {payload['status']}"])
 
 
-def _cmd_repro(args) -> int:
-    try:
-        result = run_recipe(args.name, seed=args.seed)
-    except KeyError as exc:
-        raise CliError(exc.args[0])
-    out = _Out(args.out, args.force)
-    out.write_json("report.json", {"command": "repro", "recipe": args.name,
-                                   **result})
-    _emit_common(out, "repro", {"recipe": args.name}, args.seed)
-    print(f"repro {args.name}: {'PASS' if result['passed'] else 'FAIL'}")
-    return 0 if result["passed"] else 2
+def _cmd_repro(cfg: Dict, analysis: Dict, seed: Optional[int],
+               out: Path) -> _Result:
+    name = cfg["recipe"]
+    result = run_recipe(name, seed=seed)
+    verdict = "PASS" if result["passed"] else "FAIL"
+    return (0 if result["passed"] else 2), {"recipe": name, **result}, {}, \
+        f"repro {name}: {verdict}"
 
 
 # ---------------------------------------------------------------------------
@@ -419,12 +343,48 @@ _DISPATCH = {
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
+        if args.command == "repro":
+            cfg, analysis, seed = {"recipe": args.name}, {}, args.seed
+        else:
+            cfg = _load_config(args.input)
+            analysis = _analysis(cfg)
+            seed = args.seed if args.seed is not None \
+                else _number(analysis, "seed", 0, int)
+        out = Path(args.out)
+        try:
+            code, payload, sidecars, message = _DISPATCH[args.command](
+                cfg, analysis, seed, out)
+        except FiniteEscapeError as exc:
+            code, payload, sidecars = 2, {"status": "finite-escape",
+                                          "escape_time": exc.time}, {}
+            message = f"finite escape at t = {exc.time:g}"
+        files = {
+            "report.json": {"command": args.command, **payload}, **sidecars,
+            "effective_config.json": {"command": args.command, "config": cfg,
+                                      "seed": seed},
+            "run_meta.json": {"timestamp": datetime.datetime.now(
+                datetime.timezone.utc).isoformat(), "argv": sys.argv[1:]}}
+        out.mkdir(parents=True, exist_ok=True)
+        for name, body in files.items():
+            path = out / name
+            if path.exists() and not args.force:
+                raise CliError(f"refusing to overwrite {path}; pass --force")
+            with path.open("w") as fh:
+                if isinstance(body, dict):
+                    json.dump(body, fh, indent=2, sort_keys=True)
+                    fh.write("\n")
+                else:
+                    fh.writelines(line + "\n" for line in body)
+        print(message)
+        return code
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (SimulationError, ValueError) as exc:
         print(f"error ({args.command}): {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

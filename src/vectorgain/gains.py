@@ -31,6 +31,7 @@ MAX_JSON_DEPTH = 100
 # exp argument above which LogExpSq switches to its log-space asymptote
 _EXP_OVERFLOW = 700.0
 _LN2 = math.log(2.0)
+_SQRT2 = math.sqrt(2.0)
 
 
 class GainError(ValueError):
@@ -137,16 +138,21 @@ class LogExpSq(GainFn):
     def _eval(self, s):
         # with e = expm1(t), ln(1 + th*e) is ln th + ln e to rounding once
         # e passes cap, where th*e is half the float range; for th above
-        # about 8.9e3 that happens below t = _EXP_OVERFLOW
-        cap = 0.5 * sys.float_info.max / self.th
+        # about 8.9e3 that happens below t = _EXP_OVERFLOW.  2s overflows
+        # for s above half the float range, so t = sqrt(s)*sqrt(2) there
+        half = 0.5 * sys.float_info.max
+        cap = half / self.th
         if isinstance(s, np.ndarray):
-            t = np.sqrt(2.0 * s)
+            t = np.sqrt(2.0 * np.minimum(s, half))
+            big = s > half
+            if big.any():
+                t[big] = np.sqrt(s[big]) * _SQRT2
             e = np.expm1(np.minimum(t, _EXP_OVERFLOW))
             near = np.where(e <= cap, np.log1p(self.th * np.minimum(e, cap)),
                             math.log(self.th) + np.log(np.maximum(e, cap)))
             inner = np.where(t > _EXP_OVERFLOW, t + math.log(self.th), near)
             return self.c * inner * inner
-        t = math.sqrt(2.0 * s)
+        t = math.sqrt(2.0 * s) if s <= half else math.sqrt(s) * _SQRT2
         if t > _EXP_OVERFLOW:
             inner = t + math.log(self.th)
         else:

@@ -51,6 +51,11 @@ class SystemSpec:
             raise ModelError(f"unknown model {self.model!r}; "
                              f"known: {sorted(_REGISTRY)}")
         _REGISTRY[self.model]["validate"](self)
+        if self.h is not None and not (
+                isinstance(self.h, dict)
+                and isinstance(self.h.get("value"), (int, float))):
+            raise ModelError("h must be an object with a numeric 'value', "
+                             f"got {self.h!r}")
 
 
 def model_dim(spec: SystemSpec) -> int:

@@ -373,13 +373,15 @@ def _cycle_witness(G: GainMatrix, cycle: Tuple[int, ...],
     s: set x_{i1} = s and walk the cycle backwards, x_{ij} the composition
     of the remaining gains applied to s, one gain per position:
     x_{ir} = gamma_{ir i1}(s), x_{ij} = gamma_{ij i(j+1)}(x_{i(j+1)}).
-    Verifies Gamma(x) >= x before returning.
+    Verifies Gamma(x) >= x before returning; None once an entry overflows.
     """
     r = len(cycle)
     x = np.zeros(G.n)
     x[cycle[0]] = v = s
     for j in range(r - 1, 0, -1):
         v = G.gain(cycle[j], cycle[(j + 1) % r])(v)
+        if not math.isfinite(v):
+            return None
         x[cycle[j]] = v
     if np.any(x > 0) and np.all(gamma_apply(G, x) >= x):
         return x

@@ -18,7 +18,6 @@ from .iteration import iterate
 from .models import SystemSpec, biochem_equilibrium, biochem_hypothesis
 from .network import GainMatrix, check_small_gain
 from .simulate import FiniteEscapeError, integrate_delay, integrate_ode, log_transform
-from .validate import quadratic_channels
 
 __all__ = [
     "random_linear_matrix", "brute_force_gas", "cycle_test_sweep", "rk4_order",
@@ -216,7 +215,6 @@ def biochem_circuit_run(seed: int = DEFAULT_SEED, horizon: float = 120.0,
     conv_ok = True
     rel_errors = []
     v_tails = []
-    V_list = quadratic_channels(n)
     for _ in range(histories):
         h0 = xstar * np.exp(rng.uniform(-1.0, 1.0, size=n))
         traj = integrate_delay(spec, h0, horizon=horizon, dt=dt)

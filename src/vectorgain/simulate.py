@@ -88,8 +88,7 @@ def _rk4_step(f, t: float, x: np.ndarray, dt: float, *extra) -> np.ndarray:
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def integrate_ode(spec: SystemSpec, x0, horizon: float, dt: float,
-                  t0: float = 0.0) -> Trajectory:
+def integrate_ode(spec: SystemSpec, x0, horizon: float, dt: float) -> Trajectory:
     """RK4 on a uniform grid for an ODE model."""
     if spec.kind != "ode":
         raise ConfigError(f"integrate_ode requires kind='ode', got {spec.kind!r}")
@@ -99,7 +98,7 @@ def integrate_ode(spec: SystemSpec, x0, horizon: float, dt: float,
     x = np.asarray(x0, dtype=float).reshape(n)
     rhs = model_rhs(spec)
     steps = int(round(horizon / dt))
-    times = t0 + dt * np.arange(steps + 1)
+    times = dt * np.arange(steps + 1)
     states = np.empty((steps + 1, n))
     states[0] = x
     for k in range(steps):
@@ -248,8 +247,8 @@ def _period_fn(spec: SystemSpec) -> Callable[[np.ndarray, float], float]:
     raise ConfigError(f"unknown sampling-period kind {kind!r}")
 
 
-def integrate_sampled(spec: SystemSpec, x0, horizon: float, dt: float,
-                      t0: float = 0.0) -> Trajectory:
+def integrate_sampled(spec: SystemSpec, x0, horizon: float,
+                      dt: float) -> Trajectory:
     """Sampled-data execution loop.
 
     Per sampling step: the next instant is the current one plus the period
@@ -268,8 +267,8 @@ def integrate_sampled(spec: SystemSpec, x0, horizon: float, dt: float,
     rhs = model_rhs(spec)
     h_fn = _period_fn(spec)
     u_sig, dtilde = spec.input_signal, spec.dtilde
-    tau = t0
-    t_end = t0 + horizon
+    tau = 0.0
+    t_end = horizon
     times: List[float] = [tau]
     states: List[np.ndarray] = [x.copy()]
     sampling: List[float] = [tau]

@@ -60,13 +60,36 @@ def test_overwrite_protection(tmp_path, sg_config):
                  "--force"]) == 0
 
 
+_SIM_CFG = {
+    "system": {"kind": "ode", "model": "scalar_linear",
+               "params": {"a": 1.0, "bu": 1.0},
+               "input_signal": {"kind": "constant", "value": 1.0}},
+    "gains": {"n": 1, "gains": []},
+    "synthesis": {"zeta": {"kind": "power", "k": 0.6173, "p": 2.0},
+                  "a1": {"kind": "power", "k": 0.5, "p": 2.0}},
+    "analysis": {"horizon": 10.0, "dt": 0.01, "x0": [0.0], "u_sup": 1.0,
+                 "require_convergence": False}}
+
+
 def test_byte_identical_reports(tmp_path, sg_config):
-    out1, out2 = tmp_path / "o1", tmp_path / "o2"
-    main(["check-sg", "--input", sg_config, "--out", str(out1), "--seed", "4"])
-    main(["check-sg", "--input", sg_config, "--out", str(out2), "--seed", "4"])
-    assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
-    assert (out1 / "effective_config.json").read_bytes() == \
-        (out2 / "effective_config.json").read_bytes()
+    sim_config = _write(tmp_path / "sim.json", _SIM_CFG)
+    for args in (["check-sg", "--input", sg_config],
+                 ["synth", "--input", sg_config],
+                 ["iterate", "--input", sg_config],
+                 ["simulate", "--input", sim_config],
+                 ["validate", "--input", sim_config],
+                 ["repro", "rk4-order"]):
+        outs = [tmp_path / args[0] / "o1", tmp_path / args[0] / "o2"]
+        for out in outs:
+            main(args + ["--out", str(out), "--seed", "4"])
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert names == sorted(p.name for p in outs[1].iterdir()), args
+        assert {"report.json", "effective_config.json", "run_meta.json"} \
+            <= set(names), args
+        for name in names:
+            if name != "run_meta.json":
+                assert (outs[0] / name).read_bytes() == \
+                    (outs[1] / name).read_bytes(), (args, name)
 
 
 def test_synth_outputs(tmp_path, sg_config):
@@ -237,6 +260,8 @@ def test_error_paths(tmp_path, sg_config):
     assert main(["check-sg", "--input", str(bad), "--out", str(out)]) == 1
     nofield = _write(tmp_path / "nf.json", {"analysis": {}})
     assert main(["check-sg", "--input", nofield, "--out", str(out)]) == 1
+    # an output directory that names an existing file
+    assert main(["check-sg", "--input", sg_config, "--out", str(bad)]) == 1
 
 
 def test_deep_json_rejected(tmp_path, capsys):
@@ -279,10 +304,24 @@ def test_check_sg_power_ring_past_float_range(tmp_path, capsys):
     assert sg["cycles"][0]["status"] == "grid-refuted"
 
 
+def test_check_sg_witness_past_float_range(tmp_path, capsys):
+    # walking the refuted ring from its grid witness overflows to inf; the
+    # sampler finds the witness instead
+    cfg = _write(tmp_path / "ring.json", {"gains": {"n": 3, "gains": [
+        {"i": i + 1, "j": (i + 1) % 3 + 1,
+         "fn": {"kind": "linear", "k": 1e200}} for i in range(3)]}})
+    out = tmp_path / "out"
+    assert main(["check-sg", "--input", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ""
+    witness = json.loads((out / "report.json").read_text())["gas_witness"]
+    assert len(witness) == 3 and all(0 < v < math.inf for v in witness)
+
+
 _SG_GAINS = {"n": 1, "gains": [
     {"i": 1, "j": 1, "fn": {"kind": "linear", "k": 0.5}}]}
 _ODE = {"kind": "ode", "model": "scalar_linear", "params": {"a": 1.0}}
 _ODE_RUN = {"horizon": 0.1, "dt": 0.01, "x0": [1.0]}
+_SAMPLED = {"kind": "sampled", "model": "zoh_linear", "params": {"n": 1}}
 
 
 @pytest.mark.parametrize("command, field, cfg", [
@@ -295,6 +334,13 @@ _ODE_RUN = {"horizon": 0.1, "dt": 0.01, "x0": [1.0]}
                             "analysis": _ODE_RUN}),
     ("synth", "synthesis", {"gains": _SG_GAINS, "synthesis": 5}),
     ("synth", "synthesis", {"gains": _SG_GAINS, "synthesis": {"p": 5}}),
+    ("simulate", "system", {"system": dict(_SAMPLED, h=5),
+                            "analysis": _ODE_RUN}),
+    ("simulate", "system", {"system": dict(_SAMPLED, h={"kind": "constant"}),
+                            "analysis": _ODE_RUN}),
+    ("iterate", "analysis.x0", {"gains": _SG_GAINS, "analysis": {"x0": {}}}),
+    ("iterate", "analysis.max_steps", {"gains": _SG_GAINS, "analysis": {
+        "x0": [1.0], "max_steps": math.inf}}),
 ])
 def test_config_field_of_wrong_json_type_rejected(tmp_path, capsys, command,
                                                   field, cfg):
@@ -303,6 +349,32 @@ def test_config_field_of_wrong_json_type_rejected(tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert err.startswith(f"error: config field '{field}': ")
     assert "Traceback" not in err
+
+
+_FIELDS = {
+    "check-sg": ["seed"],
+    "synth": ["seed", "table_points"],
+    "iterate": ["seed", "max_steps", "tol_conv"],
+    "simulate": ["seed", "horizon", "dt"],
+    "validate": ["seed", "horizon", "dt", "tail_fraction", "tol_tail",
+                 "tol_gain", "u_sup"],
+}
+
+
+@pytest.mark.parametrize("command, name", [
+    (command, name) for command, names in _FIELDS.items() for name in names])
+def test_analysis_field_of_wrong_type_rejected(tmp_path, capsys, command,
+                                               name):
+    cfg = dict(_SIM_CFG, gains=_SG_GAINS,
+               analysis=dict(_SIM_CFG["analysis"], horizon=0.1))
+    cfg["analysis"][name] = [1]
+    out = tmp_path / "out"
+    path = _write(tmp_path / "cfg.json", cfg)
+    assert main([command, "--input", path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config field 'analysis.{name}': ")
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_check_sg_ring_longer_than_recursion_limit(tmp_path, capsys):

@@ -193,6 +193,16 @@ def test_logexpsq_large_th_is_finite_where_th_expm1_overflows():
     assert g(100.0) == pytest.approx(2.5664e5, rel=1e-4)
 
 
+def test_logexpsq_finite_where_2s_overflows():
+    # above half the float range 2s overflows; the gain is
+    # 0.5*(sqrt(2s) + ln 0.9)**2 = s*(1 - 1e-154) to rounding
+    g = LogExpSq(0.5, 0.9)
+    s = np.array([8.9e307, 1e308, 1.7e308])
+    floats = [g(v) for v in s.tolist()]
+    np.testing.assert_allclose(floats, s, rtol=1e-15, atol=0.0)
+    assert g(s).tolist() == floats
+
+
 def test_grid_verdict_for_mixed_tree():
     g = Max(Linear(0.4), Compose(Linear(0.5), LogExpSq(0.5, 0.9)))
     v = check_contraction(g)
