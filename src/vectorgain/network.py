@@ -9,20 +9,30 @@ so only the elementary circuits of the support graph (edge i -> j iff
 gamma_ij is not the Zero gain) are enumerated, with Johnson's algorithm
 (SIAM J. Comput. 4(1), 1975), and checked with the contraction tester from
 :mod:`vectorgain.gains`.
+
+Up to ``_LIST_CAP`` circuits each one is listed with its verdict.  Above
+it, a strongly connected component whose gains all collapse to ``Linear``
+(or all to ``LogExpSq(0.5, .)``) composes by multiplying k (or th), so its
+cycles all contract exactly when the maximum cycle mean of the log weights
+is below 0.  Karp's algorithm (Discrete Math. 23(3), 1978) computes that
+mean in O(n*m) time, and only one critical cycle per component is listed.
+Any other component over the cap is still decided circuit by circuit.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from .gains import (
-    Compose, ContractionVerdict, GainFn, GridSpec, Zero, _collapse,
-    _collapse_compose, check_contraction, gain_from_json, gain_to_json,
+    Compose, ContractionVerdict, GainFn, GridSpec, Linear, LogExpSq, Zero,
+    _collapse, _collapse_compose, check_contraction, compose_chain,
+    gain_from_json, gain_to_json,
 )
 
 __all__ = [
@@ -38,6 +48,13 @@ _WITNESS_BLOCK = 1 << 16
 # differ from the float path in the last bit, and gamma_apply decides
 _WITNESS_SLACK = 1e-12
 _VEC_ENTRIES = "vector entries must be finite and >= 0"
+# most elementary circuits check_small_gain lists one verdict for each
+_LIST_CAP = 10_000
+# a maximum cycle mean within this of 0, relative to max(1, max |weight|),
+# is a tie that the critical cycle's own contraction verdict decides
+_MEAN_TIE = 1e-12
+_CRITICAL_NOTE = (f"more than {_LIST_CAP} circuits: one critical cycle "
+                  "per component listed")
 
 
 def as_plus_vec(x, n: Optional[int] = None) -> np.ndarray:
@@ -269,6 +286,9 @@ class SmallGainReport:
     cycles: Tuple[CycleVerdict, ...]
     failing_cycle: Optional[Tuple[int, ...]] = None
     witness: Optional[float] = None
+    # True when cycles holds one critical cycle per component, not every
+    # circuit (more than _LIST_CAP circuits, all components multiplicative)
+    critical_only: bool = False
 
     def to_json(self) -> dict:
         entries = []
@@ -280,6 +300,8 @@ class SmallGainReport:
                 e["witness"] = cv.verdict.witness
             entries.append(e)
         out = {"holds": self.holds, "cycles": entries}
+        if self.critical_only:
+            out["cycles_listed"] = _CRITICAL_NOTE
         if self.failing_cycle is not None:
             out["failing_cycle"] = [i + 1 for i in self.failing_cycle]
             out["witness"] = self.witness
@@ -290,6 +312,8 @@ class SmallGainReport:
         for cv in self.cycles:
             cyc = "(" + ",".join(str(i + 1) for i in cv.cycle) + ")"
             lines.append(f"{cyc:<16} {cv.verdict.status:<14} {cv.verdict.detail}")
+        if self.critical_only:
+            lines.append(f"note: {_CRITICAL_NOTE}")
         lines.append(f"overall: {'holds' if self.holds else 'REFUTED'}")
         return "\n".join(lines)
 
@@ -297,6 +321,111 @@ class SmallGainReport:
 def _cycle_order(cv: CycleVerdict):
     """Length, then node set in combinations order, then rotation."""
     return len(cv.cycle), sorted(cv.cycle), cv.cycle
+
+
+def _log_weights(G: GainMatrix, comp: Set[int]
+                 ) -> Optional[Dict[Tuple[int, int], float]]:
+    """ln k, or ln th, of each edge (v, w) inside comp when every entry
+    there collapses to Linear(k), or every one to LogExpSq(0.5, th); a
+    Zero normal form weighs -inf.  None for any other component."""
+    weights: Dict[Tuple[int, int], float] = {}
+    families = set()
+    for v in comp:
+        for w in G.support[v]:
+            if w not in comp:
+                continue
+            g = _collapse(G.entries[v][w])
+            if isinstance(g, Zero):
+                weights[v, w] = -math.inf
+            elif isinstance(g, Linear):
+                families.add(Linear)
+                weights[v, w] = math.log(g.k)
+            elif isinstance(g, LogExpSq) and g.c == 0.5:
+                families.add(LogExpSq)
+                weights[v, w] = math.log(g.th)
+            else:
+                return None
+    return weights if len(families) <= 1 else None
+
+
+def _max_cycle_mean(weights: Dict[Tuple[int, int], float]
+                    ) -> Tuple[float, Tuple[int, ...]]:
+    """Maximum cycle mean of a strongly connected digraph, and a simple
+    cycle attaining it, anchored at its smallest node.
+
+    ``weights`` maps each edge (u, v) to its weight, -inf allowed.  With
+    D_k(v) the largest weight of a walk of k edges that ends at v, the
+    maximum mean over c nodes is max_v min_{k<c} (D_c(v) - D_k(v))/(c - k)
+    (Karp, Discrete Math. 23(3), 1978), taken over the v with D_c(v)
+    finite.  Every simple cycle on a heaviest c-edge walk to a maximizing v
+    attains it; the first one met walking back is returned.  The mean is
+    -inf when every cycle has a -inf edge, and the cycle then any cycle.
+    """
+    nodes = sorted({u for u, _ in weights})
+    pos = {v: i for i, v in enumerate(nodes)}
+    edges = sorted(weights, key=lambda e: (pos[e[1]], pos[e[0]]))
+    src = np.array([pos[u] for u, _ in edges])
+    dst = np.array([pos[v] for _, v in edges])
+    w = np.array([weights[e] for e in edges])
+    ids = np.arange(len(edges))
+    # edges grouped by head; each node of a strongly connected graph has one
+    starts = np.flatnonzero(np.diff(dst, prepend=-1))
+    c = len(nodes)
+    D = np.zeros((c + 1, c))
+    pred = np.zeros((c + 1, c), dtype=np.intp)
+    for k in range(1, c + 1):
+        vals = D[k - 1, src] + w
+        D[k] = np.maximum.reduceat(vals, starts)
+        best = np.where(vals == D[k, dst], ids, len(edges))
+        pred[k] = src[np.minimum.reduceat(best, starts)]
+    finite = np.flatnonzero(np.isfinite(D[c]))
+    if finite.size:
+        Df = D[:, finite]
+        means = ((Df[c] - Df[:c]) / (c - np.arange(c))[:, None]).min(axis=0)
+        lam, v = float(means.max()), int(finite[np.argmax(means)])
+    else:
+        lam, v = -math.inf, 0
+    # pred[k, v] is the tail of the last edge of the heaviest k-edge walk
+    # to v, so the walk back from (c, v) repeats a node within c steps
+    seen: Dict[int, int] = {}
+    back: List[int] = []
+    k = c
+    while v not in seen:
+        seen[v] = len(back)
+        back.append(v)
+        v = int(pred[k, v])
+        k -= 1
+    cycle = [nodes[u] for u in reversed(back[seen[v]:])]
+    m = cycle.index(min(cycle))
+    return lam, tuple(cycle[m:] + cycle[:m])
+
+
+def _critical_cycles(G: GainMatrix, grid: Optional[GridSpec]
+                     ) -> Optional[List[CycleVerdict]]:
+    """One critical cycle per cyclic component, with its contraction
+    verdict, when every component is multiplicative; else None.
+
+    The critical cycle's verdict is the component's: beyond the tie band
+    it must agree with the sign of the maximum cycle mean, and None is
+    returned where it does not (a product outside the float range can
+    leave a cycle to the grid), so that the caller lists every circuit.
+    """
+    found = []
+    for comp in _cyclic_components(G.support, set(range(G.n))):
+        weights = _log_weights(G, comp)
+        if weights is None:
+            return None
+        lam, cycle = _max_cycle_mean(weights)
+        r = len(cycle)
+        gains = [G.entries[cycle[m]][cycle[(m + 1) % r]] for m in range(r)]
+        verdict = check_contraction(
+            compose_chain(gains), grid,
+            collapsed=reduce(_collapse_compose, map(_collapse, gains)))
+        scale = max([1.0] + [abs(x) for x in weights.values() if x > -math.inf])
+        if abs(lam) > _MEAN_TIE * scale and verdict.holds != (lam < 0):
+            return None
+        found.append(CycleVerdict(cycle, verdict))
+    return found
 
 
 def check_small_gain(G: GainMatrix, grid: Optional[GridSpec] = None) -> SmallGainReport:
@@ -307,16 +436,31 @@ def check_small_gain(G: GainMatrix, grid: Optional[GridSpec] = None) -> SmallGai
     everywhere.  Cycles through a zero gain pass trivially and are not
     listed.  The verdicts are ordered by cycle length, then node set, then
     rotation, and the failing cycle is the first refuted one in that order.
+
+    At most ``_LIST_CAP`` (10,000) circuits are listed.  Past that, when
+    every cyclic component is multiplicative (all gains collapse to
+    ``Linear``, or all to ``LogExpSq(0.5, .)``), each component is decided
+    by the maximum cycle mean of its log weights (Karp): below 0 it holds,
+    above 0 it fails, and within ``_MEAN_TIE`` of 0 the left-fold
+    contraction verdict of its critical cycle decides.  ``cycles`` then
+    holds that critical cycle alone per component and ``critical_only`` is
+    set.  Otherwise, or where a critical cycle's verdict disagrees with
+    the sign of its mean, every circuit is listed, whatever their number.
     """
+    circuits = support_circuits(G)
+    head = list(itertools.islice(circuits, _LIST_CAP + 1))
+    critical = _critical_cycles(G, grid) if len(head) > _LIST_CAP else None
     verdicts = sorted(
+        critical if critical is not None else
         (CycleVerdict(cycle, check_contraction(chain, grid, collapsed=norm))
-         for cycle, chain, norm in support_circuits(G)),
+         for cycle, chain, norm in itertools.chain(head, circuits)),
         key=_cycle_order)
     failing = next((cv for cv in verdicts if not cv.holds), None)
     return SmallGainReport(
         holds=failing is None, cycles=tuple(verdicts),
         failing_cycle=None if failing is None else failing.cycle,
-        witness=None if failing is None else failing.verdict.witness)
+        witness=None if failing is None else failing.verdict.witness,
+        critical_only=critical is not None)
 
 
 def gas_witness_search(G: GainMatrix, samples: int = 100_000,

@@ -88,12 +88,18 @@ def _rk4_step(f, t: float, x: np.ndarray, dt: float, *extra) -> np.ndarray:
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _check_grid(dt: float, horizon: float) -> None:
+    """Require a finite step and horizon with 0 < dt <= horizon."""
+    if not (math.isfinite(dt) and math.isfinite(horizon) and 0 < dt <= horizon):
+        raise ConfigError(f"need finite dt and horizon with 0 < dt <= horizon, "
+                          f"got dt = {dt}, horizon = {horizon}")
+
+
 def integrate_ode(spec: SystemSpec, x0, horizon: float, dt: float) -> Trajectory:
     """RK4 on a uniform grid for an ODE model."""
     if spec.kind != "ode":
         raise ConfigError(f"integrate_ode requires kind='ode', got {spec.kind!r}")
-    if dt <= 0 or dt > horizon:
-        raise ConfigError("need 0 < dt <= horizon")
+    _check_grid(dt, horizon)
     n = model_dim(spec)
     x = np.asarray(x0, dtype=float).reshape(n)
     rhs = model_rhs(spec)
@@ -203,8 +209,7 @@ def integrate_delay(spec: SystemSpec, history, horizon: float,
     """
     if spec.kind != "delay":
         raise ConfigError(f"integrate_delay requires kind='delay', got {spec.kind!r}")
-    if dt <= 0 or dt > horizon:
-        raise ConfigError("need 0 < dt <= horizon")
+    _check_grid(dt, horizon)
     for tau in model_delays(spec):
         ratio = tau / dt
         k = round(ratio)
@@ -260,8 +265,7 @@ def integrate_sampled(spec: SystemSpec, x0, horizon: float,
     if spec.kind != "sampled":
         raise ConfigError(
             f"integrate_sampled requires kind='sampled', got {spec.kind!r}")
-    if dt <= 0 or dt > horizon:
-        raise ConfigError("need 0 < dt <= horizon")
+    _check_grid(dt, horizon)
     n = model_dim(spec)
     x = np.asarray(x0, dtype=float).reshape(n)
     rhs = model_rhs(spec)

@@ -390,6 +390,53 @@ def test_check_sg_ring_longer_than_recursion_limit(tmp_path, capsys):
     assert report["gas_witness"] is not None
 
 
+_DELAY = {"kind": "delay", "model": "linear_delay_network",
+          "params": {"a": [1.0], "c": [[0.5]], "r": 0.1}}
+_SAMPLED_RUN = dict(_SAMPLED, h={"kind": "constant", "value": 0.25})
+
+
+@pytest.mark.parametrize("system, run", [
+    (_ODE, {"horizon": math.inf, "dt": 0.01, "x0": [1.0]}),
+    (_DELAY, {"horizon": math.inf, "dt": 0.01, "history": [1.0]}),
+    (_SAMPLED_RUN, {"horizon": math.inf, "dt": 0.01, "x0": [1.0]}),
+    (_ODE, {"horizon": 1.0, "dt": math.nan, "x0": [1.0]}),
+], ids=["ode-inf", "delay-inf", "sampled-inf", "ode-nan-dt"])
+def test_simulate_grid_not_finite_rejected(tmp_path, capsys, system, run):
+    path = _write(tmp_path / "cfg.json", {"system": system, "analysis": run})
+    out = tmp_path / "out"
+    assert main(["simulate", "--input", path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: need finite dt and horizon")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("low, high, code", [(0.1, 0.95, 0), (0.5, 1.5, 2)])
+def test_check_sg_dense_over_cap_lists_critical_cycle(tmp_path, capsys, low,
+                                                      high, code):
+    # dense n = 9 has 125,673 circuits; the report lists the critical one
+    n = 9
+    k = np.random.default_rng(9).uniform(low, high, size=(n, n))
+    cfg = _write(tmp_path / "dense.json", {"gains": {"n": n, "gains": [
+        {"i": i + 1, "j": j + 1, "fn": {"kind": "linear", "k": float(k[i, j])}}
+        for i in range(n) for j in range(n)]}})
+    out = tmp_path / "out"
+    assert main(["check-sg", "--input", cfg, "--out", str(out)]) == code
+    assert capsys.readouterr().err == ""
+    assert (out / "report.json").stat().st_size < 10_000
+    report = json.loads((out / "report.json").read_text())
+    sg = report["small_gain"]
+    assert len(sg["cycles"]) == 1 and "cycles_listed" in sg
+    if code == 0:
+        assert sg["holds"] and "gas_witness" not in report
+        return
+    cyc = [i - 1 for i in sg["failing_cycle"]]
+    assert math.prod(k[cyc[m], cyc[(m + 1) % len(cyc)]]
+                     for m in range(len(cyc))) >= 1.0
+    x = np.array(report["gas_witness"])
+    assert len(x) == n and np.any(x > 0)
+    assert np.all((k * x[None, :]).max(axis=1) >= x)
+
+
 def _count_equal(node, target):
     if node == target:
         return 1

@@ -391,3 +391,122 @@ def test_matrix_json_rejects_bad_input():
     with pytest.raises(ValueError):
         matrix_from_json({"n": 2, "gains": [
             {"i": 3, "j": 1, "fn": {"kind": "zero"}}]})
+
+
+def _random_multiplicative_matrix(rng, n):
+    """Strongly connected: a ring through a random node order plus random
+    edges and self-loops, all Linear or all LogExpSq(0.5, .), now and then
+    a Linear(0) edge.  Returns the matrix and the coefficient (k or th, 0
+    for Linear(0)) of each edge."""
+    make = Linear if rng.random() < 0.5 else (lambda th: LogExpSq(0.5, th))
+    order = [int(v) for v in rng.permutation(n)]
+    edges = {(order[m], order[(m + 1) % n]) for m in range(n)}
+    edges |= {(i, j) for i in range(n) for j in range(n) if rng.random() < 0.4}
+    rows = [[Zero()] * n for _ in range(n)]
+    coef = {}
+    for i, j in edges:
+        coef[i, j] = 0.0 if rng.random() < 0.1 else float(np.exp(rng.uniform(-1, 1)))
+        rows[i][j] = Linear(0.0) if coef[i, j] == 0.0 else make(coef[i, j])
+    return GainMatrix.from_entries(rows), coef
+
+
+def test_max_cycle_mean_matches_brute_force(rng):
+    for _ in range(300):
+        n = int(rng.integers(1, 7))
+        G, coef = _random_multiplicative_matrix(rng, n)
+        weights = network._log_weights(G, set(range(n)))
+        assert weights is not None
+        lam, cycle = network._max_cycle_mean(weights)
+        # the mean of the log product of every simple cycle, by brute force
+        means = {}
+        for nodes in _brute_force_cycles(G):
+            r = len(nodes)
+            p = math.prod(coef[nodes[m], nodes[(m + 1) % r]] for m in range(r))
+            means[nodes] = math.log(p) / r if p > 0 else -math.inf
+        best = max(means.values())
+        assert len(set(cycle)) == len(cycle) and cycle in means
+        if best == -math.inf:
+            assert lam == -math.inf
+        else:
+            assert abs(lam - best) <= 1e-12
+            assert abs(means[cycle] - best) <= 1e-12
+
+
+def _dense(n, coeffs, make=Linear):
+    return GainMatrix.from_entries(
+        [[make(float(coeffs[i, j])) for j in range(n)] for i in range(n)])
+
+
+@pytest.mark.parametrize("make", [Linear, lambda th: LogExpSq(0.5, th)],
+                         ids=["linear", "logexpsq"])
+def test_over_cap_decided_by_max_cycle_mean(rng, monkeypatch, make):
+    n = 8
+    cycles = _brute_force_cycles(_complete_digraph(n))
+    assert len(cycles) == 16_072 > network._LIST_CAP
+    for rho in (0.9, 1.1):
+        A = rng.uniform(0.1, 1.0, size=(n, n))
+        # scale the largest geometric cycle mean of the coefficients to rho
+        A *= rho / max(math.prod(A[c[m], c[(m + 1) % len(c)]]
+                                 for m in range(len(c))) ** (1 / len(c))
+                       for c in cycles)
+        G = _dense(n, A, make)
+        report = check_small_gain(G)
+        assert report.critical_only and len(report.cycles) == 1
+        products = max_cycle_products(_dense(n, A))
+        assert report.holds == all(p < 1.0 for p in products) == (rho < 1)
+        with monkeypatch.context() as m:
+            m.setattr(network, "_LIST_CAP", 10 ** 6)
+            full = check_small_gain(G)
+        assert not full.critical_only and len(full.cycles) == 16_072
+        assert report.holds == full.holds
+        assert report.cycles[0] in full.cycles
+        if not report.holds:
+            assert report.failing_cycle == report.cycles[0].cycle
+            x = gas_witness_search(G, samples=1, report=report)
+            assert x is not None and np.any(x > 0)
+            assert np.all(gamma_apply(G, x) >= x)
+
+
+def test_over_cap_tie_decided_by_critical_cycle():
+    # the largest cycle mean is ln k for a constant k, and for A it is the
+    # 2-cycle's (ln k + ln(1/k))/2 < 0 while its float product is 1.0:
+    # each lies in the tie band, where the exact verdict decides
+    k = 1.1004
+    assert k * (1 / k) == 1.0 and math.log(k) + math.log(1 / k) < 0
+    A = np.full((8, 8), 0.5)
+    A[0, 1], A[1, 0] = k, 1 / k
+    for coeffs, status in [(np.full((8, 8), 1.0), "exact-false"),
+                           (np.full((8, 8), 1.0 - 1e-15), "exact-true"),
+                           (A, "exact-false")]:
+        report = check_small_gain(_dense(8, coeffs))
+        assert report.critical_only and len(report.cycles) == 1
+        verdict = report.cycles[0].verdict
+        assert verdict.status == status
+        assert report.holds == (status == "exact-true")
+        if not report.holds:
+            assert verdict.witness == 1.0 and report.witness == 1.0
+
+
+def test_over_cap_lists_each_circuit_of_other_components():
+    # a Power entry makes the component non-multiplicative
+    G = _dense(8, np.full((8, 8), 0.5)).with_entry(0, 1, Power(0.5, 2.0))
+    report = check_small_gain(G)
+    assert not report.critical_only and len(report.cycles) == 16_072
+    assert not report.holds
+
+
+def test_over_cap_one_critical_cycle_per_component():
+    # two dense blocks of 8 and a one-way link between them: two
+    # components, each decided alone; 10**8 circuits at n = 12
+    A = np.zeros((16, 16))
+    A[:8, :8] = 0.9
+    A[8:, 8:] = 1.1
+    A[0, 8] = 5.0
+    rows = [[Linear(float(v)) if v else Zero() for v in row] for row in A]
+    report = check_small_gain(GainMatrix.from_entries(rows))
+    assert report.critical_only and not report.holds
+    assert {cv.cycle[0] < 8: cv.holds for cv in report.cycles} == {
+        True: True, False: False}
+    assert min(report.failing_cycle) >= 8
+    report = check_small_gain(_dense(12, np.full((12, 12), 0.99)))
+    assert report.critical_only and report.holds
