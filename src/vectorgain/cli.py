@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -57,6 +58,13 @@ class CliError(Exception):
     """User-facing error: message printed, exit code 1."""
 
 
+# a report is written in parts of this many encoder chunks: json.dump makes
+# one write per chunk (about 55,000 for a 0.5 MB report), json.dumps holds
+# every chunk at once
+_JSON_CHUNKS = 4096
+_JSON = json.JSONEncoder(indent=2, sort_keys=True)
+
+
 # ---------------------------------------------------------------------------
 # plumbing
 # ---------------------------------------------------------------------------
@@ -76,6 +84,13 @@ def _load_config(path: str) -> Dict:
     if not isinstance(cfg, dict):
         raise CliError(f"{path}: top level must be a JSON object")
     return cfg
+
+
+def _write_json(fh, body: Dict) -> None:
+    chunks = _JSON.iterencode(body)
+    while part := "".join(itertools.islice(chunks, _JSON_CHUNKS)):
+        fh.write(part)
+    fh.write("\n")
 
 
 def _require(cfg: Dict, field: str) -> Dict:
@@ -371,8 +386,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 raise CliError(f"refusing to overwrite {path}; pass --force")
             with path.open("w") as fh:
                 if isinstance(body, dict):
-                    json.dump(body, fh, indent=2, sort_keys=True)
-                    fh.write("\n")
+                    _write_json(fh, body)
                 else:
                     fh.writelines(line + "\n" for line in body)
         print(message)

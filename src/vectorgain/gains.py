@@ -5,7 +5,9 @@ zero, represented as immutable expression trees over a small set of
 parametric constructors.  Keeping the representation closed (instead of
 accepting arbitrary callables) lets contraction checks be decided exactly
 for the families that actually occur in practice, with a grid fallback for
-everything else.
+everything else.  The grid fallback evaluates the gain once on the whole
+grid as an array, and decides the points that array does not clear on
+floats.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Optional, Sequence
 
 import numpy as np
@@ -22,12 +24,17 @@ __all__ = [
     "GainFn", "Zero", "Linear", "Power", "LogExpSq", "Max", "Compose",
     "Scale", "GridSpec", "ContractionVerdict", "GainError", "BracketError",
     "compose_chain", "check_contraction", "invert", "gain_to_json",
-    "gain_from_json", "MAX_JSON_DEPTH",
+    "gain_from_json", "MAX_JSON_DEPTH", "MAX_GRID_POINTS", "ARRAY_SLACK",
 ]
 
 # deepest gain expression gain_from_json accepts: evaluation, normalization
 # and the exact contraction rules recurse once or twice per level
 MAX_JSON_DEPTH = 100
+# most points a GridSpec holds
+MAX_GRID_POINTS = 1 << 20
+# relative slack of an array filter whose candidates the float path
+# decides: array gains can differ from the float path in the last bit
+ARRAY_SLACK = 1e-12
 # exp argument above which LogExpSq switches to its log-space asymptote
 _EXP_OVERFLOW = 700.0
 _LN2 = math.log(2.0)
@@ -216,22 +223,34 @@ class Scale(GainFn):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Log-spaced evaluation grid for contraction checks."""
+    """Log-spaced evaluation grid for contraction checks, with finite
+    0 < s_min < s_max and 2 to MAX_GRID_POINTS points."""
 
     s_min: float = 1e-12
     s_max: float = 1e12
     points: int = 2048
 
     def __post_init__(self):
-        if not (0 < self.s_min < self.s_max):
-            raise GainError("grid requires 0 < s_min < s_max")
-        if self.points < 2:
-            raise GainError("grid requires at least 2 points")
+        if not (0 < self.s_min < self.s_max < math.inf):
+            raise GainError("grid requires 0 < s_min < s_max < inf, got "
+                            f"s_min = {self.s_min}, s_max = {self.s_max}")
+        if not 2 <= self.points <= MAX_GRID_POINTS:
+            raise GainError(f"grid requires 2 to {MAX_GRID_POINTS} points, "
+                            f"got {self.points}")
 
-    def values(self):
+    @cached_property
+    def values(self) -> np.ndarray:
+        """The grid points in increasing order, a read-only float array
+        computed once per grid."""
         lo, hi = math.log(self.s_min), math.log(self.s_max)
         n = self.points
-        return [math.exp(lo + (hi - lo) * i / (n - 1)) for i in range(n)]
+        s = np.array([math.exp(lo + (hi - lo) * i / (n - 1))
+                      for i in range(n)])
+        s.flags.writeable = False
+        return s
+
+
+_DEFAULT_GRID = GridSpec()
 
 
 @dataclass(frozen=True)
@@ -390,16 +409,27 @@ def check_contraction(g: GainFn, grid: Optional[GridSpec] = None,
     verdict = _exact_contraction(_collapse(g) if collapsed is None else collapsed)
     if verdict is not None:
         return verdict
-    return _grid_contraction(g, GridSpec() if grid is None else grid)
+    return _grid_contraction(g, _DEFAULT_GRID if grid is None else grid)
 
 
 def _grid_contraction(g: GainFn, grid: GridSpec) -> ContractionVerdict:
-    """Sample g(s) < s on the grid; the first failing point is the witness."""
-    for s in grid.values():
-        if g(s) >= s:
-            return ContractionVerdict(
-                "grid-refuted", witness=s,
-                detail=f"g({s:.6g}) = {g(s):.6g} >= {s:.6g}")
+    """Sample g(s) < s on the grid; the first failing point is the witness.
+
+    One array pass V = g(S) over the grid S filters: every point where not
+    V < S*(1 - ARRAY_SLACK), NaN included, is a candidate.  The candidates
+    are decided in grid order with the float g(s) >= s.  So the verdict is
+    the one a float loop over the whole grid gives, as long as the array
+    value at a failing point is within ARRAY_SLACK of the float value.
+    """
+    S = grid.values
+    with np.errstate(all="ignore"):  # past the float range a gain is inf
+        candidates = S[~(g(S) < S * (1.0 - ARRAY_SLACK))]
+        for s in candidates.tolist():
+            v = g(s)
+            if v >= s:
+                return ContractionVerdict(
+                    "grid-refuted", witness=s,
+                    detail=f"g({s:.6g}) = {v:.6g} >= {s:.6g}")
     return ContractionVerdict(
         "grid-verified",
         detail=f"{grid.points} log-spaced points on "

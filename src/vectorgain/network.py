@@ -30,9 +30,9 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from .gains import (
-    Compose, ContractionVerdict, GainFn, GridSpec, Linear, LogExpSq, Zero,
-    _collapse, _collapse_compose, check_contraction, compose_chain,
-    gain_from_json, gain_to_json,
+    ARRAY_SLACK, Compose, ContractionVerdict, GainFn, GridSpec, Linear,
+    LogExpSq, Zero, _collapse, _collapse_compose, check_contraction,
+    compose_chain, gain_from_json, gain_to_json,
 )
 
 __all__ = [
@@ -44,9 +44,6 @@ __all__ = [
 
 # sampled values (rows times n) per block of the GAS witness sampler
 _WITNESS_BLOCK = 1 << 16
-# relative slack of the witness sampler's array filter: array gains can
-# differ from the float path in the last bit, and gamma_apply decides
-_WITNESS_SLACK = 1e-12
 _VEC_ENTRIES = "vector entries must be finite and >= 0"
 # most elementary circuits check_small_gain lists one verdict for each
 _LIST_CAP = 10_000
@@ -499,7 +496,7 @@ def gas_witness_search(G: GainMatrix, samples: int = 100_000,
             y = np.zeros(X.shape[0])
             for j in cols:
                 y = np.maximum(y, G.entries[i][j](X[:, j]))
-            hits &= y >= X[:, i] * (1.0 - _WITNESS_SLACK)
+            hits &= y >= X[:, i] * (1.0 - ARRAY_SLACK)
             if not hits.any():
                 break
         for k in np.flatnonzero(hits):

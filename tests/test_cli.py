@@ -5,8 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from vectorgain.cli import main
-from vectorgain.gains import LogExpSq
+from vectorgain.cli import _JSON_CHUNKS, _write_json, main
+from vectorgain.gains import GridSpec, LogExpSq
 
 
 def _write(path, payload):
@@ -90,6 +90,17 @@ def test_byte_identical_reports(tmp_path, sg_config):
             if name != "run_meta.json":
                 assert (outs[0] / name).read_bytes() == \
                     (outs[1] / name).read_bytes(), (args, name)
+
+
+def test_json_written_in_parts_equals_one_dumps(tmp_path):
+    # thousands of encoder chunks, so the report is written in several parts
+    body = {"rows": [{"k": i, "v": i / 7, "nan": math.nan}
+                     for i in range(_JSON_CHUNKS)]}
+    path = tmp_path / "report.json"
+    with path.open("w") as fh:
+        _write_json(fh, body)
+    assert path.read_text() == \
+        json.dumps(body, indent=2, sort_keys=True) + "\n"
 
 
 def test_synth_outputs(tmp_path, sg_config):
@@ -322,6 +333,38 @@ _SG_GAINS = {"n": 1, "gains": [
 _ODE = {"kind": "ode", "model": "scalar_linear", "params": {"a": 1.0}}
 _ODE_RUN = {"horizon": 0.1, "dt": 0.01, "x0": [1.0]}
 _SAMPLED = {"kind": "sampled", "model": "zoh_linear", "params": {"n": 1}}
+
+
+@pytest.mark.parametrize("grid", ['{"s_max": 1e400}', '{"points": 1e12}',
+                                  '{"points": 1}', '{"s_min": -1e400}'])
+def test_check_sg_hostile_grid_rejected(tmp_path, capsys, monkeypatch, grid):
+    # the limits are checked before any grid point is computed
+    monkeypatch.setattr(GridSpec, "values", property(
+        lambda self: pytest.fail("grid points computed")))
+    path = tmp_path / "cfg.json"
+    path.write_text('{"gains": %s, "analysis": {"grid": %s}}'
+                    % (json.dumps(_SG_GAINS), grid))
+    out = tmp_path / "out"
+    assert main(["check-sg", "--input", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: config field 'analysis.grid': grid requires ")
+    assert not out.exists()
+
+
+def test_check_sg_grid_chain_overflow_leaves_stderr_empty(tmp_path, capsys):
+    # 1e300*s overflows above s = 1.8e8, so the array pass meets inf
+    chain = {"kind": "compose", "outer": {"kind": "linear", "k": 1e-301},
+             "inner": {"kind": "compose",
+                       "outer": {"kind": "logexpsq", "c": 0.5, "th": 0.5},
+                       "inner": {"kind": "linear", "k": 1e300}}}
+    cfg = _write(tmp_path / "cfg.json", {"gains": {"n": 1, "gains": [
+        {"i": 1, "j": 1, "fn": chain}]}})
+    out = tmp_path / "out"
+    assert main(["check-sg", "--input", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ""
+    sg = json.loads((out / "report.json").read_text())["small_gain"]
+    assert sg["cycles"][0]["status"] == "grid-refuted"
+    assert 1.8e8 < sg["witness"] < 1.9e8
 
 
 @pytest.mark.parametrize("command, field, cfg", [

@@ -7,9 +7,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from vectorgain.gains import (
-    MAX_JSON_DEPTH, BracketError, Compose, GainError, GridSpec,
-    Linear, LogExpSq, Max, Power, Scale, Zero, _collapse, check_contraction,
-    compose_chain, gain_from_json, gain_to_json, invert,
+    MAX_GRID_POINTS, MAX_JSON_DEPTH, BracketError, Compose,
+    ContractionVerdict, GainError, GridSpec, Linear, LogExpSq, Max, Power,
+    Scale, Zero, _collapse, _exact_contraction, _grid_contraction,
+    check_contraction, compose_chain, gain_from_json, gain_to_json, invert,
 )
 from oracles import logexpsq_closed_form
 
@@ -217,6 +218,19 @@ def test_grid_spec_validation():
         GridSpec(s_min=1.0, s_max=0.5)
     with pytest.raises(GainError):
         GridSpec(points=1)
+    for s_min, s_max in [(1.0, math.inf), (math.nan, 1.0), (0.0, 1.0),
+                         (1e-3, math.nan)]:
+        with pytest.raises(GainError, match="s_min < s_max < inf"):
+            GridSpec(s_min=s_min, s_max=s_max)
+    with pytest.raises(GainError, match="points"):
+        GridSpec(points=MAX_GRID_POINTS + 1)
+
+
+def test_grid_values_cached_read_only_and_logspaced():
+    grid = GridSpec(s_min=1e-3, s_max=1e3, points=7)
+    s = grid.values
+    assert grid.values is s and not s.flags.writeable
+    np.testing.assert_allclose(s, np.logspace(-3, 3, 7), rtol=1e-14)
 
 
 # -- inversion --------------------------------------------------------------
@@ -369,11 +383,13 @@ def _wide(lo, hi):
 # coefficients over [1e-200, 1e200]: a product of two or three of them can
 # leave the float range, as a merged coefficient of _collapse can; th up
 # to 1e305 makes th*expm1(sqrt(2s)) overflow in LogExpSq
-WIDE_TREES = st.recursive(st.one_of(
+WIDE_LEAVES = st.one_of(
     st.builds(Linear, _wide(-200, 200)),
     st.builds(Power, _wide(-200, 200), st.floats(0.2, 5.0)),
     st.builds(LogExpSq, st.one_of(st.just(0.5), st.floats(0.1, 2.0)),
-              _wide(-200, 305))),
+              _wide(-200, 305)))
+WIDE_TREES = st.recursive(
+    WIDE_LEAVES,
     lambda kids: st.one_of(
         st.builds(Max, kids, kids),
         st.builds(Compose, kids, kids),
@@ -499,3 +515,93 @@ def test_power_overflow_is_inf_on_floats_and_arrays():
     assert g(1e11) == math.inf
     with np.errstate(over="ignore"):
         assert g(np.array([1e11])).tolist() == [math.inf]
+
+
+# -- grid contraction: one array pass filters, floats decide -----------------
+
+def _float_loop(g, grid):
+    """The grid verdict by a float evaluation at every grid point in order."""
+    lo, hi = math.log(grid.s_min), math.log(grid.s_max)
+    n = grid.points
+    for i in range(n):
+        s = math.exp(lo + (hi - lo) * i / (n - 1))
+        if g(s) >= s:
+            return ContractionVerdict(
+                "grid-refuted", witness=s,
+                detail=f"g({s:.6g}) = {g(s):.6g} >= {s:.6g}")
+    return ContractionVerdict(
+        "grid-verified", detail=f"{n} log-spaced points on "
+                                f"[{grid.s_min:g}, {grid.s_max:g}]")
+
+
+def _reference_verdict(g, grid):
+    """check_contraction with the float loop in place of the array pass."""
+    exact = _exact_contraction(_collapse(g))
+    return _float_loop(g, grid) if exact is None else exact
+
+
+# 0*(k*s) is NaN once k*s overflows, at s = 1.8 to 1.8e12 here; as the
+# second branch of a Max it is NaN on arrays, while the float max(a, NaN)
+# is a
+NAN_ABOVE = st.builds(Compose, st.just(Linear(0.0)),
+                      st.builds(Linear, _wide(296, 308)))
+# the WIDE_TREES leaves and GAIN_STRATEGY trees, nested up to 10 leaves
+NESTED_TREES = st.recursive(
+    st.one_of(WIDE_LEAVES, GAIN_STRATEGY),
+    lambda kids: st.one_of(
+        st.builds(Max, kids, kids),
+        st.builds(Max, kids, NAN_ABOVE),
+        st.builds(Compose, kids, kids),
+        st.builds(Scale, _wide(-200, 200), kids)), max_leaves=10)
+GRIDS = st.one_of(
+    st.just(GridSpec()),
+    st.tuples(_wide(-300, 300), _wide(-300, 300), st.integers(2, 300))
+    .filter(lambda t: t[0] < t[1]).map(lambda t: GridSpec(*t)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(NESTED_TREES, GRIDS)
+def test_grid_verdict_equals_float_loop(g, grid):
+    assert check_contraction(g, grid) == _reference_verdict(g, grid)
+    assert _grid_contraction(g, grid) == _float_loop(g, grid)
+
+
+# g(s) >= s only for s >= 1e9, where the other branch is 0*inf = NaN: the
+# array maximum is NaN there, the float max(a, NaN) is a
+_NAN_ABOVE_1E9 = Max(Power(1e-9, 2.0), Compose(Linear(0.0), Linear(1e300)))
+# th*th' = 1 - 5e-7 < 1: g(s) < s everywhere, within 1e-12 of s at 1e12
+_TANGENT = Compose(LogExpSq(0.5, 1.0 - 5e-7), Compose(Linear(1.0),
+                                                     LogExpSq(0.5, 1.0)))
+
+
+@pytest.mark.parametrize("g, grid, status, witness", [
+    (Power(0.5, 0.5), GridSpec(), "grid-refuted", GridSpec().values[0]),
+    # 9.9e11 lies between the last two grid points
+    (Power(1.0 / 9.9e11, 2.0), GridSpec(), "grid-refuted",
+     GridSpec().values[-1]),
+    (Compose(Linear(0.0), Linear(1e300)), GridSpec(), "grid-verified", None),
+    (_NAN_ABOVE_1E9, GridSpec(), "grid-refuted", None),
+    (_TANGENT, GridSpec(), "grid-verified", None),
+    (Compose(Linear(1e-301), Compose(LogExpSq(0.5, 0.5), Linear(1e300))),
+     GridSpec(), "grid-refuted", None),
+    (Max(Linear(0.4), Compose(Power(2.0, 2.0), LogExpSq(0.5, 0.9))),
+     GridSpec(s_min=1e-3, s_max=10.0, points=33), "grid-refuted", None),
+], ids=["first-point", "last-point", "nan-chain", "nan-in-max",
+        "tangent-at-inf", "overflow-to-inf", "custom-grid"])
+def test_grid_verdict_hand_cases(g, grid, status, witness):
+    v = _grid_contraction(g, grid)
+    assert v == _float_loop(g, grid)
+    assert v.status == status
+    if witness is not None:
+        assert v.witness == witness
+    if status == "grid-refuted":
+        assert g(v.witness) >= v.witness
+
+
+def test_grid_nan_and_tangent_points_reach_the_float_decision():
+    s = GridSpec().values
+    with np.errstate(all="ignore"):
+        assert np.isnan(_NAN_ABOVE_1E9(s)[-1])
+        v = _TANGENT(s)
+    assert not v[-1] < s[-1] * (1.0 - 1e-12) and v[-1] < s[-1]
+    assert _grid_contraction(_NAN_ABOVE_1E9, GridSpec()).witness >= 1e9
