@@ -16,7 +16,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -183,9 +183,12 @@ class Max(GainFn):
             raise GainError("Max children must be GainFn instances")
 
     def _eval(self, s):
+        a, b = self.a._eval(s), self.b._eval(s)
         if isinstance(s, np.ndarray):
-            return np.maximum(self.a._eval(s), self.b._eval(s))
-        return max(self.a._eval(s), self.b._eval(s))
+            return np.maximum(a, b)
+        # NaN from either branch, as np.maximum; else max(a, b), which keeps
+        # the first of equal values (the sign of a zero)
+        return b if b > a or b != b else a
 
 
 @dataclass(frozen=True)
@@ -200,7 +203,13 @@ class Compose(GainFn):
             raise GainError("Compose children must be GainFn instances")
 
     def _eval(self, s):
-        return self.outer._eval(self.inner._eval(s))
+        # a left fold nests along outer: walk that spine in a loop, so a
+        # chain as long as a ring of gains does not recurse once per gain
+        g = self
+        while isinstance(g, Compose):
+            s = g.inner._eval(s)
+            g = g.outer
+        return g._eval(s)
 
 
 @dataclass(frozen=True)
@@ -262,7 +271,9 @@ class ContractionVerdict:
     rather than proof.  A refuting verdict carries a witness with
     g(witness) >= witness when one is representable as a positive float;
     an exact refutation whose crossing point over- or underflows has none,
-    and its detail says so.
+    and its detail says so.  A grid point where g is NaN is never evidence
+    of contraction: met first, it refutes with no witness, and the detail
+    names the NaN.
     """
 
     status: str
@@ -397,19 +408,21 @@ def _exact_contraction(g: GainFn) -> Optional[ContractionVerdict]:
     return None
 
 
-def check_contraction(g: GainFn, grid: Optional[GridSpec] = None,
-                      collapsed: Optional[GainFn] = None) -> ContractionVerdict:
+def check_contraction(g: Union[GainFn, Iterable[GainFn]],
+                      grid: Optional[GridSpec] = None) -> ContractionVerdict:
     """Test whether g(s) < s for all s > 0.
 
-    Applies closed-form rules on the normalized tree when possible,
-    otherwise samples the log-spaced grid and reports the first failure.
-    A caller that already holds the normal form of g passes it as
-    ``collapsed``; the grid always evaluates g itself.
+    g is a gain, or a chain g1 o g2 o ... o gm given as its gains.  The
+    closed-form rules apply to the left fold of the gains' normal forms
+    when they can; otherwise the grid samples compose_chain(gains) and the
+    first failure is reported.
     """
-    verdict = _exact_contraction(_collapse(g) if collapsed is None else collapsed)
+    gains = (g,) if isinstance(g, GainFn) else tuple(g)
+    verdict = _exact_contraction(reduce(_collapse_compose, map(_collapse, gains)))
     if verdict is not None:
         return verdict
-    return _grid_contraction(g, _DEFAULT_GRID if grid is None else grid)
+    return _grid_contraction(compose_chain(gains),
+                             _DEFAULT_GRID if grid is None else grid)
 
 
 def _grid_contraction(g: GainFn, grid: GridSpec) -> ContractionVerdict:
@@ -417,16 +430,21 @@ def _grid_contraction(g: GainFn, grid: GridSpec) -> ContractionVerdict:
 
     One array pass V = g(S) over the grid S filters: every point where not
     V < S*(1 - ARRAY_SLACK), NaN included, is a candidate.  The candidates
-    are decided in grid order with the float g(s) >= s.  So the verdict is
-    the one a float loop over the whole grid gives, as long as the array
-    value at a failing point is within ARRAY_SLACK of the float value.
+    are decided in grid order with the float test not g(s) < s, which a NaN
+    value fails: it refutes with no witness.  So the verdict is the one a
+    float loop over the whole grid gives, as long as the array value at a
+    failing point is within ARRAY_SLACK of the float value.
     """
     S = grid.values
     with np.errstate(all="ignore"):  # past the float range a gain is inf
         candidates = S[~(g(S) < S * (1.0 - ARRAY_SLACK))]
         for s in candidates.tolist():
             v = g(s)
-            if v >= s:
+            if v != v:
+                return ContractionVerdict(
+                    "grid-refuted",
+                    detail=f"g({s:.6g}) is NaN: no evidence of contraction")
+            if not v < s:
                 return ContractionVerdict(
                     "grid-refuted", witness=s,
                     detail=f"g({s:.6g}) = {v:.6g} >= {s:.6g}")

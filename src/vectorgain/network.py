@@ -2,13 +2,16 @@
 
 A gain matrix holds one scalar gain per ordered pair of nodes and induces
 the monotone map Gamma_i(x) = max_j gamma_ij(x_j) on the nonnegative
-orthant.  Global asymptotic stability of the iteration x -> Gamma(x) is
-equivalent to every composition of gains around every simple cycle lying
-strictly below the identity.  A cycle through a zero gain passes trivially,
-so only the elementary circuits of the support graph (edge i -> j iff
-gamma_ij is not the Zero gain) are enumerated, with Johnson's algorithm
-(SIAM J. Comput. 4(1), 1975), and checked with the contraction tester from
-:mod:`vectorgain.gains`.
+orthant.  It is stored as its support rows: the (j, gamma_ij) pairs of
+each row i whose gain is not the Zero gain, so every pass over it costs
+O(n + m) for m couplings.  Global asymptotic stability of the iteration
+x -> Gamma(x) is equivalent to every composition of gains around every
+simple cycle lying strictly below the identity.  A cycle through a zero
+gain passes trivially, so only the elementary circuits of the support graph
+(edge i -> j iff gamma_ij is not the Zero gain) are enumerated, as node
+tuples, with Johnson's algorithm (SIAM J. Comput. 4(1), 1975).  Each
+circuit's gains go to the contraction tester from :mod:`vectorgain.gains`,
+which composes them into a chain only when no closed-form rule decides.
 
 Up to ``_LIST_CAP`` circuits each one is listed with its verdict.  Above
 it, a strongly connected component whose gains all collapse to ``Linear``
@@ -21,26 +24,30 @@ Any other component over the cap is still decided circuit by circuit.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from functools import cached_property
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from .gains import (
-    ARRAY_SLACK, Compose, ContractionVerdict, GainFn, GridSpec, Linear,
-    LogExpSq, Zero, _collapse, _collapse_compose, check_contraction,
-    compose_chain, gain_from_json, gain_to_json,
+    ARRAY_SLACK, ContractionVerdict, GainFn, GridSpec, Linear, LogExpSq,
+    Zero, _collapse, check_contraction, gain_from_json, gain_to_json,
 )
 
 __all__ = [
     "GainMatrix", "CycleVerdict", "SmallGainReport", "as_plus_vec",
     "gamma_apply", "q_operator", "support_circuits",
     "check_small_gain", "gas_witness_search", "matrix_to_json",
-    "matrix_from_json",
+    "matrix_from_json", "MAX_NODES",
 ]
+
+# most nodes matrix_from_json accepts
+MAX_NODES = 1 << 20
+_ZERO = Zero()
 
 # sampled values (rows times n) per block of the GAS witness sampler
 _WITNESS_BLOCK = 1 << 16
@@ -68,48 +75,62 @@ def as_plus_vec(x, n: Optional[int] = None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GainMatrix:
-    """n x n array of scalar gains; absent couplings are the zero gain.
+    """n x n matrix of scalar gains, stored as its support rows.
 
-    Diagonal entries are allowed to be nonzero (they matter for delay
-    systems, where a subsystem feeds back through its own history).
+    Row i holds the (j, gamma_ij) pairs of its nonzero couplings in
+    ascending j; every other entry is the zero gain.  Storage, loading and
+    every pass over the matrix cost O(n + m) for m couplings.  Diagonal
+    entries are allowed to be nonzero (they matter for delay systems,
+    where a subsystem feeds back through its own history).
     """
 
     n: int
-    entries: Tuple[Tuple[GainFn, ...], ...]
+    rows: Tuple[Tuple[Tuple[int, GainFn], ...], ...]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"matrix dimension must be >= 1, got {self.n}")
-        if len(self.entries) != self.n or any(len(row) != self.n for row in self.entries):
-            raise ValueError("entries must be an n x n grid of gains")
-        for row in self.entries:
-            for g in row:
-                if not isinstance(g, GainFn):
-                    raise ValueError("matrix entries must be GainFn instances")
+        if self.n < 1 or len(self.rows) != self.n:
+            raise ValueError(f"need n >= 1 and n rows, got n = {self.n}")
+        for row in self.rows:
+            prev = -1
+            for j, g in row:
+                if (not prev < j < self.n or isinstance(g, Zero)
+                        or not isinstance(g, GainFn)):
+                    raise ValueError("a row holds (j, gain) pairs, ascending in "
+                                     "0 <= j < n, each gain a GainFn but not Zero")
+                prev = j
 
     @staticmethod
     def from_entries(rows: Sequence[Sequence[GainFn]]) -> "GainMatrix":
-        return GainMatrix(len(rows), tuple(tuple(row) for row in rows))
+        if any(len(row) != len(rows) for row in rows):
+            raise ValueError("entries must be an n x n grid of gains")
+        return GainMatrix(len(rows), tuple(_row(enumerate(row)) for row in rows))
 
     @staticmethod
     def zeros(n: int) -> "GainMatrix":
-        return GainMatrix(n, ((Zero(),) * n,) * n)
+        return GainMatrix(n, ((),) * n)
 
     def with_entry(self, i: int, j: int, g: GainFn) -> "GainMatrix":
         """Return a copy with entry (i, j) replaced (0-based indices)."""
-        rows = [list(row) for row in self.entries]
-        rows[i][j] = g
-        return GainMatrix.from_entries(rows)
+        rows = list(self.rows)
+        rows[i] = _row({**dict(rows[i]), j: g}.items())
+        return GainMatrix(self.n, tuple(rows))
 
     def gain(self, i: int, j: int) -> GainFn:
-        return self.entries[i][j]
+        row = self.rows[i]
+        # (j,) sorts just before (j, g): no gain is ever compared
+        k = bisect.bisect_left(row, (j,))
+        return row[k][1] if k < len(row) and row[k][0] == j else _ZERO
 
     @cached_property
     def support(self) -> Tuple[Tuple[int, ...], ...]:
-        """Columns of the entries of each row that are not the Zero gain,
-        ascending: the successors of each node in the support graph."""
-        return tuple(tuple(j for j, g in enumerate(row) if not isinstance(g, Zero))
-                     for row in self.entries)
+        """The columns of each row, ascending: the successors of each node
+        in the support graph."""
+        return tuple(tuple(j for j, _ in row) for row in self.rows)
+
+
+def _row(pairs: Iterable[Tuple[int, GainFn]]) -> Tuple[Tuple[int, GainFn], ...]:
+    """Support row of (j, gain) pairs with distinct j: no Zero, ascending j."""
+    return tuple(sorted([(j, g) for j, g in pairs if not isinstance(g, Zero)]))
 
 
 def gamma_apply(G: GainMatrix, x) -> np.ndarray:
@@ -128,10 +149,9 @@ def _gamma_step(G: GainMatrix, xs: List[float]) -> List[float]:
     if not all(map(math.isfinite, xs)):
         raise ValueError(_VEC_ENTRIES)
     out = []
-    for i, cols in enumerate(G.support):
-        row = G.entries[i]
-        vals = [row[j]._eval(xs[j]) for j in cols]
-        if not cols or cols[0] != 0:
+    for row in G.rows:
+        vals = [g._eval(xs[j]) for j, g in row]
+        if not row or row[0][0] != 0:
             vals.insert(0, 0.0)
         out.append(max(vals))
     return out
@@ -195,31 +215,23 @@ def _cyclic_components(succ: Sequence[Sequence[int]], nodes: Set[int]) -> List[S
     return found
 
 
-def support_circuits(G: GainMatrix
-                     ) -> Iterator[Tuple[Tuple[int, ...], GainFn, GainFn]]:
-    """Elementary circuits of the support graph with their composed gains.
+def support_circuits(G: GainMatrix) -> Iterator[Tuple[int, ...]]:
+    """Elementary circuits of the support graph, as node tuples.
 
-    Yields (cycle, chain, normal): the 0-based nodes of each circuit once,
-    anchored at its smallest node; the left-fold chain gamma_{i1 i2} o ...
-    o gamma_{ir i1} that compose_chain builds; and its _collapse normal
-    form.  Johnson's search runs on each strongly connected component from
+    Yields the 0-based nodes of each circuit once, anchored at its smallest
+    node.  Johnson's search runs on each strongly connected component from
     its smallest node, then on the components left without that node.  The
     depth-first search keeps an explicit stack, so long rings do not hit
-    the recursion limit, and carries the chain and normal form of the
-    current path, so each extension costs one Compose and one shallow
-    normalization step.
+    the recursion limit.  No gain is composed here: _circuit_verdict
+    decides a circuit from its node tuple.
     """
     succ = G.support
-    normal = [{w: _collapse(G.entries[v][w]) for w in succ[v]}
-              for v in range(G.n)]
     todo = _cyclic_components(succ, set(range(G.n)))
     while todo:
         comp = todo.pop()
         s = min(comp)
         sub = {v: [w for w in succ[v] if w in comp] for v in comp}
         path = [s]
-        chains: List[Optional[GainFn]] = [None]
-        normals: List[Optional[GainFn]] = [None]
         closed = [False]
         blocked = {s}
         blockers: Dict[int, Set[int]] = {v: set() for v in comp}
@@ -229,17 +241,11 @@ def support_circuits(G: GainMatrix
             for w in frames[-1]:
                 if w != s and w in blocked:
                     continue
-                g, gn = G.entries[v][w], normal[v][w]
-                chain, norm = chains[-1], normals[-1]
-                if chain is not None:
-                    g, gn = Compose(chain, g), _collapse_compose(norm, gn)
                 if w == s:
-                    yield tuple(path), g, gn
+                    yield tuple(path)
                     closed[-1] = True
                     continue
                 path.append(w)
-                chains.append(g)
-                normals.append(gn)
                 closed.append(False)
                 blocked.add(w)
                 frames.append(iter(sub[w]))
@@ -247,8 +253,6 @@ def support_circuits(G: GainMatrix
             else:
                 frames.pop()
                 path.pop()
-                chains.pop()
-                normals.pop()
                 if closed.pop():
                     if closed:
                         closed[-1] = True
@@ -320,6 +324,13 @@ def _cycle_order(cv: CycleVerdict):
     return len(cv.cycle), sorted(cv.cycle), cv.cycle
 
 
+def _circuit_verdict(G: GainMatrix, cycle: Tuple[int, ...],
+                     grid: Optional[GridSpec]) -> CycleVerdict:
+    """Verdict of the chain gamma_{c0 c1} o ... o gamma_{c(r-1) c0}."""
+    gains = map(G.gain, cycle, cycle[1:] + cycle[:1])
+    return CycleVerdict(cycle, check_contraction(gains, grid))
+
+
 def _log_weights(G: GainMatrix, comp: Set[int]
                  ) -> Optional[Dict[Tuple[int, int], float]]:
     """ln k, or ln th, of each edge (v, w) inside comp when every entry
@@ -328,10 +339,10 @@ def _log_weights(G: GainMatrix, comp: Set[int]
     weights: Dict[Tuple[int, int], float] = {}
     families = set()
     for v in comp:
-        for w in G.support[v]:
+        for w, g in G.rows[v]:
             if w not in comp:
                 continue
-            g = _collapse(G.entries[v][w])
+            g = _collapse(g)
             if isinstance(g, Zero):
                 weights[v, w] = -math.inf
             elif isinstance(g, Linear):
@@ -413,15 +424,11 @@ def _critical_cycles(G: GainMatrix, grid: Optional[GridSpec]
         if weights is None:
             return None
         lam, cycle = _max_cycle_mean(weights)
-        r = len(cycle)
-        gains = [G.entries[cycle[m]][cycle[(m + 1) % r]] for m in range(r)]
-        verdict = check_contraction(
-            compose_chain(gains), grid,
-            collapsed=reduce(_collapse_compose, map(_collapse, gains)))
+        cv = _circuit_verdict(G, cycle, grid)
         scale = max([1.0] + [abs(x) for x in weights.values() if x > -math.inf])
-        if abs(lam) > _MEAN_TIE * scale and verdict.holds != (lam < 0):
+        if abs(lam) > _MEAN_TIE * scale and cv.holds != (lam < 0):
             return None
-        found.append(CycleVerdict(cycle, verdict))
+        found.append(cv)
     return found
 
 
@@ -434,7 +441,10 @@ def check_small_gain(G: GainMatrix, grid: Optional[GridSpec] = None) -> SmallGai
     listed.  The verdicts are ordered by cycle length, then node set, then
     rotation, and the failing cycle is the first refuted one in that order.
 
-    At most ``_LIST_CAP`` (10,000) circuits are listed.  Past that, when
+    Each circuit is decided from its node tuple by _circuit_verdict, which
+    hands its gains to check_contraction; the chain is composed only for
+    the grid.  At most ``_LIST_CAP`` (10,000) circuits are listed, and
+    learning that a graph has more only counts node tuples.  Past that, when
     every cyclic component is multiplicative (all gains collapse to
     ``Linear``, or all to ``LogExpSq(0.5, .)``), each component is decided
     by the maximum cycle mean of its log weights (Karp): below 0 it holds,
@@ -449,8 +459,8 @@ def check_small_gain(G: GainMatrix, grid: Optional[GridSpec] = None) -> SmallGai
     critical = _critical_cycles(G, grid) if len(head) > _LIST_CAP else None
     verdicts = sorted(
         critical if critical is not None else
-        (CycleVerdict(cycle, check_contraction(chain, grid, collapsed=norm))
-         for cycle, chain, norm in itertools.chain(head, circuits)),
+        (_circuit_verdict(G, cycle, grid)
+         for cycle in itertools.chain(head, circuits)),
         key=_cycle_order)
     failing = next((cv for cv in verdicts if not cv.holds), None)
     return SmallGainReport(
@@ -492,10 +502,10 @@ def gas_witness_search(G: GainMatrix, samples: int = 100_000,
     for start in range(0, samples, rows):
         X = np.exp(rng.uniform(lo, hi, size=(min(rows, samples - start), G.n)))
         hits = np.ones(X.shape[0], dtype=bool)
-        for i, cols in enumerate(G.support):
+        for i, row in enumerate(G.rows):
             y = np.zeros(X.shape[0])
-            for j in cols:
-                y = np.maximum(y, G.entries[i][j](X[:, j]))
+            for j, g in row:
+                y = np.maximum(y, g(X[:, j]))
             hits &= y >= X[:, i] * (1.0 - ARRAY_SLACK)
             if not hits.any():
                 break
@@ -531,25 +541,25 @@ def _cycle_witness(G: GainMatrix, cycle: Tuple[int, ...],
 
 def matrix_to_json(G: GainMatrix) -> dict:
     """Serialize with 1-based indices; zero entries are omitted."""
-    gains = []
-    for i in range(G.n):
-        for j in range(G.n):
-            g = G.entries[i][j]
-            if not isinstance(g, Zero):
-                gains.append({"i": i + 1, "j": j + 1, "fn": gain_to_json(g)})
-    return {"n": G.n, "gains": gains}
+    return {"n": G.n, "gains": [{"i": i + 1, "j": j + 1, "fn": gain_to_json(g)}
+                                for i, row in enumerate(G.rows)
+                                for j, g in row]}
 
 
 def matrix_from_json(d: dict) -> GainMatrix:
+    """Parse {"n": n, "gains": [{"i", "j", "fn"}, ...]} with 1-based indices
+    and 1 <= n <= MAX_NODES; a later entry for (i, j) replaces an earlier
+    one, and a zero gain removes it."""
     try:
         n = int(d["n"])
     except (TypeError, KeyError):
         raise ValueError(f"matrix JSON requires an integer field 'n': {d!r}")
-    zero = Zero()
-    rows = [[zero] * n for _ in range(n)]
+    if not 1 <= n <= MAX_NODES:
+        raise ValueError(f"matrix dimension must be 1 to {MAX_NODES}, got {n}")
+    rows: Dict[int, Dict[int, GainFn]] = {}
     for item in d.get("gains", []):
         i, j = int(item["i"]) - 1, int(item["j"]) - 1
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"gain index out of range: {item}")
-        rows[i][j] = gain_from_json(item["fn"])
-    return GainMatrix(n, tuple(map(tuple, rows)))
+        rows.setdefault(i, {})[j] = gain_from_json(item["fn"])
+    return GainMatrix(n, tuple(_row(rows.get(i, {}).items()) for i in range(n)))

@@ -21,9 +21,12 @@ from .models import SystemSpec, max_delay, model_delays, model_dim, model_rhs
 __all__ = [
     "Trajectory", "SimulationError", "FiniteEscapeError", "ConfigError",
     "integrate_ode", "integrate_delay", "integrate_sampled", "log_transform",
+    "MAX_STEPS",
 ]
 
 ESCAPE_BOUND = 1e12
+# most steps a run takes: horizon / dt, or a sampled run's node count
+MAX_STEPS = 10_000_000
 DELAY_ALIGN_TOL = 1e-12
 
 
@@ -67,11 +70,6 @@ class Trajectory:
         for t, row in zip(self.times, self.states):
             yield f"{float(t)!r}," + ",".join(repr(float(v)) for v in row)
 
-    def write_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            for line in self.csv_rows():
-                fh.write(line + "\n")
-
 
 def _check_escape(x: np.ndarray, t: float) -> None:
     # a NaN fails the comparison and an inf exceeds the bound
@@ -89,10 +87,14 @@ def _rk4_step(f, t: float, x: np.ndarray, dt: float, *extra) -> np.ndarray:
 
 
 def _check_grid(dt: float, horizon: float) -> None:
-    """Require a finite step and horizon with 0 < dt <= horizon."""
+    """Require a finite step and horizon with 0 < dt <= horizon and at most
+    MAX_STEPS steps."""
     if not (math.isfinite(dt) and math.isfinite(horizon) and 0 < dt <= horizon):
         raise ConfigError(f"need finite dt and horizon with 0 < dt <= horizon, "
                           f"got dt = {dt}, horizon = {horizon}")
+    if horizon / dt > MAX_STEPS:
+        raise ConfigError(f"horizon / dt = {horizon / dt:g} exceeds "
+                          f"MAX_STEPS = {MAX_STEPS}")
 
 
 def integrate_ode(spec: SystemSpec, x0, horizon: float, dt: float) -> Trajectory:
@@ -284,6 +286,8 @@ def integrate_sampled(spec: SystemSpec, x0, horizon: float,
         tau_next = tau + gap
         span = min(tau_next, t_end) - tau
         substeps = max(1, int(math.ceil(span / dt - 1e-12)))
+        if len(times) - 1 + substeps > MAX_STEPS:
+            raise ConfigError(f"sampled run longer than MAX_STEPS = {MAX_STEPS}")
         hstep = span / substeps
         # _rk4_step returns a new array, so x is never written in place
         held = x

@@ -167,10 +167,10 @@ def _violations(setup: LyapunovSetup, dsup, idx: np.ndarray, x: np.ndarray,
     ok = np.ones(x.size, dtype=bool)
     if not isinstance(setup.zeta, Zero):
         ok &= setup.zeta(np.abs(u)) <= q
-    for i, cols in enumerate(G.support):
+    for i, row in enumerate(G.rows):
         r = np.flatnonzero(idx == i)
-        for j in cols:
-            ok[r] &= G.entries[i][j](V[r, j]) <= q[r]
+        for j, g in row:
+            ok[r] &= g(V[r, j]) <= q[r]
     hit = np.flatnonzero(ok)
     ih, qh = idx[hit], q[hit]
     deriv = dsup(ih, x[hit], V[hit], u[hit])

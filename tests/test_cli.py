@@ -7,6 +7,7 @@ import pytest
 
 from vectorgain.cli import _JSON_CHUNKS, _write_json, main
 from vectorgain.gains import GridSpec, LogExpSq
+import vectorgain.network as network
 
 
 def _write(path, payload):
@@ -451,6 +452,61 @@ def test_simulate_grid_not_finite_rejected(tmp_path, capsys, system, run):
     err = capsys.readouterr().err
     assert err.startswith("error: need finite dt and horizon")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("system, run", [
+    (_ODE, {"horizon": 1e15, "dt": 1e-3, "x0": [1.0]}),
+    (_DELAY, {"horizon": 1e15, "dt": 1e-3, "history": [1.0]}),
+    (_SAMPLED_RUN, {"horizon": 1e15, "dt": 1e-3, "x0": [1.0]}),
+], ids=["ode", "delay", "sampled"])
+def test_simulate_past_max_steps_rejected(tmp_path, capsys, monkeypatch,
+                                          system, run):
+    # the step count is checked before the grid is allocated
+    path = _write(tmp_path / "cfg.json", {"system": system, "analysis": run})
+    for name in ("arange", "empty"):
+        monkeypatch.setattr(np, name, lambda *a, **k: pytest.fail(
+            "simulation grid allocated"))
+    out = tmp_path / "out"
+    assert main(["simulate", "--input", path, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: horizon / dt = 1e+18 exceeds MAX_STEPS = 10000000\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n", [0, 2 ** 20 + 1])
+def test_check_sg_matrix_size_rejected(tmp_path, capsys, monkeypatch, n):
+    monkeypatch.setattr(network, "GainMatrix", lambda *a: pytest.fail(
+        "matrix allocated"))
+    path = _write(tmp_path / "cfg.json", {"gains": {"n": n, "gains": []}})
+    out = tmp_path / "out"
+    assert main(["check-sg", "--input", path, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: config field 'gains': matrix dimension must be 1 to "
+        f"{2 ** 20}, got {n}\n")
+    assert not out.exists()
+
+
+def test_check_sg_empty_matrix_of_100000_nodes(tmp_path, capsys):
+    path = _write(tmp_path / "cfg.json", {"gains": {"n": 100_000, "gains": []}})
+    out = tmp_path / "out"
+    assert main(["check-sg", "--input", path, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads((out / "report.json").read_text())["small_gain"] == {
+        "holds": True, "cycles": []}
+
+
+def test_check_sg_mixed_ring_of_2000_nodes(tmp_path, capsys):
+    # no closed form: the grid evaluates the ring's 2,000-gain chain
+    n = 2000
+    fn = {"kind": "scale", "k": 0.9,
+          "fn": {"kind": "logexpsq", "c": 0.5, "th": 0.8}}
+    path = _write(tmp_path / "ring.json", {"gains": {"n": n, "gains": [
+        {"i": i + 1, "j": (i + 1) % n + 1, "fn": fn} for i in range(n)]}})
+    out = tmp_path / "out"
+    assert main(["check-sg", "--input", path, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    sg = json.loads((out / "report.json").read_text())["small_gain"]
+    assert [c["status"] for c in sg["cycles"]] == ["grid-verified"]
 
 
 @pytest.mark.parametrize("low, high, code", [(0.1, 0.95, 0), (0.5, 1.5, 2)])

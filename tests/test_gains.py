@@ -520,11 +520,16 @@ def test_power_overflow_is_inf_on_floats_and_arrays():
 # -- grid contraction: one array pass filters, floats decide -----------------
 
 def _float_loop(g, grid):
-    """The grid verdict by a float evaluation at every grid point in order."""
+    """The grid verdict by a float evaluation at every grid point in order;
+    a NaN value refutes with no witness."""
     lo, hi = math.log(grid.s_min), math.log(grid.s_max)
     n = grid.points
     for i in range(n):
         s = math.exp(lo + (hi - lo) * i / (n - 1))
+        if math.isnan(g(s)):
+            return ContractionVerdict(
+                "grid-refuted",
+                detail=f"g({s:.6g}) is NaN: no evidence of contraction")
         if g(s) >= s:
             return ContractionVerdict(
                 "grid-refuted", witness=s,
@@ -541,8 +546,7 @@ def _reference_verdict(g, grid):
 
 
 # 0*(k*s) is NaN once k*s overflows, at s = 1.8 to 1.8e12 here; as the
-# second branch of a Max it is NaN on arrays, while the float max(a, NaN)
-# is a
+# second branch of a Max it is NaN on floats and arrays alike
 NAN_ABOVE = st.builds(Compose, st.just(Linear(0.0)),
                       st.builds(Linear, _wide(296, 308)))
 # the WIDE_TREES leaves and GAIN_STRATEGY trees, nested up to 10 leaves
@@ -566,8 +570,8 @@ def test_grid_verdict_equals_float_loop(g, grid):
     assert _grid_contraction(g, grid) == _float_loop(g, grid)
 
 
-# g(s) >= s only for s >= 1e9, where the other branch is 0*inf = NaN: the
-# array maximum is NaN there, the float max(a, NaN) is a
+# g(s) >= s only for s >= 1e9, but the other branch is 0*inf = NaN from
+# s = 1.8e8 on, and so is the maximum, on floats and arrays
 _NAN_ABOVE_1E9 = Max(Power(1e-9, 2.0), Compose(Linear(0.0), Linear(1e300)))
 # th*th' = 1 - 5e-7 < 1: g(s) < s everywhere, within 1e-12 of s at 1e12
 _TANGENT = Compose(LogExpSq(0.5, 1.0 - 5e-7), Compose(Linear(1.0),
@@ -579,7 +583,7 @@ _TANGENT = Compose(LogExpSq(0.5, 1.0 - 5e-7), Compose(Linear(1.0),
     # 9.9e11 lies between the last two grid points
     (Power(1.0 / 9.9e11, 2.0), GridSpec(), "grid-refuted",
      GridSpec().values[-1]),
-    (Compose(Linear(0.0), Linear(1e300)), GridSpec(), "grid-verified", None),
+    (Compose(Linear(0.0), Linear(1e300)), GridSpec(), "grid-refuted", None),
     (_NAN_ABOVE_1E9, GridSpec(), "grid-refuted", None),
     (_TANGENT, GridSpec(), "grid-verified", None),
     (Compose(Linear(1e-301), Compose(LogExpSq(0.5, 0.5), Linear(1e300))),
@@ -594,7 +598,7 @@ def test_grid_verdict_hand_cases(g, grid, status, witness):
     assert v.status == status
     if witness is not None:
         assert v.witness == witness
-    if status == "grid-refuted":
+    if status == "grid-refuted" and v.witness is not None:
         assert g(v.witness) >= v.witness
 
 
@@ -604,4 +608,38 @@ def test_grid_nan_and_tangent_points_reach_the_float_decision():
         assert np.isnan(_NAN_ABOVE_1E9(s)[-1])
         v = _TANGENT(s)
     assert not v[-1] < s[-1] * (1.0 - 1e-12) and v[-1] < s[-1]
-    assert _grid_contraction(_NAN_ABOVE_1E9, GridSpec()).witness >= 1e9
+    nan = _grid_contraction(_NAN_ABOVE_1E9, GridSpec())
+    assert nan.witness is None and "is NaN" in nan.detail
+    assert 1.8e8 <= float(nan.detail[2:nan.detail.index(")")]) < 1e9
+
+
+def test_max_verdict_independent_of_branch_order():
+    """A NaN branch gives NaN in either order, on floats as on arrays, so
+    both orders of a Max give one verdict; a NaN point is no evidence of
+    contraction."""
+    a = Compose(Power(1e-9, 2.0), LogExpSq(0.5, 1.0))
+    b = Compose(Linear(0.0), Linear(1e300))
+    assert math.isnan(Max(a, b)(1e9)) and math.isnan(Max(b, a)(1e9))
+    ab, ba = check_contraction(Max(a, b)), check_contraction(Max(b, a))
+    assert ab == ba
+    assert ab.status == "grid-refuted" and ab.witness is None
+    # the first of equal values is kept, as by max(a, b)
+    assert math.copysign(1.0, Max(Linear(1.0), Zero())(-0.0)) == -1.0
+    assert math.copysign(1.0, Max(Zero(), Linear(1.0))(-0.0)) == 1.0
+
+
+def test_long_left_fold_evaluates_in_order_without_recursion():
+    # a chain far deeper than the recursion limit; the loop over its outer
+    # spine applies the same operations in the same order
+    gs = [Scale(0.9, LogExpSq(0.5, 0.8)), Linear(1.05), Power(2.0, 0.5)] * 2000
+    chain = compose_chain(gs)
+    for s in (1e-3, 1.0, 1e3):
+        v = s
+        for g in reversed(gs):
+            v = g(v)
+        assert chain(s) == v
+    S = np.array([1e-3, 1.0, 1e3])
+    V = S
+    for g in reversed(gs):
+        V = g(V)
+    assert chain(S).tobytes() == V.tobytes()

@@ -69,7 +69,7 @@ def test_enumerate_cycles_counts():
     # the complete digraph: n self-loops + sum_r C(n,r)*(r-1)!
     expected = {1: 1, 2: 3, 3: 8, 4: 24}
     for n, count in expected.items():
-        cycles = [c for c, _, _ in support_circuits(_complete_digraph(n))]
+        cycles = list(support_circuits(_complete_digraph(n)))
         assert len(cycles) == count
         assert len(set(cycles)) == count
         for cyc in cycles:
@@ -131,7 +131,7 @@ def test_gamma_apply_matches_full_row_formula(rng):
         x = rng.uniform(0.0, 10.0, size=n) * (rng.random(n) < 0.7)
         x[rng.random(n) < 0.2] = -0.0
         v = as_plus_vec(x)
-        expect = np.array([max(G.entries[i][j](v[j]) for j in range(n))
+        expect = np.array([max(G.gain(i, j)(v[j]) for j in range(n))
                            for i in range(n)])
         assert gamma_apply(G, x).tobytes() == expect.tobytes()
 
@@ -510,3 +510,58 @@ def test_over_cap_one_critical_cycle_per_component():
     assert min(report.failing_cycle) >= 8
     report = check_small_gain(_dense(12, np.full((12, 12), 0.99)))
     assert report.critical_only and report.holds
+
+
+def test_dense_linear_over_cap_composes_nothing(monkeypatch):
+    """Counting the circuits past the cap and deciding the critical cycle
+    exactly construct no Compose."""
+    def no_compose(self):
+        raise AssertionError("a Compose was constructed")
+    monkeypatch.setattr(Compose, "__post_init__", no_compose)
+    report = check_small_gain(_dense(8, np.full((8, 8), 0.5)))
+    assert report.critical_only and report.holds
+    assert report.cycles[0].verdict.status == "exact-true"
+
+
+def test_mixed_ring_longer_than_recursion_limit():
+    # no closed form: the grid evaluates a 2,000-gain chain
+    n = 2000
+    g = Scale(0.9, LogExpSq(0.5, 0.8))
+    report = check_small_gain(
+        GainMatrix(n, tuple((((i + 1) % n, g),) for i in range(n))))
+    assert [cv.cycle for cv in report.cycles] == [tuple(range(n))]
+    assert report.holds and report.cycles[0].verdict.status == "grid-verified"
+
+
+def test_matrix_stored_as_support_rows():
+    G = GainMatrix.from_entries([[Zero(), Linear(0.5), Zero()],
+                                 [Linear(0.0), Zero(), Zero()],
+                                 [Zero(), Zero(), Zero()]])
+    assert G.rows == (((1, Linear(0.5)),), ((0, Linear(0.0)),), ())
+    assert G.support == ((1,), (0,), ())
+    assert G.gain(0, 0) is G.gain(2, 2) and isinstance(G.gain(0, 0), Zero)
+    assert G.with_entry(0, 1, Zero()).rows[0] == ()
+    assert G.with_entry(0, 2, Linear(1.0)).rows[0] == (
+        (1, Linear(0.5)), (2, Linear(1.0)))
+    assert matrix_from_json(matrix_to_json(G)) == G
+    for bad in [((0, Linear(1.0)), (0, Linear(1.0))),
+                ((1, Linear(1.0)), (0, Linear(1.0))),
+                ((3, Linear(1.0)),), ((0, Zero()),), ((0, 1.0),)]:
+        with pytest.raises(ValueError):
+            GainMatrix(3, (bad, (), ()))
+
+
+def test_matrix_json_later_entry_wins():
+    fn = {"kind": "linear", "k": 0.5}
+    G = matrix_from_json({"n": 2, "gains": [
+        {"i": 1, "j": 2, "fn": fn}, {"i": 1, "j": 1, "fn": fn},
+        {"i": 1, "j": 2, "fn": {"kind": "zero"}}]})
+    assert G.rows == (((0, Linear(0.5)),), ())
+
+
+@pytest.mark.parametrize("n", [0, -1, network.MAX_NODES + 1, 10 ** 15])
+def test_matrix_json_size_rejected_before_allocation(monkeypatch, n):
+    monkeypatch.setattr(network, "GainMatrix", lambda *a: pytest.fail(
+        "matrix allocated"))
+    with pytest.raises(ValueError, match="matrix dimension must be 1 to"):
+        matrix_from_json({"n": n, "gains": []})

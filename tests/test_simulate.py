@@ -10,6 +10,7 @@ from vectorgain.simulate import (
     integrate_delay, integrate_ode, integrate_sampled, log_transform,
 )
 from oracles import rk4_reference
+import vectorgain.simulate as simulate
 
 
 def _scalar(a=1.0, **kw):
@@ -331,18 +332,25 @@ def test_sampled_state_dependent_period():
     assert gaps[-1] > gaps[0]
 
 
+def test_sampled_node_count_capped(monkeypatch):
+    # 100 steps of dt pass the grid check; a period of 0.003 needs 334 nodes
+    monkeypatch.setattr(simulate, "MAX_STEPS", 100)
+    spec = SystemSpec(kind="sampled", model="zoh_linear", params={"n": 1},
+                      h={"kind": "constant", "value": 0.003}, dtilde=Signal())
+    with pytest.raises(ConfigError, match="sampled run longer than MAX_STEPS = 100$"):
+        integrate_sampled(spec, [1.0], horizon=1.0, dt=0.01)
+    integrate_sampled(spec, [1.0], horizon=0.29, dt=0.01)
+
+
 # -- trajectory container ---------------------------------------------------
 
-def test_trajectory_csv_format(tmp_path):
+def test_trajectory_csv_format():
     traj = Trajectory(times=np.array([0.0, 0.5]),
                       states=np.array([[1.0, 2.0], [3.0, 4.0]]), dt=0.5)
-    rows = list(traj.csv_rows())
-    assert rows[0] == "t,x1,x2"
-    assert rows[1].startswith("0.0,1.0,2.0")
-    path = tmp_path / "traj.csv"
-    traj.write_csv(path)
-    lines = path.read_text().strip().splitlines()
+    lines = list(traj.csv_rows())
     assert len(lines) == 3
+    assert lines[0] == "t,x1,x2"
+    assert lines[1].startswith("0.0,1.0,2.0")
     # repr round trip: values parse back exactly
     assert [float(v) for v in lines[2].split(",")] == [0.5, 3.0, 4.0]
 
