@@ -34,7 +34,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .gains import GridSpec, Linear, Zero, gain_from_json
+from .gains import MAX_GRID_POINTS, GridSpec, Linear, Zero, gain_from_json
 from .iteration import TOL_CONV, iterate
 from .models import SystemSpec, spec_from_json
 from .network import (
@@ -180,10 +180,17 @@ def _cmd_check_sg(cfg: Dict, analysis: Dict, seed: int, out: Path) -> _Result:
     return (0 if report.holds else 2), payload, {}, report.table()
 
 
+def _table_points(value) -> int:
+    points = int(value)
+    if not 0 <= points <= MAX_GRID_POINTS:
+        raise ValueError(f"must be 0 to {MAX_GRID_POINTS}, got {points}")
+    return points
+
+
 def _cmd_synth(cfg: Dict, analysis: Dict, seed: int, out: Path) -> _Result:
     G = _gains_from_config(cfg)
     inp = _synthesis_from_config(cfg, G)
-    points = _number(analysis, "table_points", 121, int)
+    points = _number(analysis, "table_points", 121, _table_points)
     report = check_small_gain(G, _grid_from_analysis(analysis))
     if not report.holds:
         return 2, {"status": "small-gain-refuted",

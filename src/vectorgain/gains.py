@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property, reduce
 from typing import Iterable, Optional, Sequence, Union
 
@@ -512,24 +512,28 @@ def invert(g: GainFn, y: float) -> float:
             hi = mid
 
 
+# the JSON form of each algebra node, keyed by class: "kind" (the lowercased
+# class name), then the dataclass fields in declaration order, with a field
+# declared as a GainFn holding a child gain.  Field names are read once here.
+_WIRE = {cls: (cls.__name__.lower(),
+               tuple((f.name, f.type == "GainFn") for f in fields(cls)))
+         for cls in (Zero, Linear, Power, LogExpSq, Max, Compose, Scale)}
+_KINDS = {kind: (cls, names) for cls, (kind, names) in _WIRE.items()}
+
+
 def gain_to_json(g: GainFn) -> dict:
-    """Serialize a gain expression tree to a JSON-compatible dict."""
-    if isinstance(g, Zero):
-        return {"kind": "zero"}
-    if isinstance(g, Linear):
-        return {"kind": "linear", "k": g.k}
-    if isinstance(g, Power):
-        return {"kind": "power", "k": g.k, "p": g.p}
-    if isinstance(g, LogExpSq):
-        return {"kind": "logexpsq", "c": g.c, "th": g.th}
-    if isinstance(g, Max):
-        return {"kind": "max", "a": gain_to_json(g.a), "b": gain_to_json(g.b)}
-    if isinstance(g, Compose):
-        return {"kind": "compose", "outer": gain_to_json(g.outer),
-                "inner": gain_to_json(g.inner)}
-    if isinstance(g, Scale):
-        return {"kind": "scale", "k": g.k, "fn": gain_to_json(g.fn)}
-    raise GainError(f"unknown gain node {type(g).__name__}")
+    """Serialize a gain expression tree to a JSON-compatible dict: "kind",
+    the lowercased class name, then each dataclass field in declaration
+    order, a child gain as a nested dict."""
+    try:
+        kind, names = _WIRE[type(g)]
+    except KeyError:
+        raise GainError(f"unknown gain node {type(g).__name__}")
+    d = {"kind": kind}
+    for name, child in names:
+        v = getattr(g, name)
+        d[name] = gain_to_json(v) if child else v
+    return d
 
 
 def gain_from_json(d: dict) -> GainFn:
@@ -546,19 +550,9 @@ def _from_json(d: dict, depth: int) -> GainFn:
         kind = d["kind"]
     except (TypeError, KeyError):
         raise GainError(f"gain JSON must be an object with a 'kind': {d!r}")
-    if kind == "zero":
-        return Zero()
-    if kind == "linear":
-        return Linear(float(d["k"]))
-    if kind == "power":
-        return Power(float(d["k"]), float(d["p"]))
-    if kind == "logexpsq":
-        return LogExpSq(float(d["c"]), float(d["th"]))
-    if kind == "max":
-        return Max(_from_json(d["a"], depth + 1), _from_json(d["b"], depth + 1))
-    if kind == "compose":
-        return Compose(_from_json(d["outer"], depth + 1),
-                       _from_json(d["inner"], depth + 1))
-    if kind == "scale":
-        return Scale(float(d["k"]), _from_json(d["fn"], depth + 1))
-    raise GainError(f"unknown gain kind {kind!r}")
+    try:
+        cls, names = _KINDS[kind]
+    except (TypeError, KeyError):  # TypeError: an unhashable kind
+        raise GainError(f"unknown gain kind {kind!r}")
+    return cls(*[_from_json(d[name], depth + 1) if child else float(d[name])
+                 for name, child in names])

@@ -48,27 +48,20 @@ def iterate(G: GainMatrix, x0, max_steps: int = 200,
     xs = x.tolist()
     iterates: List[np.ndarray] = [x]
     trace: List[float] = [float(x.max())]
-    status = "stalled"
-    steps = 0
-    for k in range(max_steps):
+    for steps in range(max_steps + 1):
         if trace[-1] < tol_conv:
             status = "converged"
-            steps = k
             break
         if trace[-1] > DIVERGENCE_BOUND:
             status = "diverged"
-            steps = k
+            break
+        if steps == max_steps:
+            status = "stalled"
             break
         xs = _gamma_step(G, xs)
         x = np.array(xs)
         iterates.append(x)
         trace.append(float(x.max()))
-    else:
-        steps = max_steps
-        if trace[-1] < tol_conv:
-            status = "converged"
-        elif trace[-1] > DIVERGENCE_BOUND:
-            status = "diverged"
     rows = np.array(iterates)
     rows.flags.writeable = False
     return IterationResult(rows, status, steps, tuple(trace))

@@ -128,8 +128,11 @@ class _History:
     max((h - 2m) // 2, 0) to the newest valid row, m = r/dt: the stored
     nodes of [t - r, t].  The window start only moves forward, so
     per-channel monotone deques of Python floats serve it in O(1)
-    amortized per step.  The result is memoized on (start, filled), which
-    RK4 stages 1-3 of a step share; callers must not write to it.
+    amortized per step.  The deques are the window index: advance only
+    records the valid rows, and a window query pushes the rows it has
+    not yet indexed, so a model that never asks for a window never builds
+    one.  The result is memoized on (start, filled), which RK4 stages 1-3
+    of a step share; callers must not write to it.
     """
 
     def __init__(self, states: np.ndarray, dt: float, t0: float, m: int,
@@ -143,7 +146,6 @@ class _History:
         # deques of (row index, |value|), indices increasing, values decreasing
         self._deques: List[deque] = [deque() for _ in range(n)]
         self._pushed = 0
-        self._push_rows(filled)
         self._memo_key = None
         self._memo = None
 
@@ -156,9 +158,8 @@ class _History:
         self._pushed = upto
 
     def advance(self, filled: int) -> None:
-        """Mark rows below `filled` as valid and index them for window queries."""
+        """Mark rows below `filled` as valid."""
         self.filled = filled
-        self._push_rows(filled)
 
     def _half_steps(self, t: float) -> int:
         return round(2.0 * (t - self.t0) / self.dt)
@@ -173,6 +174,7 @@ class _History:
         i0 = max((self._half_steps(t) - 2 * self.m) // 2, 0)
         key = (i0, self.filled)
         if key != self._memo_key:
+            self._push_rows(self.filled)
             # front entries below i0 are never needed again; each deque
             # keeps its newest row, filled - 1 >= i0 as m >= 1, so none
             # runs empty
@@ -207,11 +209,17 @@ def integrate_delay(spec: SystemSpec, history, horizon: float,
     of dt), so no stage reads past the newest stored node;
     a delayed value at a half-step stage time is the mean of the two
     stored nodes around it.  The history covers [-r, 0] and may be given as
-    a callable of t, a constant vector, or a pre-sampled array.
+    a callable of t, a constant vector, or a pre-sampled array.  Its r/dt
+    rows and the horizon/dt steps number at most MAX_STEPS together.
     """
     if spec.kind != "delay":
         raise ConfigError(f"integrate_delay requires kind='delay', got {spec.kind!r}")
     _check_grid(dt, horizon)
+    r = max_delay(spec)
+    rows = r / dt + horizon / dt  # history rows and steps share one buffer
+    if rows > MAX_STEPS:
+        raise ConfigError(f"r / dt + horizon / dt = {rows:g} exceeds "
+                          f"MAX_STEPS = {MAX_STEPS}")
     for tau in model_delays(spec):
         ratio = tau / dt
         k = round(ratio)
@@ -219,7 +227,6 @@ def integrate_delay(spec: SystemSpec, history, horizon: float,
             raise ConfigError(
                 f"delay {tau} is not a positive integer multiple of dt = {dt}")
     n = model_dim(spec)
-    r = max_delay(spec)
     m = int(round(r / dt))
     hist_states = _history_array(history, r, dt, n)
     steps = int(round(horizon / dt))

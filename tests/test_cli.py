@@ -454,13 +454,22 @@ def test_simulate_grid_not_finite_rejected(tmp_path, capsys, system, run):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("system, run", [
-    (_ODE, {"horizon": 1e15, "dt": 1e-3, "x0": [1.0]}),
-    (_DELAY, {"horizon": 1e15, "dt": 1e-3, "history": [1.0]}),
-    (_SAMPLED_RUN, {"horizon": 1e15, "dt": 1e-3, "x0": [1.0]}),
-], ids=["ode", "delay", "sampled"])
+_STEPS_ERR = "horizon / dt = 1e+18 exceeds MAX_STEPS = 10000000"
+_HISTORY_RUN = {"horizon": 1.0, "dt": 1e-3, "history": [1.0]}
+
+
+@pytest.mark.parametrize("system, run, err", [
+    (_ODE, {"horizon": 1e15, "dt": 1e-3, "x0": [1.0]}, _STEPS_ERR),
+    (_DELAY, {"horizon": 1e15, "dt": 1e-3, "history": [1.0]}, _STEPS_ERR),
+    (_SAMPLED_RUN, {"horizon": 1e15, "dt": 1e-3, "x0": [1.0]}, _STEPS_ERR),
+    # the r / dt history rows count with the steps
+    (dict(_DELAY, params=dict(_DELAY["params"], r=1e9)), _HISTORY_RUN,
+     "r / dt + horizon / dt = 1e+12 exceeds MAX_STEPS = 10000000"),
+    (dict(_DELAY, params=dict(_DELAY["params"], r=math.inf)), _HISTORY_RUN,
+     "r / dt + horizon / dt = inf exceeds MAX_STEPS = 10000000"),
+], ids=["ode", "delay", "sampled", "delay-history", "delay-history-inf"])
 def test_simulate_past_max_steps_rejected(tmp_path, capsys, monkeypatch,
-                                          system, run):
+                                          system, run, err):
     # the step count is checked before the grid is allocated
     path = _write(tmp_path / "cfg.json", {"system": system, "analysis": run})
     for name in ("arange", "empty"):
@@ -468,9 +477,34 @@ def test_simulate_past_max_steps_rejected(tmp_path, capsys, monkeypatch,
             "simulation grid allocated"))
     out = tmp_path / "out"
     assert main(["simulate", "--input", path, "--out", str(out)]) == 1
-    assert capsys.readouterr().err == (
-        "error: horizon / dt = 1e+18 exceeds MAX_STEPS = 10000000\n")
+    assert capsys.readouterr().err == f"error: {err}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("points", [-1, 2 ** 20 + 1, 10 ** 12])
+def test_synth_table_points_out_of_range_rejected(tmp_path, capsys,
+                                                  monkeypatch, points):
+    # the row count is checked before the table is allocated
+    monkeypatch.setattr(np, "logspace", lambda *a, **k: pytest.fail(
+        "gain table allocated"))
+    path = _write(tmp_path / "cfg.json", {
+        "gains": _SG_GAINS, "synthesis": {"zeta": {"kind": "linear", "k": 0.5}},
+        "analysis": {"table_points": points}})
+    out = tmp_path / "out"
+    assert main(["synth", "--input", path, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: config field 'analysis.table_points': must be 0 to "
+        f"{2 ** 20}, got {points}\n")
+    assert not out.exists()
+
+
+def test_synth_table_of_zero_points_is_its_header(tmp_path):
+    path = _write(tmp_path / "cfg.json", {
+        "gains": _SG_GAINS, "synthesis": {"zeta": {"kind": "linear", "k": 0.5}},
+        "analysis": {"table_points": 0}})
+    out = tmp_path / "out"
+    assert main(["synth", "--input", path, "--out", str(out)]) == 0
+    assert (out / "gain_table.csv").read_text() == "s,theta,overall\n"
 
 
 @pytest.mark.parametrize("n", [0, 2 ** 20 + 1])

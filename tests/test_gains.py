@@ -333,9 +333,26 @@ def test_gain_json_round_trip(g):
         assert g2(s) == g(s)
 
 
+def test_gain_json_wire_format():
+    # one tree with all seven kinds: a renamed or reordered dataclass field
+    # would change the config format, and this string with it
+    g = Max(Compose(Scale(2.0, LogExpSq(0.5, 0.25)), Power(0.5, 3.0)),
+            Max(Linear(0.75), Zero()))
+    text = json.dumps(gain_to_json(g))
+    assert text == (
+        '{"kind": "max", "a": {"kind": "compose", "outer": {"kind": "scale", '
+        '"k": 2.0, "fn": {"kind": "logexpsq", "c": 0.5, "th": 0.25}}, '
+        '"inner": {"kind": "power", "k": 0.5, "p": 3.0}}, '
+        '"b": {"kind": "max", "a": {"kind": "linear", "k": 0.75}, '
+        '"b": {"kind": "zero"}}}')
+    assert gain_from_json(json.loads(text)) == g
+
+
 def test_gain_json_rejects_unknown_kind():
     with pytest.raises(ValueError):
         gain_from_json({"kind": "cubic", "k": 1.0})
+    with pytest.raises(GainError, match="unknown gain kind"):
+        gain_from_json({"kind": ["linear"], "k": 1.0})
 
 
 def test_gain_json_depth_cap():

@@ -37,6 +37,22 @@ def test_iterate_stalls_at_critical_gain():
     assert res.sup_norm_trace[-1] == 1.0
 
 
+@pytest.mark.parametrize("k, tol_conv, max_steps, status, steps", [
+    (0.5, 2.0, 1, "converged", 0),      # converged before the first step
+    (0.5, 0.6, 1, "converged", 1),      # 0.5 < 0.6 after the only step
+    (0.5, 0.3, 1, "stalled", 1),
+    (0.5, 0.3, 2, "converged", 2),      # 0.25 < 0.3 at the last step
+    (10.0, 1e-9, 12, "stalled", 12),    # 1e12 is not past the bound
+    (10.0, 1e-9, 13, "diverged", 13),   # 1e13 is, at the last step
+])
+def test_iterate_stopping_at_the_step_cap(k, tol_conv, max_steps, status,
+                                          steps):
+    G = GainMatrix.zeros(1).with_entry(0, 0, Linear(k))
+    res = iterate(G, [1.0], max_steps=max_steps, tol_conv=tol_conv)
+    assert (res.status, res.steps) == (status, steps)
+    assert res.iterates.shape == (steps + 1, 1)
+
+
 def test_iterate_validates_input():
     G = _two_node(0.5, 0.5)
     with pytest.raises(ValueError):

@@ -204,6 +204,35 @@ def test_window_absmax_takes_its_start_from_the_step_index():
         hist.advance(m + k + 2)
 
 
+@pytest.mark.parametrize("model, params", [
+    ("biochem_circuit", {"a": [1.0, 1.0, 1.0], "tau": [0.1, 0.2, 0.1],
+                         "g": {"form": "mm", "c": 3.0, "K": 1.0}}),
+    ("linear_delay_network", {"a": [1.0, 1.0, 1.0], "c": [[0.0, 0.5, 0.0],
+                              [0.0, 0.0, 0.5], [0.5, 0.0, 0.0]], "r": 0.1,
+                              "coupling": "delayed_linear"}),
+], ids=["biochem", "delayed-linear"])
+def test_delay_run_without_window_query_builds_no_window_index(
+        monkeypatch, model, params):
+    # these models read delayed values only, so no row enters the deques
+    monkeypatch.setattr(_History, "_push_rows", lambda *a: pytest.fail(
+        "window index built"))
+    spec = SystemSpec(kind="delay", model=model, params=params)
+    traj = integrate_delay(spec, np.array([1.5, 0.5, 2.0]), horizon=1.0,
+                           dt=0.01)
+    assert np.all(np.isfinite(traj.states))
+
+
+def test_delay_history_counts_toward_max_steps(monkeypatch):
+    # r / dt = 2 history rows plus horizon / dt steps may number 100
+    monkeypatch.setattr(simulate, "MAX_STEPS", 100)
+    spec = SystemSpec(kind="delay", model="linear_delay_network",
+                      params={"a": [1.0], "c": [[0.5]], "r": 1.0})
+    traj = integrate_delay(spec, np.array([1.0]), horizon=49.0, dt=0.5)
+    assert len(traj.history_times) + len(traj.times) == 102
+    with pytest.raises(ConfigError, match="= 101 exceeds MAX_STEPS = 100$"):
+        integrate_delay(spec, np.array([1.0]), horizon=49.5, dt=0.5)
+
+
 def _reference_delay_run(deriv, hist0, r, dt, steps):
     """Plain method-of-steps RK4, written apart from integrate_delay.
 
