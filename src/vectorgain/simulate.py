@@ -86,15 +86,19 @@ def _rk4_step(f, t: float, x: np.ndarray, dt: float, *extra) -> np.ndarray:
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _check_grid(dt: float, horizon: float) -> None:
-    """Require a finite step and horizon with 0 < dt <= horizon and at most
-    MAX_STEPS steps."""
+def _check_grid(dt: float, horizon: float, r: float = 0.0) -> None:
+    """Require a finite step and horizon with 0 < dt <= horizon, and at most
+    MAX_STEPS rows for the horizon/dt steps together with the r/dt rows of a
+    delay history."""
     if not (math.isfinite(dt) and math.isfinite(horizon) and 0 < dt <= horizon):
         raise ConfigError(f"need finite dt and horizon with 0 < dt <= horizon, "
                           f"got dt = {dt}, horizon = {horizon}")
-    if horizon / dt > MAX_STEPS:
-        raise ConfigError(f"horizon / dt = {horizon / dt:g} exceeds "
-                          f"MAX_STEPS = {MAX_STEPS}")
+    steps = horizon / dt
+    rows = r / dt + steps
+    if rows > MAX_STEPS:
+        name, count = (("horizon / dt", steps) if steps > MAX_STEPS
+                       else ("r / dt + horizon / dt", rows))
+        raise ConfigError(f"{name} = {count:g} exceeds MAX_STEPS = {MAX_STEPS}")
 
 
 def integrate_ode(spec: SystemSpec, x0, horizon: float, dt: float) -> Trajectory:
@@ -214,12 +218,8 @@ def integrate_delay(spec: SystemSpec, history, horizon: float,
     """
     if spec.kind != "delay":
         raise ConfigError(f"integrate_delay requires kind='delay', got {spec.kind!r}")
-    _check_grid(dt, horizon)
     r = max_delay(spec)
-    rows = r / dt + horizon / dt  # history rows and steps share one buffer
-    if rows > MAX_STEPS:
-        raise ConfigError(f"r / dt + horizon / dt = {rows:g} exceeds "
-                          f"MAX_STEPS = {MAX_STEPS}")
+    _check_grid(dt, horizon, r)  # history rows and steps share one buffer
     for tau in model_delays(spec):
         ratio = tau / dt
         k = round(ratio)

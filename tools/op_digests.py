@@ -1,7 +1,6 @@
 """Compare the output of every benchmark op between two source trees.
 
     python3 tools/op_digests.py OLD_SRC NEW_SRC [--seeds 0 7 201]
-                                [--workloads sim check-sg synth sample-iterate]
 
 OLD_SRC and NEW_SRC are ``src/`` directories, each holding a ``vectorgain``
 package.  Each tree runs in its own process, which imports the package from
@@ -30,10 +29,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 VGBENCH = ROOT / "vgbench"
-WORKLOADS = ("sim", "check-sg", "synth", "sample-iterate")
 
 
-def emit(src: Path, seeds, workloads, work: Path) -> None:
+def emit(src: Path, seeds, work: Path) -> None:
     """Run every op against the package in src; print one JSON line each."""
     sys.path[:0] = [str(src), str(VGBENCH)]
     import numpy as np
@@ -43,12 +41,12 @@ def emit(src: Path, seeds, workloads, work: Path) -> None:
     importlib.import_module("vectorgain.cli")
     if Path(vg.__file__).resolve().parent.parent != src:
         raise ImportError(f"vectorgain imported from {vg.__file__}, not {src}")
-    for workload in workloads:
+    for workload, build in BUILD.items():
         for seed in seeds:
             where = work / f"{workload}-{seed}"
             shutil.rmtree(where, ignore_errors=True)
             where.mkdir(parents=True)
-            for op in BUILD[workload](vg, np.random.default_rng(seed), where):
+            for op in build(vg, np.random.default_rng(seed), where):
                 op.prepare()
                 try:
                     result = op.run()
@@ -62,9 +60,9 @@ def emit(src: Path, seeds, workloads, work: Path) -> None:
             shutil.rmtree(where, ignore_errors=True)
 
 
-def collect(src: Path, seeds, workloads, work: Path) -> dict:
+def collect(src: Path, seeds, work: Path) -> dict:
     cmd = [sys.executable, __file__, "--emit", str(src), "--work", str(work),
-           "--seeds", *map(str, seeds), "--workloads", *workloads]
+           "--seeds", *map(str, seeds)]
     out = subprocess.run(cmd, check=True, stdout=subprocess.PIPE, text=True)
     rows = (json.loads(line) for line in out.stdout.splitlines())
     return {row["op"]: row for row in rows}
@@ -94,19 +92,17 @@ def main(argv=None) -> int:
     parser.add_argument("trees", nargs="*", type=Path, metavar="SRC",
                         help="the OLD and the NEW src/ directory")
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 7, 201])
-    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS,
-                        default=list(WORKLOADS))
     parser.add_argument("--emit", type=Path, help=argparse.SUPPRESS)
     parser.add_argument("--work", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.emit is not None:
-        emit(args.emit.resolve(), args.seeds, args.workloads, args.work)
+        emit(args.emit.resolve(), args.seeds, args.work)
         return 0
     if len(args.trees) != 2:
         parser.error("give two src/ directories, OLD and NEW")
     with tempfile.TemporaryDirectory(prefix="op-digests-") as tmp:
         work = Path(tmp)
-        old, new = (collect(src.resolve(), args.seeds, args.workloads, work)
+        old, new = (collect(src.resolve(), args.seeds, work)
                     for src in args.trees)
         return compare(old, new)
 
