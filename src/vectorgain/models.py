@@ -1,9 +1,10 @@
 """Built-in continuous-time models and their structural data.
 
-Each model is registered under a name and provides, depending on its kind:
-the state dimension, the list of discrete delays, a right-hand side, and
-(for the biochemical circuit) equilibrium and hypothesis checks.  Model
-parameters arrive as plain dicts so specs stay JSON round-trippable.
+Each model is registered under a name with one parse function, which a
+`SystemSpec` runs once, on construction: it checks that every parameter is
+finite and in range and returns the model's kind, dimension, delays,
+right-hand-side builder and the parsed values that every reader uses.
+Model parameters arrive as plain dicts so specs stay JSON round-trippable.
 """
 
 from __future__ import annotations
@@ -27,6 +28,19 @@ class ModelError(ValueError):
     """Unknown model or inconsistent model parameters."""
 
 
+@dataclass(frozen=True)
+class ParsedModel:
+    """A model's checked parameters: the system kind it runs as, its
+    dimension, its distinct positive delays (ascending), its right-hand-side
+    builder and the parsed values, by name, that its readers use."""
+
+    kind: str
+    dim: int
+    delays: List[float]
+    rhs: Callable[[SystemSpec], Callable]
+    values: Dict[str, object]
+
+
 @dataclass
 class SystemSpec:
     """Description of a continuous-time model instance.
@@ -34,6 +48,11 @@ class SystemSpec:
     kind: "ode", "delay" or "sampled".  model: registry key.  params:
     model parameters.  For sampled systems, h describes the sampling
     period function and dtilde the sampling-jitter disturbance.
+
+    A spec is parsed once, on construction: `parsed` holds the model's
+    checked parameters and `period` the sampling period as a function of
+    the held state, from h (a constant 0.1 when h is None).  Neither is an
+    init argument or compared, and params and h are not read again.
     """
 
     kind: str
@@ -43,6 +62,9 @@ class SystemSpec:
     disturbance_signal: Signal = field(default_factory=Signal)
     h: Optional[Dict] = None
     dtilde: Signal = field(default_factory=Signal)
+    parsed: ParsedModel = field(init=False, compare=False, repr=False)
+    period: Callable[[np.ndarray], float] = field(init=False, compare=False,
+                                                  repr=False)
 
     def __post_init__(self):
         if self.kind not in ("ode", "delay", "sampled"):
@@ -50,21 +72,39 @@ class SystemSpec:
         if self.model not in _REGISTRY:
             raise ModelError(f"unknown model {self.model!r}; "
                              f"known: {sorted(_REGISTRY)}")
-        _REGISTRY[self.model]["validate"](self)
-        if self.h is not None and not (
-                isinstance(self.h, dict)
-                and isinstance(self.h.get("value"), (int, float))):
-            raise ModelError("h must be an object with a numeric 'value', "
-                             f"got {self.h!r}")
+        self.parsed = _REGISTRY[self.model](self.params)
+        self.period = _parse_period(self.h)
+
+
+def _require(ok, message: str) -> None:
+    if not ok:
+        raise ModelError(message)
+
+
+def _parse_period(h: Optional[Dict]) -> Callable[[np.ndarray], float]:
+    """The sampling period h(x) that an h object describes: kind "constant"
+    (the default) or "state_norm", with a finite value > 0."""
+    if h is None:
+        h = {"kind": "constant", "value": 0.1}
+    _require(isinstance(h, dict) and isinstance(h.get("value"), (int, float)),
+             f"h must be an object with a numeric 'value', got {h!r}")
+    kind, h0 = h.get("kind", "constant"), float(h["value"])
+    _require(0 < h0 < math.inf, f"h value must be finite and > 0, got {h0}")
+    if kind == "constant":
+        return lambda x: h0
+    if kind == "state_norm":
+        # h(x) = h0 / (1 + |x|): faster sampling far from the origin
+        return lambda x: h0 / (1.0 + float(np.linalg.norm(x)))
+    raise ModelError(f"unknown sampling-period kind {kind!r}")
 
 
 def model_dim(spec: SystemSpec) -> int:
-    return _REGISTRY[spec.model]["dim"](spec.params)
+    return spec.parsed.dim
 
 
 def model_delays(spec: SystemSpec) -> List[float]:
     """Distinct positive delays the model reads from its history."""
-    return _REGISTRY[spec.model]["delays"](spec.params)
+    return spec.parsed.delays
 
 
 def max_delay(spec: SystemSpec) -> float:
@@ -81,34 +121,38 @@ def max_delay(spec: SystemSpec) -> float:
 #                   (achieves the bound, worst case for decay)
 #   "delayed_linear": g_i = sum_j c_ij x_j(t - r)  (plain linear lag)
 # The disturbance signal scales the coupling; values in [-1, 1] stay
-# within the admissible set.
+# within the admissible set.  bu, the input gain, is read by the
+# implication check alone.
 # ---------------------------------------------------------------------------
 
-def _ldn_validate(spec: SystemSpec) -> None:
-    p = spec.params
+def _ldn_parse(p: Dict) -> ParsedModel:
     a = np.asarray(p["a"], dtype=float)
     c = np.asarray(p["c"], dtype=float)
     r = float(p.get("r", 0.0))
-    if a.ndim != 1 or np.any(a <= 0):
-        raise ModelError("linear_delay_network: a must be positive")
-    if c.shape != (a.size, a.size) or np.any(c < 0):
-        raise ModelError("linear_delay_network: c must be n x n nonnegative")
-    if r < 0:
-        raise ModelError("linear_delay_network: delay r must be >= 0")
-    if p.get("coupling", "sign_aligned") not in ("sign_aligned", "delayed_linear"):
-        raise ModelError("linear_delay_network: unknown coupling mode")
+    bu = float(p.get("bu", 0.0))
+    coupling = p.get("coupling", "sign_aligned")
+    _require(a.ndim == 1 and np.all((0 < a) & (a < math.inf)),
+             "linear_delay_network: a must be finite and positive")
+    _require(c.shape == (a.size, a.size) and np.all((0 <= c) & (c < math.inf)),
+             "linear_delay_network: c must be n x n, finite and nonnegative")
+    _require(0 <= r < math.inf,
+             "linear_delay_network: delay r must be finite and >= 0")
+    _require(0 <= bu < math.inf,
+             "linear_delay_network: bu must be finite and >= 0")
+    _require(coupling in ("sign_aligned", "delayed_linear"),
+             "linear_delay_network: unknown coupling mode")
+    return ParsedModel("delay", a.size, [r] if r > 0 else [], _ldn_rhs,
+                       {"a": a, "c": c, "r": r, "bu": bu, "coupling": coupling})
 
 
 def _ldn_rhs(spec: SystemSpec):
-    p = spec.params
-    a = np.asarray(p["a"], dtype=float)
-    c = np.asarray(p["c"], dtype=float)
-    r = float(p.get("r", 0.0))
+    v = spec.parsed.values
+    a, c, r = v["a"], v["c"], v["r"]
     d_sig = spec.disturbance_signal
     disturbed = d_sig.kind != "zero"
     neg_a = -a
 
-    if p.get("coupling", "sign_aligned") == "sign_aligned":
+    if v["coupling"] == "sign_aligned":
         def rhs(t, x, hist):
             # with r = 0 the window [t - r, t] holds the present state alone
             w = hist.window_absmax(t) if r > 0 else np.abs(x)
@@ -136,40 +180,38 @@ def _ldn_rhs(spec: SystemSpec):
 # ---------------------------------------------------------------------------
 
 def make_g(gp: Dict) -> Callable[[float], float]:
+    """The g-curve of a g object; its c, K and p must be finite and > 0."""
     form = gp.get("form", "mm")
     if form == "mm":
         c, K = float(gp["c"]), float(gp["K"])
-        if c <= 0 or K <= 0:
-            raise ModelError("mm g-curve needs c > 0, K > 0")
+        _require(0 < c < math.inf and 0 < K < math.inf,
+                 "mm g-curve needs finite c > 0, K > 0")
         return lambda X: c * X / (K + X)
     if form == "hill":
         c, p = float(gp.get("c", 1.0)), float(gp["p"])
-        if c <= 0 or p <= 0:
-            raise ModelError("hill g-curve needs c > 0, p > 0")
+        _require(0 < c < math.inf and 0 < p < math.inf,
+                 "hill g-curve needs finite c > 0, p > 0")
         return lambda X: c * X ** p / (1.0 + X ** p)
     raise ModelError(f"unknown g-curve form {form!r}")
 
 
-def _bio_validate(spec: SystemSpec) -> None:
-    p = spec.params
+def _bio_parse(p: Dict) -> ParsedModel:
     a = np.asarray(p["a"], dtype=float)
     tau = np.asarray(p["tau"], dtype=float)
-    if a.ndim != 1 or np.any(a <= 0):
-        raise ModelError("biochem_circuit: a must be positive")
-    if tau.shape != a.shape or np.any(tau < 0):
-        raise ModelError("biochem_circuit: tau must match a and be >= 0")
-    make_g(p["g"])
+    _require(a.ndim == 1 and a.size > 0 and np.all((0 < a) & (a < math.inf)),
+             "biochem_circuit: a must be a nonempty finite positive vector")
+    _require(tau.shape == a.shape and np.all((0 <= tau) & (tau < math.inf)),
+             "biochem_circuit: tau must match a and be finite and >= 0")
+    return ParsedModel("delay", a.size, sorted({float(t) for t in tau if t > 0}),
+                       _bio_rhs, {"a": a, "tau": tau, "g": make_g(p["g"])})
 
 
 def _bio_rhs(spec: SystemSpec):
-    p = spec.params
-    a = np.asarray(p["a"], dtype=float)
-    tau = np.asarray(p["tau"], dtype=float)
-    g = make_g(p["g"])
+    m = spec.parsed
+    a, tau, g = m.values["a"], m.values["tau"], m.values["g"]
     n = a.size
     # channels that read the same positive delay share one interpolation
-    groups = [(d, [j for j in range(n) if tau[j] == d])
-              for d in model_delays(spec)]
+    groups = [(d, [j for j in range(n) if tau[j] == d]) for d in m.delays]
     if len(groups) == 1 and len(groups[0][1]) == n:
         d0 = groups[0][0]
         source = lambda t, x, hist: hist.interp(t - d0)
@@ -200,9 +242,7 @@ def biochem_equilibrium(spec: SystemSpec, x_hi: float = 1e6,
     """
     if spec.model != "biochem_circuit":
         raise ModelError("equilibrium is defined for the biochem_circuit model")
-    p = spec.params
-    a = np.asarray(p["a"], dtype=float)
-    g = make_g(p["g"])
+    a, g = spec.parsed.values["a"], spec.parsed.values["g"]
     prod_a = float(np.prod(a))
     f = lambda X: g(X) - prod_a * X
     grid = np.logspace(-9, math.log10(x_hi), 400)
@@ -245,11 +285,9 @@ def biochem_hypothesis(spec: SystemSpec, grid_points: int = 2000,
     smallest slope lam with g(X)/prod(a) <= Xn* + lam*|X - Xn*|.  Reports
     which side fails when no admissible pair exists.
     """
-    p = spec.params
-    a = np.asarray(p["a"], dtype=float)
-    g = make_g(p["g"])
+    xn = float(biochem_equilibrium(spec)[-1])
+    a, g = spec.parsed.values["a"], spec.parsed.values["g"]
     prod_a = float(np.prod(a))
-    xn = float(_bio_xn_star(spec))
     X = np.concatenate([[0.0], np.logspace(-8, math.log10(x_hi), grid_points)])
     gn = np.array([g(x) / prod_a for x in X])
     # right side: smallest admissible lam
@@ -298,24 +336,23 @@ def biochem_hypothesis(spec: SystemSpec, grid_points: int = 2000,
     return out
 
 
-def _bio_xn_star(spec: SystemSpec) -> float:
-    return float(biochem_equilibrium(spec)[-1])
-
-
 # ---------------------------------------------------------------------------
 # scalar linear test system:  dx = -a x + bu*u + bd*d   (ode)
 # ---------------------------------------------------------------------------
 
-def _scalar_validate(spec: SystemSpec) -> None:
-    if float(spec.params.get("a", 1.0)) <= 0:
-        raise ModelError("scalar_linear: a must be > 0")
-
-
-def _scalar_rhs(spec: SystemSpec):
-    p = spec.params
+def _scalar_parse(p: Dict) -> ParsedModel:
     a = float(p.get("a", 1.0))
     bu = float(p.get("bu", 1.0))
     bd = float(p.get("bd", 0.0))
+    _require(0 < a < math.inf, "scalar_linear: a must be finite and > 0")
+    _require(math.isfinite(bu) and math.isfinite(bd),
+             "scalar_linear: bu and bd must be finite")
+    return ParsedModel("ode", 1, [], _scalar_rhs, {"a": a, "bu": bu, "bd": bd})
+
+
+def _scalar_rhs(spec: SystemSpec):
+    v = spec.parsed.values
+    a, bu, bd = v["a"], v["bu"], v["bd"]
     u, d = spec.input_signal, spec.disturbance_signal
 
     def rhs(t, x):
@@ -328,29 +365,24 @@ def _scalar_rhs(spec: SystemSpec):
 # zero-order-hold linear system:  dx = A_cur x(t) + A_hold x(tau_i)  (sampled)
 # ---------------------------------------------------------------------------
 
-def _zoh_validate(spec: SystemSpec) -> None:
-    n = model_dim(spec)
-    for key in ("A_cur", "A_hold"):
-        if key in spec.params:
-            A = np.asarray(spec.params[key], dtype=float)
-            if A.shape != (n, n):
-                raise ModelError(f"zoh_linear: {key} must be {n} x {n}")
-
-
-def _zoh_dim(params: Dict) -> int:
-    if "n" in params:
-        return int(params["n"])
-    if "A_hold" in params:
-        return len(params["A_hold"])
-    if "A_cur" in params:
-        return len(params["A_cur"])
-    return 1
+def _zoh_parse(p: Dict) -> ParsedModel:
+    # n, else the rows of A_hold, else those of A_cur, else 1
+    n = int(p["n"]) if "n" in p else len(p.get("A_hold", p.get("A_cur", [0])))
+    _require(n >= 1, f"zoh_linear: n must be >= 1, got {n}")
+    given = {key: np.asarray(p[key], dtype=float)
+             for key in ("A_cur", "A_hold") if key in p}
+    for key, A in given.items():
+        _require(A.shape == (n, n) and np.all(np.isfinite(A)),
+                 f"zoh_linear: {key} must be {n} x {n} and finite")
+    return ParsedModel("sampled", n, [], _zoh_rhs, given)
 
 
 def _zoh_rhs(spec: SystemSpec):
-    n = model_dim(spec)
-    A_cur = np.asarray(spec.params.get("A_cur", np.zeros((n, n))), dtype=float)
-    A_hold = np.asarray(spec.params.get("A_hold", -np.eye(n)), dtype=float)
+    # the n x n defaults are built here, after the integrator has matched n
+    # with the initial state, so a config's n alone allocates nothing
+    n, given = spec.parsed.dim, spec.parsed.values
+    A_cur = given["A_cur"] if "A_cur" in given else np.zeros((n, n))
+    A_hold = given["A_hold"] if "A_hold" in given else -np.eye(n)
 
     def rhs(t, x, x_held):
         return A_cur @ x + A_hold @ x_held
@@ -358,42 +390,20 @@ def _zoh_rhs(spec: SystemSpec):
     return rhs
 
 
-_REGISTRY: Dict[str, Dict] = {
-    "linear_delay_network": {
-        "validate": _ldn_validate,
-        "dim": lambda p: len(p["a"]),
-        "delays": lambda p: ([float(p["r"])] if float(p.get("r", 0.0)) > 0 else []),
-        "rhs_delay": _ldn_rhs,
-    },
-    "biochem_circuit": {
-        "validate": _bio_validate,
-        "dim": lambda p: len(p["a"]),
-        "delays": lambda p: sorted({float(t) for t in p["tau"] if float(t) > 0}),
-        "rhs_delay": _bio_rhs,
-    },
-    "scalar_linear": {
-        "validate": _scalar_validate,
-        "dim": lambda p: 1,
-        "delays": lambda p: [],
-        "rhs_ode": _scalar_rhs,
-    },
-    "zoh_linear": {
-        "validate": _zoh_validate,
-        "dim": _zoh_dim,
-        "delays": lambda p: [],
-        "rhs_sampled": _zoh_rhs,
-    },
+_REGISTRY: Dict[str, Callable[[Dict], ParsedModel]] = {
+    "linear_delay_network": _ldn_parse,
+    "biochem_circuit": _bio_parse,
+    "scalar_linear": _scalar_parse,
+    "zoh_linear": _zoh_parse,
 }
 
 
 def model_rhs(spec: SystemSpec):
     """Right-hand side builder appropriate to the spec kind."""
-    entry = _REGISTRY[spec.model]
-    key = {"ode": "rhs_ode", "delay": "rhs_delay", "sampled": "rhs_sampled"}[spec.kind]
-    if key not in entry:
+    if spec.kind != spec.parsed.kind:
         raise ModelError(
             f"model {spec.model!r} does not support kind {spec.kind!r}")
-    return entry[key](spec)
+    return spec.parsed.rhs(spec)
 
 
 def spec_to_json(spec: SystemSpec) -> dict:

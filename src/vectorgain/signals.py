@@ -35,6 +35,10 @@ class Signal:
     def __post_init__(self):
         if self.kind not in ("zero", "constant", "sinusoid", "piecewise", "noise"):
             raise ValueError(f"unknown signal kind {self.kind!r}")
+        numbers = [self.value, self.amplitude, self.frequency, self.phase,
+                   self.dt_switch, *(self.times or ()), *(self.values or ())]
+        if not all(map(math.isfinite, numbers)):
+            raise ValueError(f"{self.kind} signal needs finite numbers")
         if self.kind == "piecewise":
             if not self.times or not self.values or len(self.times) != len(self.values):
                 raise ValueError("piecewise signal needs matching times/values")
@@ -42,6 +46,9 @@ class Signal:
                 raise ValueError("piecewise breakpoints must be increasing")
         if self.kind == "noise" and self.dt_switch <= 0:
             raise ValueError("noise dt_switch must be > 0")
+        if self.kind == "noise" and not math.isfinite(2.0 * self.amplitude):
+            # the draws are uniform on [-amplitude, amplitude]
+            raise ValueError("noise amplitude must be below half the float range")
 
     def __call__(self, t: float) -> float:
         if self.kind == "zero":

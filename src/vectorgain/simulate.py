@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -86,6 +86,13 @@ def _rk4_step(f, t: float, x: np.ndarray, dt: float, *extra) -> np.ndarray:
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _check_initial(x: np.ndarray, name: str) -> None:
+    """An initial state or history with a NaN or inf is a config error, not
+    an escape of the system."""
+    if not np.all(np.isfinite(x)):
+        raise ConfigError(f"{name} must be finite")
+
+
 def _check_grid(dt: float, horizon: float, r: float = 0.0) -> None:
     """Require a finite step and horizon with 0 < dt <= horizon, and at most
     MAX_STEPS rows for the horizon/dt steps together with the r/dt rows of a
@@ -108,6 +115,7 @@ def integrate_ode(spec: SystemSpec, x0, horizon: float, dt: float) -> Trajectory
     _check_grid(dt, horizon)
     n = model_dim(spec)
     x = np.asarray(x0, dtype=float).reshape(n)
+    _check_initial(x, "initial state")
     rhs = model_rhs(spec)
     steps = int(round(horizon / dt))
     times = dt * np.arange(steps + 1)
@@ -229,6 +237,7 @@ def integrate_delay(spec: SystemSpec, history, horizon: float,
     n = model_dim(spec)
     m = int(round(r / dt))
     hist_states = _history_array(history, r, dt, n)
+    _check_initial(hist_states, "history")
     steps = int(round(horizon / dt))
     times = dt * np.arange(-m, steps + 1)
     states = np.empty((m + steps + 1, n))
@@ -248,19 +257,6 @@ def integrate_delay(spec: SystemSpec, history, horizon: float,
                       history_states=states[: m + 1].copy())
 
 
-def _period_fn(spec: SystemSpec) -> Callable[[np.ndarray, float], float]:
-    d = spec.h or {"kind": "constant", "value": 0.1}
-    kind = d.get("kind", "constant")
-    if kind == "constant":
-        h0 = float(d["value"])
-        return lambda x, u: h0
-    if kind == "state_norm":
-        # h(x, u) = h0 / (1 + |x|): faster sampling far from the origin
-        h0 = float(d["value"])
-        return lambda x, u: h0 / (1.0 + float(np.linalg.norm(x)))
-    raise ConfigError(f"unknown sampling-period kind {kind!r}")
-
-
 def integrate_sampled(spec: SystemSpec, x0, horizon: float,
                       dt: float) -> Trajectory:
     """Sampled-data execution loop.
@@ -277,16 +273,16 @@ def integrate_sampled(spec: SystemSpec, x0, horizon: float,
     _check_grid(dt, horizon)
     n = model_dim(spec)
     x = np.asarray(x0, dtype=float).reshape(n)
+    _check_initial(x, "initial state")
     rhs = model_rhs(spec)
-    h_fn = _period_fn(spec)
-    u_sig, dtilde = spec.input_signal, spec.dtilde
+    dtilde = spec.dtilde
     tau = 0.0
     t_end = horizon
     times: List[float] = [tau]
     states: List[np.ndarray] = [x.copy()]
     sampling: List[float] = [tau]
     while tau < t_end - 1e-15:
-        h_val = h_fn(x, u_sig(tau))
+        h_val = spec.period(x)
         if not (h_val > 0):
             raise ConfigError(f"sampling period must be positive, got {h_val}")
         gap = math.exp(-dtilde(tau)) * h_val

@@ -17,7 +17,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from .gains import GainFn, Zero
-from .models import SystemSpec, make_g, biochem_equilibrium
+from .models import SystemSpec, biochem_equilibrium
 from .network import GainMatrix
 from .simulate import Trajectory
 
@@ -103,9 +103,8 @@ class LyapunovSetup:
 # ---------------------------------------------------------------------------
 
 def _ldn_deriv_sup(spec: SystemSpec):
-    a = np.asarray(spec.params["a"], dtype=float)
-    c = np.asarray(spec.params["c"], dtype=float)
-    bu = float(spec.params.get("bu", 0.0))
+    v = spec.parsed.values
+    a, c, bu = v["a"], v["c"], v["bu"]
 
     def dsup(idx: np.ndarray, x: np.ndarray, V: np.ndarray,
              u: np.ndarray) -> np.ndarray:
@@ -116,8 +115,7 @@ def _ldn_deriv_sup(spec: SystemSpec):
 
 
 def _biochem_deriv_sup(spec: SystemSpec):
-    a = np.asarray(spec.params["a"], dtype=float)
-    g = make_g(spec.params["g"])
+    a, g = spec.parsed.values["a"], spec.parsed.values["g"]
     xn_star = float(biochem_equilibrium(spec)[-1])
     g_star = g(xn_star)
     n = a.size

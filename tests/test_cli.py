@@ -455,6 +455,8 @@ def test_simulate_grid_not_finite_rejected(tmp_path, capsys, system, run):
 
 
 _STEPS_ERR = "horizon / dt = 1e+18 exceeds MAX_STEPS = 10000000"
+_SYSTEM_ERR = "config field 'system': "
+_R_ERR = "linear_delay_network: delay r must be finite and >= 0"
 _HISTORY_RUN = {"horizon": 1.0, "dt": 1e-3, "history": [1.0]}
 
 
@@ -465,8 +467,9 @@ _HISTORY_RUN = {"horizon": 1.0, "dt": 1e-3, "history": [1.0]}
     # the r / dt history rows count with the steps
     (dict(_DELAY, params=dict(_DELAY["params"], r=1e9)), _HISTORY_RUN,
      "r / dt + horizon / dt = 1e+12 exceeds MAX_STEPS = 10000000"),
+    # an infinite delay is rejected when the system is parsed
     (dict(_DELAY, params=dict(_DELAY["params"], r=math.inf)), _HISTORY_RUN,
-     "r / dt + horizon / dt = inf exceeds MAX_STEPS = 10000000"),
+     _SYSTEM_ERR + _R_ERR),
 ], ids=["ode", "delay", "sampled", "delay-history", "delay-history-inf"])
 def test_simulate_past_max_steps_rejected(tmp_path, capsys, monkeypatch,
                                           system, run, err):
@@ -478,6 +481,90 @@ def test_simulate_past_max_steps_rejected(tmp_path, capsys, monkeypatch,
     out = tmp_path / "out"
     assert main(["simulate", "--input", path, "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {err}\n"
+    assert not out.exists()
+
+
+_BIO = {"kind": "delay", "model": "biochem_circuit",
+        "params": {"a": [1.0], "tau": [0.1],
+                   "g": {"form": "mm", "c": 3.0, "K": 1.0}}}
+
+
+def _with(system, **params):
+    return dict(system, params=dict(system["params"], **params))
+
+
+def _input(**signal):
+    return dict(_ODE, input_signal=signal)
+
+
+@pytest.mark.parametrize("system, run, err", [
+    (_with(_DELAY, r=math.nan), _HISTORY_RUN, _R_ERR),
+    (_with(_BIO, tau=[math.nan]), _HISTORY_RUN,
+     "biochem_circuit: tau must match a and be finite and >= 0"),
+    (_with(_DELAY, a=[math.nan]), _HISTORY_RUN,
+     "linear_delay_network: a must be finite and positive"),
+    (_with(_DELAY, c=[[math.inf]]), _HISTORY_RUN,
+     "linear_delay_network: c must be n x n, finite and nonnegative"),
+    (_with(_BIO, g={"form": "mm", "c": math.nan, "K": 1.0}), _HISTORY_RUN,
+     "mm g-curve needs finite c > 0, K > 0"),
+    (_with(_ODE, a=math.nan), _ODE_RUN,
+     "scalar_linear: a must be finite and > 0"),
+    (_with(_SAMPLED, A_hold=[[math.nan]]), _ODE_RUN,
+     "zoh_linear: A_hold must be 1 x 1 and finite"),
+    (_with(_BIO, a=[], tau=[]), dict(_HISTORY_RUN, history=[]),
+     "biochem_circuit: a must be a nonempty finite positive vector"),
+    (dict(_SAMPLED, h={"kind": "constant", "value": math.nan}), _ODE_RUN,
+     "h value must be finite and > 0, got nan"),
+    (dict(_SAMPLED, h={"kind": "jittered", "value": 0.1}), _ODE_RUN,
+     "unknown sampling-period kind 'jittered'"),
+    (_input(kind="noise", amplitude=math.nan), _ODE_RUN,
+     "noise signal needs finite numbers"),
+    (_input(kind="noise", amplitude=1e308), _ODE_RUN,
+     "noise amplitude must be below half the float range"),
+    (_input(kind="piecewise", times=[0.0, math.nan], values=[1.0, 2.0]),
+     _ODE_RUN, "piecewise signal needs finite numbers"),
+    (_input(kind="constant", value=math.nan), _ODE_RUN,
+     "constant signal needs finite numbers"),
+], ids=["ldn-r-nan", "bio-tau-nan", "ldn-a-nan", "ldn-c-inf", "bio-g-c-nan",
+        "scalar-a-nan", "zoh-a-hold-nan", "bio-no-nodes", "h-nan",
+        "h-unknown-kind", "noise-amplitude-nan", "noise-amplitude-huge",
+        "piecewise-time-nan", "constant-input-nan"])
+def test_simulate_system_not_finite_or_out_of_range_rejected(
+        tmp_path, capsys, system, run, err):
+    path = _write(tmp_path / "cfg.json", {"system": system, "analysis": run})
+    out = tmp_path / "out"
+    assert main(["simulate", "--input", path, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {_SYSTEM_ERR}{err}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("system, run, err", [
+    (_ODE, dict(_ODE_RUN, x0=[math.nan]), "initial state"),
+    (_DELAY, dict(_HISTORY_RUN, history=[math.nan]), "history"),
+    (_SAMPLED, dict(_ODE_RUN, x0=[math.inf]), "initial state"),
+], ids=["ode", "delay", "sampled"])
+def test_simulate_initial_state_not_finite_rejected(tmp_path, capsys, system,
+                                                    run, err):
+    # a config error, not a finite escape of the system
+    path = _write(tmp_path / "cfg.json", {"system": system, "analysis": run})
+    out = tmp_path / "out"
+    assert main(["simulate", "--input", path, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {err} must be finite\n"
+    assert not out.exists()
+
+
+def test_simulate_zoh_dimension_checked_before_default_matrices(
+        tmp_path, capsys, monkeypatch):
+    # n alone allocates nothing: a 10^7-node default A_hold would be 728 TiB
+    for name in ("zeros", "eye"):
+        monkeypatch.setattr(np, name, lambda *a, **k: pytest.fail(
+            "default matrix allocated"))
+    path = _write(tmp_path / "cfg.json", {
+        "system": _with(_SAMPLED, n=10 ** 7), "analysis": _ODE_RUN})
+    out = tmp_path / "out"
+    assert main(["simulate", "--input", path, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error (simulate): cannot reshape array of size 1")
     assert not out.exists()
 
 

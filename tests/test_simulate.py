@@ -129,6 +129,16 @@ def test_delay_first_interval_analytic():
         assert x == pytest.approx(0.5 + 0.5 * math.exp(-t), abs=1e-10)
 
 
+def test_callable_history_not_finite_rejected():
+    # the sampled history is checked, however it was given
+    spec = SystemSpec(kind="delay", model="linear_delay_network",
+                      params={"a": [1.0, 1.0], "c": [[0.1, 0.2], [0.2, 0.1]],
+                              "r": 0.1})
+    with pytest.raises(ConfigError, match="^history must be finite$"):
+        integrate_delay(spec, lambda t: [1.0, math.inf if t < 0 else 1.0],
+                        horizon=1.0, dt=0.01)
+
+
 def test_delay_history_forms_agree():
     spec = SystemSpec(kind="delay", model="linear_delay_network",
                       params={"a": [1.0, 1.0], "c": [[0.1, 0.2], [0.2, 0.1]],
@@ -359,6 +369,19 @@ def test_sampled_state_dependent_period():
     # sampling accelerates when the state is large: first gap shortest
     assert gaps[0] == pytest.approx(0.5 / 4.0, rel=1e-9)
     assert gaps[-1] > gaps[0]
+
+
+def test_sampled_spec_is_read_once_on_construction():
+    def spec():
+        return SystemSpec(kind="sampled", model="zoh_linear",
+                          params={"A_hold": [[-1.0, 0.2], [0.1, -1.0]]},
+                          h={"kind": "state_norm", "value": 0.5})
+    emptied = spec()
+    emptied.params, emptied.h = {}, None
+    got = integrate_sampled(emptied, [3.0, -1.0], horizon=2.0, dt=0.01)
+    want = integrate_sampled(spec(), [3.0, -1.0], horizon=2.0, dt=0.01)
+    assert np.array_equal(got.sampling_times, want.sampling_times)
+    assert np.array_equal(got.states, want.states)
 
 
 def test_sampled_node_count_capped(monkeypatch):

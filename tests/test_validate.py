@@ -187,6 +187,23 @@ def test_implication_matches_per_sample_loop(case, dsup, input_gain):
     assert found > 0
 
 
+@pytest.mark.parametrize("case", [_ldn_case, _biochem_case])
+def test_spec_is_read_once_on_construction(case):
+    # every reader takes the values parsed on construction, never params
+    setup, model = case(0.1, True)
+    _, emptied = case(0.1, True)
+    emptied.params = {}
+    found = check_implication(setup, model, sample_count=2000, seed=3)
+    assert found
+    assert check_implication(setup, emptied, sample_count=2000, seed=3) == found
+    history = [1.0, 0.5, 0.8]
+    assert np.array_equal(integrate_delay(emptied, history, 1.0, 0.01).states,
+                          integrate_delay(model, history, 1.0, 0.01).states)
+    if model.model == "biochem_circuit":
+        assert np.array_equal(biochem_equilibrium(emptied),
+                              biochem_equilibrium(model))
+
+
 # -- convergence ------------------------------------------------------------
 
 def _decaying_traj(n=2, count=1000):
