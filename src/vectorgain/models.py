@@ -145,6 +145,25 @@ def _ldn_parse(p: Dict) -> ParsedModel:
                        {"a": a, "c": c, "r": r, "bu": bu, "coupling": coupling})
 
 
+def _memo_by_identity(fn):
+    """fn as a function of an array that is computed again only when it is
+    handed a different array object.
+
+    The integrators hand a right-hand side the same window, delayed value
+    or held state in several RK4 stages, read-only, so what a model
+    derives from it alone is computed once for all those stages.
+    """
+    last = value = None
+
+    def derived(v):
+        nonlocal last, value
+        if v is not last:
+            last, value = v, fn(v)
+        return value
+
+    return derived
+
+
 def _ldn_rhs(spec: SystemSpec):
     v = spec.parsed.values
     a, c, r = v["a"], v["c"], v["r"]
@@ -153,20 +172,23 @@ def _ldn_rhs(spec: SystemSpec):
     neg_a = -a
 
     if v["coupling"] == "sign_aligned":
+        drive = _memo_by_identity(lambda w: (c * w).max(axis=1))  # >= 0
+
         def rhs(t, x, hist):
             # with r = 0 the window [t - r, t] holds the present state alone
             w = hist.window_absmax(t) if r > 0 else np.abs(x)
-            drive = (c * w).max(axis=1)  # >= 0
             # sgn(x) with sgn(+-0) = +1: x + 0.0 turns -0.0 into +0.0
-            g = np.copysign(drive, x + 0.0)
+            g = np.copysign(drive(w), x + 0.0)
             if disturbed:
                 g *= d_sig(t)
             return neg_a * x + g
     else:
+        lag = _memo_by_identity(lambda xd: c @ xd)
+
         def rhs(t, x, hist):
-            g = c @ (hist.interp(t - r) if r > 0 else x)
+            g = lag(hist.interp(t - r) if r > 0 else x)
             if disturbed:
-                g *= d_sig(t)
+                g = g * d_sig(t)
             return neg_a * x + g
 
     return rhs
@@ -223,12 +245,14 @@ def _bio_rhs(spec: SystemSpec):
             return src
     prev = np.arange(n) - 1  # channel j - 1 drives channel j; -1 wraps to n - 1
 
+    @_memo_by_identity
+    def production(src):  # src[j]: x_j at its own delay
+        out = src.take(prev)
+        out[0] = g(max(src[n - 1], 0.0))
+        return out
+
     def rhs(t, x, hist):
-        src = source(t, x, hist)  # src[j]: x_j at its own delay
-        ax = a * x
-        dx = src[prev] - ax
-        dx[0] = g(max(src[n - 1], 0.0)) - ax[0]
-        return dx
+        return production(source(t, x, hist)) - a * x
 
     return rhs
 
@@ -384,8 +408,10 @@ def _zoh_rhs(spec: SystemSpec):
     A_cur = given["A_cur"] if "A_cur" in given else np.zeros((n, n))
     A_hold = given["A_hold"] if "A_hold" in given else -np.eye(n)
 
+    hold = _memo_by_identity(lambda x_held: A_hold @ x_held)
+
     def rhs(t, x, x_held):
-        return A_cur @ x + A_hold @ x_held
+        return A_cur @ x + hold(x_held)
 
     return rhs
 
@@ -399,7 +425,13 @@ _REGISTRY: Dict[str, Callable[[Dict], ParsedModel]] = {
 
 
 def model_rhs(spec: SystemSpec):
-    """Right-hand side builder appropriate to the spec kind."""
+    """Right-hand side builder appropriate to the spec kind.
+
+    The right-hand side may keep what it derives from a window, delayed
+    value or held state for as long as it is handed the same array object,
+    so a caller must never change such an array once it has handed it in.
+    The integrators of `simulate` hand these in read-only.
+    """
     if spec.kind != spec.parsed.kind:
         raise ModelError(
             f"model {spec.model!r} does not support kind {spec.kind!r}")

@@ -5,12 +5,22 @@ plain for ODEs, method-of-steps with grid-aligned delays for retarded
 equations, and an event loop computing successive sampling instants for
 sampled-data systems.  Fixed stepping is deliberate: reproducibility of
 validation runs matters more than efficiency at this scale.
+
+The states here have a few components, so a step's cost is numpy's
+per-call overhead more than arithmetic, and each step is built to make
+few calls while giving the same floats as the plain formula.  `_rk4`
+builds its coefficients once per step size.  Work that does not change
+between the stages of a step is done once: `_History` memoizes a delayed
+value by its half-step point and a window until its start or end moves,
+and a right-hand side keeps what it derives from such a value, or from a
+held state, for as long as it is handed the same array.  So the arrays
+handed to a right-hand side as a window, delayed value or held state are
+read-only: writing to one raises an error instead of staling a memo.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -28,6 +38,8 @@ ESCAPE_BOUND = 1e12
 # most steps a run takes: horizon / dt, or a sampled run's node count
 MAX_STEPS = 10_000_000
 DELAY_ALIGN_TOL = 1e-12
+# most delayed values a delay history keeps: each step adds two per delay
+INTERP_MEMO = 64
 
 
 class SimulationError(RuntimeError):
@@ -77,13 +89,27 @@ def _check_escape(x: np.ndarray, t: float) -> None:
         raise FiniteEscapeError(t)
 
 
-def _rk4_step(f, t: float, x: np.ndarray, dt: float, *extra) -> np.ndarray:
-    """One RK4 step of dx/dt = f(t, x, *extra); f returns an (n,) array."""
-    k1 = f(t, x, *extra)
-    k2 = f(t + 0.5 * dt, x + 0.5 * dt * k1, *extra)
-    k3 = f(t + 0.5 * dt, x + 0.5 * dt * k2, *extra)
-    k4 = f(t + dt, x + dt * k3, *extra)
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4(f, dt: float):
+    """The classical RK4 step of dx/dt = f(t, x, *extra) with step dt, as a
+    function step(t, x, *extra) that returns the new state.
+
+    dt/2, dt and dt/6 are 0-d float64 arrays, built here once per step
+    size: an array times an array is the same product at less cost than a
+    Python float times one.  2k is k + k, and the update sums
+    ((k1 + 2k2) + 2k3) + k4 in elementwise operations, so no BLAS call or
+    fused multiply-add changes a last bit of the plain formula.
+    """
+    half = 0.5 * dt
+    c_half, c_full, c_sixth = np.array(half), np.array(dt), np.array(dt / 6.0)
+
+    def step(t: float, x: np.ndarray, *extra) -> np.ndarray:
+        k1 = f(t, x, *extra)
+        k2 = f(t + half, x + c_half * k1, *extra)
+        k3 = f(t + half, x + c_half * k2, *extra)
+        k4 = f(t + dt, x + c_full * k3, *extra)
+        return x + c_sixth * (k1 + (k2 + k2) + (k3 + k3) + k4)
+
+    return step
 
 
 def _check_initial(x: np.ndarray, name: str) -> None:
@@ -116,35 +142,45 @@ def integrate_ode(spec: SystemSpec, x0, horizon: float, dt: float) -> Trajectory
     n = model_dim(spec)
     x = np.asarray(x0, dtype=float).reshape(n)
     _check_initial(x, "initial state")
-    rhs = model_rhs(spec)
+    step = _rk4(model_rhs(spec), dt)
     steps = int(round(horizon / dt))
     times = dt * np.arange(steps + 1)
     states = np.empty((steps + 1, n))
     states[0] = x
     for k in range(steps):
-        x = _rk4_step(rhs, times[k], x, dt)
+        x = step(times[k], x)
         _check_escape(x, times[k + 1])
         states[k + 1] = x
     return Trajectory(times=times, states=states, dt=dt)
 
 
 class _History:
-    """Grid-backed accessor for delayed state values.
+    """Delayed state values and window maxima, read from the run's states.
 
-    A query time t sits at the half-step position h = round(2(t - t0)/dt)
-    from the oldest row.  RK4 stage times, and stage times minus a
-    grid-aligned delay, lie on the half-step grid, so h is exact; a delay
-    of at least one step keeps every query at or before the newest row.
-    interp(t) is row h/2 for even h, else the mean of rows (h -/+ 1)/2.
+    Rows are 0-based from the oldest history row, and rows below `filled`
+    are valid.  A query time t sits at the half-step position
+    h = round(2(t - t0)/dt) from the oldest row.  RK4 stage times, and stage
+    times minus a grid-aligned delay, lie on the half-step grid, so h is
+    exact; a delay of at least one step keeps every query at or before the
+    newest row.
+
+    interp(t) is row h/2 for even h, else the mean of rows (h -/+ 1)/2.  It
+    is memoized on h, since RK4 stages 2 and 3 query the same half-step
+    point and stage 4 the point of the next step's stage 1; the memo is
+    emptied when it holds INTERP_MEMO points.
+
     window_absmax(t) is the per-channel max of |x| over rows
-    max((h - 2m) // 2, 0) to the newest valid row, m = r/dt: the stored
-    nodes of [t - r, t].  The window start only moves forward, so
-    per-channel monotone deques of Python floats serve it in O(1)
-    amortized per step.  The deques are the window index: advance only
-    records the valid rows, and a window query pushes the rows it has
-    not yet indexed, so a model that never asks for a window never builds
-    one.  The result is memoized on (start, filled), which RK4 stages 1-3
-    of a step share; callers must not write to it.
+    start = max((h - 2m) // 2, 0) to the newest valid row, m = r/dt: the
+    stored nodes of [t - r, t].  The start only moves forward, so a
+    two-stack (van Herk / Gil-Werman) max serves it in O(1) numpy calls
+    for any n.  A frozen block of rows [b0, b1) holds the suffix maxima of
+    |row|, and a running max covers the rows [b1, filled); a window is the
+    max of the suffix row at its start and the running max.  When the start
+    passes b1, rows [start, filled) become the new block, a rebuild that
+    comes about once per m steps.  The first window query builds the first
+    block, so a model that never asks for a window builds no window
+    state.  The result is memoized on (start, filled), which RK4 stages 1-3
+    of a step share.
     """
 
     def __init__(self, states: np.ndarray, dt: float, t0: float, m: int,
@@ -154,20 +190,12 @@ class _History:
         self.t0 = t0
         self.m = m
         self.filled = filled  # number of valid rows
-        n = states.shape[1]
-        # deques of (row index, |value|), indices increasing, values decreasing
-        self._deques: List[deque] = [deque() for _ in range(n)]
-        self._pushed = 0
-        self._memo_key = None
-        self._memo = None
-
-    def _push_rows(self, upto: int) -> None:
-        for k in range(self._pushed, upto):
-            for v, dq in zip(np.abs(self.states[k]).tolist(), self._deques):
-                while dq and dq[-1][1] <= v:
-                    dq.pop()
-                dq.append((k, v))
-        self._pushed = upto
+        self._interp = {}  # half-step position -> value
+        # window index: suffix maxima of |rows[b0:b1]|, and the running max
+        # of |rows[b1:pushed]|; b1 = 0 until the first window query
+        self._b0 = self._b1 = self._pushed = 0
+        self._suffix = self._running = None
+        self._window_key = self._window = None
 
     def advance(self, filled: int) -> None:
         """Mark rows below `filled` as valid."""
@@ -177,25 +205,37 @@ class _History:
         return round(2.0 * (t - self.t0) / self.dt)
 
     def interp(self, t: float) -> np.ndarray:
-        i, odd = divmod(self._half_steps(t), 2)
-        if odd:
-            return 0.5 * (self.states[i] + self.states[i + 1])
-        return self.states[i]
+        h = self._half_steps(t)
+        value = self._interp.get(h)
+        if value is None:
+            i, odd = divmod(h, 2)
+            value = (0.5 * (self.states[i] + self.states[i + 1]) if odd
+                     else self.states[i])
+            value.flags.writeable = False  # a writer would stale the memos
+            if len(self._interp) == INTERP_MEMO:
+                self._interp.clear()
+            self._interp[h] = value
+        return value
 
     def window_absmax(self, t: float) -> np.ndarray:
-        i0 = max((self._half_steps(t) - 2 * self.m) // 2, 0)
-        key = (i0, self.filled)
-        if key != self._memo_key:
-            self._push_rows(self.filled)
-            # front entries below i0 are never needed again; each deque
-            # keeps its newest row, filled - 1 >= i0 as m >= 1, so none
-            # runs empty
-            for dq in self._deques:
-                while dq[0][0] < i0:
-                    dq.popleft()
-            self._memo_key = key
-            self._memo = np.array([dq[0][1] for dq in self._deques])
-        return self._memo
+        start = max((self._half_steps(t) - 2 * self.m) // 2, 0)
+        key = (start, self.filled)
+        if key != self._window_key:
+            if start >= self._b1:
+                rows = np.abs(self.states[start:self.filled])
+                self._suffix = np.maximum.accumulate(rows[::-1])[::-1]
+                self._running = np.zeros(rows.shape[1])  # max of no |row|
+                self._b0 = start
+                self._b1 = self._pushed = self.filled
+            for k in range(self._pushed, self.filled):
+                np.maximum(self._running, np.abs(self.states[k]),
+                           out=self._running)
+            self._pushed = self.filled
+            self._window_key = key
+            self._window = np.maximum(self._suffix[start - self._b0],
+                                      self._running)
+            self._window.flags.writeable = False
+        return self._window
 
 
 def _history_array(history, r: float, dt: float, n: int) -> np.ndarray:
@@ -243,12 +283,12 @@ def integrate_delay(spec: SystemSpec, history, horizon: float,
     states = np.empty((m + steps + 1, n))
     states[: m + 1] = hist_states
     hist = _History(states, dt, float(times[0]), m, filled=m + 1)
-    rhs = model_rhs(spec)
+    step = _rk4(model_rhs(spec), dt)
     x = states[m].copy()
     for k in range(steps):
         # a Python float: the same value, cheaper arithmetic in every stage
         t = float(times[m + k])
-        x = _rk4_step(rhs, t, x, dt, hist)
+        x = step(t, x, hist)
         _check_escape(x, t + dt)
         states[m + k + 1] = x
         hist.advance(m + k + 2)
@@ -285,18 +325,26 @@ def integrate_sampled(spec: SystemSpec, x0, horizon: float,
         h_val = spec.period(x)
         if not (h_val > 0):
             raise ConfigError(f"sampling period must be positive, got {h_val}")
-        gap = math.exp(-dtilde(tau)) * h_val
+        try:
+            gap = math.exp(-dtilde(tau)) * h_val
+        except OverflowError:
+            gap = math.inf
         tau_next = tau + gap
+        if not (math.isfinite(gap) and tau_next > tau):
+            raise ConfigError(f"sampling gap {gap:g} at tau = {tau:g} must be "
+                              f"finite and move tau forward")
         span = min(tau_next, t_end) - tau
         substeps = max(1, int(math.ceil(span / dt - 1e-12)))
         if len(times) - 1 + substeps > MAX_STEPS:
             raise ConfigError(f"sampled run longer than MAX_STEPS = {MAX_STEPS}")
         hstep = span / substeps
-        # _rk4_step returns a new array, so x is never written in place
+        step = _rk4(rhs, hstep)
+        # a step returns a new array; the held state is never written
         held = x
+        held.flags.writeable = False
         for k in range(substeps):
             t = tau + k * hstep
-            x = _rk4_step(rhs, t, x, hstep, held)
+            x = step(t, x, held)
             _check_escape(x, t + hstep)
             times.append(t + hstep)
             states.append(x)

@@ -185,6 +185,25 @@ def test_simulate_sampled_writes_sampling_times(tmp_path):
     assert [float(v) for v in taus[1:]] == [0.0, 0.25, 0.5, 0.75, 1.0]
 
 
+@pytest.mark.parametrize("dtilde, gap", [(-800.0, "inf"), (800.0, "0")],
+                         ids=["overflow", "zero"])
+def test_simulate_sampling_gap_not_finite_or_zero_rejected(
+        tmp_path, capsys, dtilde, gap):
+    # exp(800) overflows; exp(-800) is 0, a gap that never moves tau
+    cfg = _write(tmp_path / "sim.json", {
+        "system": {"kind": "sampled", "model": "zoh_linear",
+                   "params": {"n": 1},
+                   "h": {"kind": "constant", "value": 0.25},
+                   "dtilde": {"kind": "constant", "value": dtilde}},
+        "analysis": {"horizon": 1.0, "dt": 0.01, "x0": [1.0]}})
+    out = tmp_path / "out"
+    assert main(["simulate", "--input", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: sampling gap {gap} at tau = 0 must be finite and move tau "
+        f"forward\n")
+    assert not out.exists()
+
+
 def test_simulate_finite_escape_exit_2(tmp_path):
     cfg = _write(tmp_path / "sim.json", {
         "system": {"kind": "delay", "model": "linear_delay_network",

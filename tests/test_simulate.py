@@ -196,22 +196,26 @@ def test_biochem_positivity_and_equilibrium_invariance():
 
 def test_window_absmax_takes_its_start_from_the_step_index():
     # rows are 0-based from the oldest history row: at t_k and t_k + dt/2
-    # the window is rows [k, filled), at t_k + dt it is rows [k + 1, filled)
+    # the window is rows [k, filled), at t_k + dt it is rows [k + 1, filled);
+    # a block of suffix maxima lasts about m steps, so 300 steps rebuild it
+    # many times, and m = 1 rebuilds it at nearly every step
     rng = np.random.default_rng(11)
-    dt, r = 0.01, 0.2
-    m = int(round(r / dt))
-    steps = 300
-    times = dt * np.arange(-m, steps + 1)
-    states = np.zeros((m + steps + 1, 3))
-    states[: m + 1] = rng.standard_normal((m + 1, 3))
-    hist = _History(states, dt, float(times[0]), m, filled=m + 1)
-    for k in range(steps):
-        t = float(times[m + k])
-        for tq, start in ((t, k), (t + 0.5 * dt, k), (t + dt, k + 1)):
-            ref = np.max(np.abs(states[start:hist.filled]), axis=0)
-            assert np.array_equal(hist.window_absmax(tq), ref)
-        states[m + k + 1] = rng.standard_normal(3)
-        hist.advance(m + k + 2)
+    dt, steps = 0.01, 300
+    for n, m in ((3, 20), (1, 20), (30, 20), (3, 1), (30, 1)):
+        times = dt * np.arange(-m, steps + 1)
+        states = np.zeros((m + steps + 1, n))
+        states[: m + 1] = rng.standard_normal((m + 1, n))
+        hist = _History(states, dt, float(times[0]), m, filled=m + 1)
+        block_starts = set()
+        for k in range(steps):
+            t = float(times[m + k])
+            for tq, start in ((t, k), (t + 0.5 * dt, k), (t + dt, k + 1)):
+                ref = np.max(np.abs(states[start:hist.filled]), axis=0)
+                assert hist.window_absmax(tq).tobytes() == ref.tobytes()
+                block_starts.add(hist._b0)
+            states[m + k + 1] = rng.standard_normal(n)
+            hist.advance(m + k + 2)
+        assert len(block_starts) >= steps // (m + 1)
 
 
 @pytest.mark.parametrize("model, params", [
@@ -223,13 +227,51 @@ def test_window_absmax_takes_its_start_from_the_step_index():
 ], ids=["biochem", "delayed-linear"])
 def test_delay_run_without_window_query_builds_no_window_index(
         monkeypatch, model, params):
-    # these models read delayed values only, so no row enters the deques
-    monkeypatch.setattr(_History, "_push_rows", lambda *a: pytest.fail(
-        "window index built"))
+    # these models read delayed values only, so no block of suffix maxima
+    # and no running max is ever made
+    made = []
+
+    class Recorded(_History):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(simulate, "_History", Recorded)
     spec = SystemSpec(kind="delay", model=model, params=params)
     traj = integrate_delay(spec, np.array([1.5, 0.5, 2.0]), horizon=1.0,
                            dt=0.01)
     assert np.all(np.isfinite(traj.states))
+    assert len(made) == 1
+    assert made[0]._suffix is None and made[0]._running is None
+
+
+def test_arrays_handed_to_a_right_hand_side_are_read_only(monkeypatch):
+    # a right-hand side memoizes on the identity of a delayed value, a
+    # window or a held state, so writing to one must fail, not go stale
+    dt, m = 0.01, 5
+    states = np.ones((m + 3, 2))
+    hist = _History(states, dt, -m * dt, m, filled=m + 1)
+    for value in (hist.interp(-2 * dt), hist.interp(-1.5 * dt),
+                  hist.window_absmax(0.0)):
+        with pytest.raises(ValueError, match="read-only"):
+            value[0] = 2.0
+    assert states.flags.writeable
+
+    held_flags = []
+    build = simulate.model_rhs
+
+    def recording_rhs(spec):
+        rhs = build(spec)
+
+        def f(t, x, x_held):
+            held_flags.append(x_held.flags.writeable)
+            return rhs(t, x, x_held)
+        return f
+
+    monkeypatch.setattr(simulate, "model_rhs", recording_rhs)
+    spec = SystemSpec(kind="sampled", model="zoh_linear", params={"n": 2})
+    integrate_sampled(spec, np.array([1.0, -1.0]), horizon=0.5, dt=0.05)
+    assert held_flags and not any(held_flags)
 
 
 def test_delay_history_counts_toward_max_steps(monkeypatch):
@@ -243,6 +285,16 @@ def test_delay_history_counts_toward_max_steps(monkeypatch):
         integrate_delay(spec, np.array([1.0]), horizon=49.5, dt=0.5)
 
 
+def _plain_rk4_step(f, t, x, dt):
+    """One RK4 step written out, one stage at a time with Python-float
+    coefficients; f(t, x, half) also gets the stage's offset in half-steps."""
+    k1 = f(t, x, 0)
+    k2 = f(t + 0.5 * dt, x + 0.5 * dt * k1, 1)
+    k3 = f(t + 0.5 * dt, x + 0.5 * dt * k2, 1)
+    k4 = f(t + dt, x + dt * k3, 2)
+    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def _reference_delay_run(deriv, hist0, r, dt, steps):
     """Plain method-of-steps RK4, written apart from integrate_delay.
 
@@ -252,7 +304,7 @@ def _reference_delay_run(deriv, hist0, r, dt, steps):
     half-step grid from the step index and the stage, in integers: the
     delayed value is a stored node or the mean of two, and the window
     runs from row k (stages 1-3 of step k) or k + 1 (stage 4) to the
-    newest row.
+    newest row.  Nothing is kept from one stage to the next.
     """
     m = int(round(r / dt))
     times = dt * np.arange(-m, steps + 1)
@@ -277,58 +329,158 @@ def _reference_delay_run(deriv, hist0, r, dt, steps):
 
     x = states[m].copy()
     for k in range(steps):
-        t = times[m + k]
-        k1 = f(t, x, 0)
-        k2 = f(t + 0.5 * dt, x + 0.5 * dt * k1, 1)
-        k3 = f(t + 0.5 * dt, x + 0.5 * dt * k2, 1)
-        k4 = f(t + dt, x + dt * k3, 2)
-        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        x = _plain_rk4_step(f, times[m + k], x, dt)
         states[m + k + 1] = x
         filled += 1
     return states[m:]
 
 
-@pytest.mark.parametrize("disturbance", [
-    Signal(), Signal(kind="sinusoid", amplitude=0.8, frequency=1.3)])
-def test_delay_network_trajectory_matches_reference(disturbance):
-    a = [1.0, 0.8, 1.2]
-    c = [[0.4, 0.6, 0.5], [0.5, 0.0, 0.7], [0.6, 0.5, 0.4]]
-    r, dt, steps = 0.2, 0.01, 300
-    spec = SystemSpec(kind="delay", model="linear_delay_network",
-                      params={"a": a, "c": c, "r": r},
-                      disturbance_signal=disturbance)
+def _reference_sampled_run(deriv, period, dtilde, x0, horizon, dt):
+    """Plain sampled-data loop, written apart from integrate_sampled: the
+    times and states of the run, with deriv(t, x, held)."""
+    tau, x = 0.0, np.array(x0, dtype=float)
+    times, states = [tau], [x]
+    while tau < horizon - 1e-15:
+        tau_next = tau + math.exp(-dtilde(tau)) * period(x)
+        span = min(tau_next, horizon) - tau
+        substeps = max(1, math.ceil(span / dt - 1e-12))
+        hstep = span / substeps
+        held = x
+        for k in range(substeps):
+            t = tau + k * hstep
+            x = _plain_rk4_step(lambda s, y, _: deriv(s, y, held), t, x, hstep)
+            times.append(t + hstep)
+            states.append(x)
+        tau = tau_next
+    return np.array(times), np.array(states)
+
+
+def _ldn_deriv(a, c, r, coupling, disturbance):
+    """The delay network's right-hand side, one row at a time."""
+    n = len(a)
 
     def deriv(t, x, delayed, window):
-        w = window()
         scale = disturbance(t) if disturbance.kind != "zero" else 1.0
-        return np.array([
-            -a[i] * x[i] + (1.0 if x[i] >= 0 else -1.0)
-            * max(c[i][j] * w[j] for j in range(3)) * scale for i in range(3)])
+        if coupling == "sign_aligned":
+            w = window() if r > 0 else np.abs(x)
+            g = [(1.0 if x[i] >= 0 else -1.0)
+                 * max(c[i][j] * w[j] for j in range(n)) * scale
+                 for i in range(n)]
+        else:
+            xd = np.array([delayed(j, r) for j in range(n)]) if r > 0 else x
+            g = (np.asarray(c) @ xd) * scale
+        return np.array([-a[i] * x[i] + g[i] for i in range(n)])
 
-    hist0 = np.array([0.8, -0.5, 0.0])
-    traj = integrate_delay(spec, hist0, horizon=steps * dt, dt=dt)
-    ref = _reference_delay_run(deriv, hist0, r, dt, steps)
-    assert np.array_equal(traj.states, ref)
+    return deriv
 
 
-@pytest.mark.parametrize("tau", [[0.1, 0.1, 0.1], [0.1, 0.0, 0.2]])
-def test_biochem_trajectory_matches_reference(tau):
-    a, g = [1.0, 0.9, 1.1], make_g({"form": "mm", "c": 3.0, "K": 0.8})
-    dt, steps = 0.01, 300
-    spec = SystemSpec(kind="delay", model="biochem_circuit",
-                      params={"a": a, "tau": tau,
-                              "g": {"form": "mm", "c": 3.0, "K": 0.8}})
+def _bio_deriv(a, tau, g_params):
+    """The biochemical circuit's right-hand side, one channel at a time."""
+    g, n = make_g(g_params), len(a)
 
     def deriv(t, x, delayed, window):
         def src(j):
             return delayed(j, tau[j]) if tau[j] > 0 else x[j]
-        return np.array([g(max(src(2), 0.0)) - a[0] * x[0],
-                         src(0) - a[1] * x[1], src(1) - a[2] * x[2]])
+        return np.array([g(max(src(n - 1), 0.0)) - a[0] * x[0]]
+                        + [src(i - 1) - a[i] * x[i] for i in range(1, n)])
 
+    return deriv
+
+
+_LDN_A = [1.0, 0.8, 1.2]
+_LDN_C = [[0.4, 0.6, 0.5], [0.5, 0.0, 0.7], [0.6, 0.5, 0.4]]
+_BIO_A = [1.0, 0.9, 1.1]
+_MM = {"form": "mm", "c": 3.0, "K": 0.8}
+
+
+def _ldn_run_and_reference(r, coupling, disturbance, dt=0.01, steps=300):
+    spec = SystemSpec(kind="delay", model="linear_delay_network",
+                      params={"a": _LDN_A, "c": _LDN_C, "r": r,
+                              "coupling": coupling},
+                      disturbance_signal=disturbance)
+    hist0 = np.array([0.8, -0.5, 0.0])
+    traj = integrate_delay(spec, hist0, horizon=steps * dt, dt=dt)
+    deriv = _ldn_deriv(_LDN_A, _LDN_C, r, coupling, disturbance)
+    return traj.states, _reference_delay_run(deriv, hist0, r, dt, steps)
+
+
+def _bio_run_and_reference(tau, g, dt=0.01, steps=300):
+    spec = SystemSpec(kind="delay", model="biochem_circuit",
+                      params={"a": _BIO_A, "tau": tau, "g": g})
     hist0 = lambda t: np.array([1.5 + t, 0.4 - 2.0 * t, 2.2 + math.sin(9 * t)])
     traj = integrate_delay(spec, hist0, horizon=steps * dt, dt=dt)
-    ref = _reference_delay_run(deriv, traj.history_states, max(tau), dt, steps)
-    assert np.array_equal(traj.states, ref)
+    ref = _reference_delay_run(_bio_deriv(_BIO_A, tau, g),
+                               traj.history_states, max(tau), dt, steps)
+    return traj.states, ref
+
+
+@pytest.mark.parametrize("disturbance", [
+    Signal(), Signal(kind="sinusoid", amplitude=0.8, frequency=1.3)])
+def test_delay_network_trajectory_matches_reference(disturbance):
+    got, ref = _ldn_run_and_reference(0.2, "sign_aligned", disturbance)
+    assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("tau", [[0.1, 0.1, 0.1], [0.1, 0.0, 0.2]])
+def test_biochem_trajectory_matches_reference(tau):
+    # one delay group, and two delay groups beside a present channel
+    got, ref = _bio_run_and_reference(tau, _MM)
+    assert got.tobytes() == ref.tobytes()
+
+
+def _zoh_run_and_reference(h):
+    A_cur = np.array([[0.0, 0.3], [-0.3, 0.0]])
+    A_hold = np.array([[-1.0, 0.2], [0.1, -1.0]])
+    jitter = Signal(kind="sinusoid", amplitude=0.3, frequency=0.5, phase=0.1)
+    spec = SystemSpec(kind="sampled", model="zoh_linear",
+                      params={"A_cur": A_cur.tolist(),
+                              "A_hold": A_hold.tolist()},
+                      h=h, dtilde=jitter)
+    traj = integrate_sampled(spec, [2.0, -1.5], horizon=3.0, dt=1e-3)
+    h0 = h["value"]
+    period = ((lambda x: h0) if h["kind"] == "constant"
+              else (lambda x: h0 / (1.0 + float(np.linalg.norm(x)))))
+    times, states = _reference_sampled_run(
+        lambda t, x, held: A_cur @ x + A_hold @ held, period, jitter,
+        [2.0, -1.5], 3.0, 1e-3)
+    return (np.concatenate([traj.times, traj.states.ravel()]),
+            np.concatenate([times, states.ravel()]))
+
+
+def _scalar_run_and_reference():
+    u = Signal(kind="sinusoid", amplitude=0.7, frequency=0.9, phase=0.2)
+    d = Signal(kind="piecewise", times=[0.0, 1.5], values=[0.3, -0.2])
+    spec = SystemSpec(kind="ode", model="scalar_linear",
+                      params={"a": 1.3, "bu": 0.6, "bd": 0.4},
+                      input_signal=u, disturbance_signal=d)
+    traj = integrate_ode(spec, [2.0], horizon=3.0, dt=0.01)
+    times, x = 0.01 * np.arange(301), np.array([2.0])
+    ref = [x]
+    for t in times[:-1]:
+        x = _plain_rk4_step(
+            lambda s, y, _: np.array([-1.3 * y[0] + 0.6 * u(s) + 0.4 * d(s)]),
+            t, x, 0.01)
+        ref.append(x)
+    return traj.states, np.array(ref)
+
+
+@pytest.mark.parametrize("run", [
+    lambda: _ldn_run_and_reference(0.0, "sign_aligned", Signal()),
+    lambda: _ldn_run_and_reference(
+        0.2, "delayed_linear",
+        Signal(kind="sinusoid", amplitude=0.8, frequency=1.3)),
+    lambda: _bio_run_and_reference([0.1, 0.1, 0.1],
+                                   {"form": "hill", "c": 2.5, "p": 3.5}),
+    lambda: _zoh_run_and_reference({"kind": "constant", "value": 0.2}),
+    lambda: _zoh_run_and_reference({"kind": "state_norm", "value": 0.2}),
+    _scalar_run_and_reference,
+], ids=["ldn-no-delay", "delayed-linear", "bio-hill", "zoh-constant",
+        "zoh-state-norm", "scalar-input"])
+def test_trajectory_matches_plain_rk4_bit_for_bit(run):
+    # with the two tests above: every model and coupling, stepped by a
+    # plain RK4 that keeps nothing between stages, gives the same floats
+    got, ref = run()
+    assert got.tobytes() == ref.tobytes()
 
 
 # -- sampled-data loop ------------------------------------------------------
