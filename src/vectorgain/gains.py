@@ -418,7 +418,17 @@ def check_contraction(g: Union[GainFn, Iterable[GainFn]],
     first failure is reported.
     """
     gains = (g,) if isinstance(g, GainFn) else tuple(g)
-    verdict = _exact_contraction(reduce(_collapse_compose, map(_collapse, gains)))
+    return _chain_verdict(reduce(_collapse_compose, map(_collapse, gains)),
+                          gains, grid)
+
+
+def _chain_verdict(normal: GainFn, gains: Iterable[GainFn],
+                   grid: Optional[GridSpec]) -> ContractionVerdict:
+    """Contraction verdict of the chain of gains whose normal form, the left
+    fold of their _collapse forms by _collapse_compose, is `normal`: the
+    closed-form rule on `normal` where one applies, else the grid on
+    compose_chain(gains)."""
+    verdict = _exact_contraction(normal)
     if verdict is not None:
         return verdict
     return _grid_contraction(compose_chain(gains),
@@ -554,5 +564,15 @@ def _from_json(d: dict, depth: int) -> GainFn:
         cls, names = _KINDS[kind]
     except (TypeError, KeyError):  # TypeError: an unhashable kind
         raise GainError(f"unknown gain kind {kind!r}")
-    return cls(*[_from_json(d[name], depth + 1) if child else float(d[name])
+    return cls(*[_from_json(d[name], depth + 1) if child
+                 else _json_number(kind, name, d[name])
                  for name, child in names])
+
+
+def _json_number(kind: str, name: str, v) -> float:
+    """A gain parameter as a float; it must be a JSON number, and a bool or
+    a string is not one."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise GainError(
+            f"{kind} parameter {name!r} must be a number, got {v!r}")
+    return float(v)

@@ -9,9 +9,14 @@ x -> Gamma(x) is equivalent to every composition of gains around every
 simple cycle lying strictly below the identity.  A cycle through a zero
 gain passes trivially, so only the elementary circuits of the support graph
 (edge i -> j iff gamma_ij is not the Zero gain) are enumerated, as node
-tuples, with Johnson's algorithm (SIAM J. Comput. 4(1), 1975).  Each
-circuit's gains go to the contraction tester from :mod:`vectorgain.gains`,
-which composes them into a chain only when no closed-form rule decides.
+tuples, with Johnson's algorithm (SIAM J. Comput. 4(1), 1975).  A row's
+gains are normalized once per matrix, when a circuit first reads the row,
+so an acyclic matrix normalizes none.  The search hands out circuits
+in depth-first order, so consecutive circuits share most of their path:
+each circuit's normal form is folded from the fold of the path prefix it
+shares with the circuit before it, and decided by the contraction rule of
+:mod:`vectorgain.gains`, which composes the gains into a chain only when
+no closed-form rule decides.
 
 Up to ``_LIST_CAP`` circuits each one is listed with its verdict.  Above
 it, a strongly connected component whose gains all collapse to ``Linear``
@@ -35,7 +40,8 @@ import numpy as np
 
 from .gains import (
     ARRAY_SLACK, ContractionVerdict, GainFn, GridSpec, Linear, LogExpSq,
-    Zero, _collapse, check_contraction, gain_from_json, gain_to_json,
+    Zero, _chain_verdict, _collapse, _collapse_compose, gain_from_json,
+    gain_to_json,
 )
 
 __all__ = [
@@ -126,6 +132,21 @@ class GainMatrix:
         """The columns of each row, ascending: the successors of each node
         in the support graph."""
         return tuple(tuple(j for j, _ in row) for row in self.rows)
+
+    @cached_property
+    def _normal_rows(self) -> Dict[int, Dict[int, GainFn]]:
+        """The rows that normal_row has made so far, by index."""
+        return {}
+
+    def normal_row(self, i: int) -> Dict[int, GainFn]:
+        """Row i as {j: _collapse(gamma_ij)} over the support.  A row is
+        normalized once per matrix, when it is first read, so rows that lie
+        on no examined circuit are never normalized."""
+        row = self._normal_rows.get(i)
+        if row is None:
+            row = self._normal_rows[i] = {j: _collapse(g)
+                                          for j, g in self.rows[i]}
+        return row
 
 
 def _row(pairs: Iterable[Tuple[int, GainFn]]) -> Tuple[Tuple[int, GainFn], ...]:
@@ -222,8 +243,9 @@ def support_circuits(G: GainMatrix) -> Iterator[Tuple[int, ...]]:
     node.  Johnson's search runs on each strongly connected component from
     its smallest node, then on the components left without that node.  The
     depth-first search keeps an explicit stack, so long rings do not hit
-    the recursion limit.  No gain is composed here: _circuit_verdict
-    decides a circuit from its node tuple.
+    the recursion limit.  No gain is composed here: the consumer,
+    _circuit_verdicts, folds each circuit's gains from the path prefix it
+    shares with the circuit yielded before it.
     """
     succ = G.support
     todo = _cyclic_components(succ, set(range(G.n)))
@@ -324,11 +346,40 @@ def _cycle_order(cv: CycleVerdict):
     return len(cv.cycle), sorted(cv.cycle), cv.cycle
 
 
-def _circuit_verdict(G: GainMatrix, cycle: Tuple[int, ...],
-                     grid: Optional[GridSpec]) -> CycleVerdict:
-    """Verdict of the chain gamma_{c0 c1} o ... o gamma_{c(r-1) c0}."""
-    gains = map(G.gain, cycle, cycle[1:] + cycle[:1])
-    return CycleVerdict(cycle, check_contraction(gains, grid))
+def _circuit_verdicts(G: GainMatrix, circuits: Iterable[Tuple[int, ...]],
+                      grid: Optional[GridSpec]) -> Iterator[CycleVerdict]:
+    """Verdict of the chain gamma_{c0 c1} o ... o gamma_{c(r-1) c0} of each
+    circuit (c0, ..., c(r-1)), in the order given.
+
+    The chain's normal form is the left fold, by _collapse_compose, of its
+    edges' normal forms: the operands and order of check_contraction, so
+    the verdict is check_contraction's.  The fold over each path edge is
+    kept, and a circuit whose first k nodes are those of the circuit before
+    it reuses the folds of their first k - 1 edges.  So it costs one
+    _collapse_compose per new edge and one for the closing edge, and the
+    depth-first order of support_circuits makes that about two per circuit.
+    """
+    normal_row = G.normal_row
+    last: Tuple[int, ...] = ()
+    folds: List[GainFn] = []  # folds[m]: normal form of the path's edges 0..m
+    for cycle in circuits:
+        shared = 0
+        for u, v in zip(last, cycle):
+            if u != v:
+                break
+            shared += 1
+        del folds[max(shared - 1, 0):]
+        for v, w in zip(cycle[len(folds):], cycle[len(folds) + 1:]):
+            normal = normal_row(v)[w]
+            folds.append(
+                _collapse_compose(folds[-1], normal) if folds else normal)
+        normal = normal_row(cycle[-1])[cycle[0]]
+        if folds:
+            normal = _collapse_compose(folds[-1], normal)
+        # the raw gains are looked up only if the grid decides
+        gains = map(G.gain, cycle, cycle[1:] + cycle[:1])
+        yield CycleVerdict(cycle, _chain_verdict(normal, gains, grid))
+        last = cycle
 
 
 def _log_weights(G: GainMatrix, comp: Set[int]
@@ -339,10 +390,9 @@ def _log_weights(G: GainMatrix, comp: Set[int]
     weights: Dict[Tuple[int, int], float] = {}
     families = set()
     for v in comp:
-        for w, g in G.rows[v]:
+        for w, g in G.normal_row(v).items():
             if w not in comp:
                 continue
-            g = _collapse(g)
             if isinstance(g, Zero):
                 weights[v, w] = -math.inf
             elif isinstance(g, Linear):
@@ -424,7 +474,7 @@ def _critical_cycles(G: GainMatrix, grid: Optional[GridSpec]
         if weights is None:
             return None
         lam, cycle = _max_cycle_mean(weights)
-        cv = _circuit_verdict(G, cycle, grid)
+        cv, = _circuit_verdicts(G, [cycle], grid)
         scale = max([1.0] + [abs(x) for x in weights.values() if x > -math.inf])
         if abs(lam) > _MEAN_TIE * scale and cv.holds != (lam < 0):
             return None
@@ -441,10 +491,12 @@ def check_small_gain(G: GainMatrix, grid: Optional[GridSpec] = None) -> SmallGai
     listed.  The verdicts are ordered by cycle length, then node set, then
     rotation, and the failing cycle is the first refuted one in that order.
 
-    Each circuit is decided from its node tuple by _circuit_verdict, which
-    hands its gains to check_contraction; the chain is composed only for
-    the grid.  At most ``_LIST_CAP`` (10,000) circuits are listed, and
-    learning that a graph has more only counts node tuples.  Past that, when
+    A row's gains are normalized once per matrix, when a circuit first
+    reads the row (GainMatrix.normal_row), and each circuit's normal form is folded from the prefix it shares with the circuit listed
+    before it (_circuit_verdicts); its verdict is check_contraction's on its
+    chain, which is composed only for the grid.  At most ``_LIST_CAP``
+    (10,000) circuits are listed, and learning that a graph has more only
+    counts node tuples: no circuit is folded.  Past that, when
     every cyclic component is multiplicative (all gains collapse to
     ``Linear``, or all to ``LogExpSq(0.5, .)``), each component is decided
     by the maximum cycle mean of its log weights (Karp): below 0 it holds,
@@ -459,8 +511,7 @@ def check_small_gain(G: GainMatrix, grid: Optional[GridSpec] = None) -> SmallGai
     critical = _critical_cycles(G, grid) if len(head) > _LIST_CAP else None
     verdicts = sorted(
         critical if critical is not None else
-        (_circuit_verdict(G, cycle, grid)
-         for cycle in itertools.chain(head, circuits)),
+        _circuit_verdicts(G, itertools.chain(head, circuits), grid),
         key=_cycle_order)
     failing = next((cv for cv in verdicts if not cv.holds), None)
     return SmallGainReport(
@@ -549,17 +600,27 @@ def matrix_to_json(G: GainMatrix) -> dict:
 def matrix_from_json(d: dict) -> GainMatrix:
     """Parse {"n": n, "gains": [{"i", "j", "fn"}, ...]} with 1-based indices
     and 1 <= n <= MAX_NODES; a later entry for (i, j) replaces an earlier
-    one, and a zero gain removes it."""
+    one, and a zero gain removes it.  n, i and j must be JSON integers: a
+    float, a string or a bool is rejected, not truncated."""
     try:
-        n = int(d["n"])
+        n = _json_int(d, "n")
     except (TypeError, KeyError):
         raise ValueError(f"matrix JSON requires an integer field 'n': {d!r}")
     if not 1 <= n <= MAX_NODES:
         raise ValueError(f"matrix dimension must be 1 to {MAX_NODES}, got {n}")
     rows: Dict[int, Dict[int, GainFn]] = {}
     for item in d.get("gains", []):
-        i, j = int(item["i"]) - 1, int(item["j"]) - 1
+        i, j = _json_int(item, "i") - 1, _json_int(item, "j") - 1
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"gain index out of range: {item}")
         rows.setdefault(i, {})[j] = gain_from_json(item["fn"])
     return GainMatrix(n, tuple(_row(rows.get(i, {}).items()) for i in range(n)))
+
+
+def _json_int(item: dict, key: str) -> int:
+    """item[key], which must be a JSON integer; a bool is not one."""
+    v = item[key]
+    if type(v) is not int:
+        raise ValueError(f"gain matrix field {key!r} must be an integer, "
+                         f"got {v!r}")
+    return v

@@ -414,6 +414,41 @@ def test_config_field_of_wrong_json_type_rejected(tmp_path, capsys, command,
     assert "Traceback" not in err
 
 
+_HALF = {"kind": "linear", "k": 0.5}
+
+
+@pytest.mark.parametrize("gains, message", [
+    ({"n": 2.9, "gains": []},
+     "gain matrix field 'n' must be an integer, got 2.9"),
+    ({"n": True, "gains": []},
+     "gain matrix field 'n' must be an integer, got True"),
+    ({"n": "2", "gains": []},
+     "gain matrix field 'n' must be an integer, got '2'"),
+    ({"n": 2, "gains": [{"i": 1.7, "j": 1, "fn": _HALF}]},
+     "gain matrix field 'i' must be an integer, got 1.7"),
+    ({"n": 2, "gains": [{"i": True, "j": 1, "fn": _HALF}]},
+     "gain matrix field 'i' must be an integer, got True"),
+    ({"n": 2, "gains": [{"i": 1, "j": 2.0, "fn": _HALF}]},
+     "gain matrix field 'j' must be an integer, got 2.0"),
+    ({"n": 1, "gains": [{"i": 1, "j": 1, "fn": {"kind": "linear", "k": "0.5"}}]},
+     "linear parameter 'k' must be a number, got '0.5'"),
+    ({"n": 1, "gains": [{"i": 1, "j": 1, "fn": {"kind": "linear", "k": True}}]},
+     "linear parameter 'k' must be a number, got True"),
+    ({"n": 1, "gains": [{"i": 1, "j": 1, "fn": {
+        "kind": "scale", "k": 1, "fn": {"kind": "power", "k": 0.5, "p": None}}}]},
+     "power parameter 'p' must be a number, got None"),
+], ids=["n-float", "n-bool", "n-string", "i-float", "i-bool", "j-float",
+        "k-string", "k-bool", "nested-null"])
+def test_check_sg_gain_config_numbers_strict(tmp_path, capsys, gains, message):
+    # a float index was truncated, and a bool or a numeric string was taken
+    # as a number: each ran to exit 0 (a null got float()'s message)
+    path = _write(tmp_path / "cfg.json", {"gains": gains})
+    out = tmp_path / "out"
+    assert main(["check-sg", "--input", path, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: config field 'gains': {message}\n"
+    assert not out.exists()
+
+
 _FIELDS = {
     "check-sg": ["seed"],
     "synth": ["seed", "table_points"],

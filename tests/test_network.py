@@ -227,6 +227,114 @@ def test_support_circuits_match_brute_force(rng):
             assert report.witness == failing.verdict.witness
 
 
+def _fold_test_gain(rng):
+    """Every kind the fold meets, nonzero but now and then; Linear(1e-200)
+    twice on a path has a product below the normal floats, so the fold
+    keeps a Compose and the grid decides."""
+    kind = int(rng.integers(0, 8))
+    if kind == 0:
+        return Zero()
+    if kind == 1:
+        return Linear(1e-200)
+    if kind == 2:
+        return Linear(float(rng.uniform(0.2, 1.2)))
+    if kind == 3:
+        return Power(float(rng.uniform(0.5, 1.5)),
+                     float(rng.choice([0.5, 1.0, 2.0])))
+    if kind == 4:
+        return Scale(float(rng.uniform(0.5, 1.2)),
+                     LogExpSq(0.5, float(rng.uniform(0.3, 1.1))))
+    if kind == 5:
+        return Max(Linear(float(rng.uniform(0.0, 0.9))),
+                   LogExpSq(float(rng.uniform(0.2, 0.45)),
+                            float(rng.uniform(0.3, 0.9))))
+    return LogExpSq(0.5, float(rng.uniform(0.3, 1.1)))
+
+
+def _chain(G, cycle):
+    r = len(cycle)
+    return [G.gain(cycle[m], cycle[(m + 1) % r]) for m in range(r)]
+
+
+def test_prefix_fold_matches_check_contraction_per_circuit(rng, monkeypatch):
+    """Dense matrices with self-loops, whose consecutive circuits share long
+    prefixes: each verdict is check_contraction's on the circuit's chain,
+    and the report is the one that deciding each circuit alone gives."""
+    def each_alone(G, circuits, grid):
+        for cycle in circuits:
+            yield network.CycleVerdict(
+                cycle, check_contraction(_chain(G, cycle), grid))
+
+    grid = GridSpec(points=64)
+    kept_compose = 0
+    for _ in range(30):
+        n = int(rng.integers(3, 7))
+        G = GainMatrix.from_entries([[_fold_test_gain(rng) for _ in range(n)]
+                                     for _ in range(n)])
+        report = check_small_gain(G, grid)
+        for cv in report.cycles:
+            chain = _chain(G, cv.cycle)
+            assert cv.verdict == check_contraction(chain, grid)
+            kept_compose += (not cv.verdict.exact
+                             and all(isinstance(g, Linear) for g in chain))
+        with monkeypatch.context() as m:
+            m.setattr(network, "_circuit_verdicts", each_alone)
+            alone = check_small_gain(G, grid)
+        assert report == alone
+        assert json.dumps(report.to_json()) == json.dumps(alone.to_json())
+    assert kept_compose > 0
+
+
+def test_prefix_fold_work_on_complete_digraph(monkeypatch):
+    """Each edge is normalized once, and each circuit composes at most two
+    normal forms: one for the edge it adds to the shared prefix, one for
+    its closing edge."""
+    calls = {"collapse": 0, "compose": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(network, "_collapse",
+                        counted("collapse", network._collapse))
+    monkeypatch.setattr(network, "_collapse_compose",
+                        counted("compose", network._collapse_compose))
+    report = check_small_gain(_complete_digraph(7))
+    assert len(report.cycles) == 2372 and report.holds
+    assert calls["collapse"] == 49
+    assert calls["compose"] <= 2 * 2372
+
+
+def test_only_rows_on_circuits_are_normalized(monkeypatch):
+    """A large acyclic matrix normalizes no edge; a 2-cycle at the head of
+    a long chain normalizes only the rows of its two nodes."""
+    n = 20_000
+    chain = tuple(((i + 1, Linear(0.5)),) for i in range(n - 1)) + ((),)
+
+    def no_collapse(g):
+        raise AssertionError("an edge was normalized")
+    with monkeypatch.context() as m:
+        m.setattr(network, "_collapse", no_collapse)
+        report = check_small_gain(GainMatrix(n, chain))
+        assert report.holds and report.cycles == ()
+        assert check_small_gain(GainMatrix.zeros(n)).holds
+
+    seen = []
+
+    def counted(g):
+        seen.append(g)
+        return collapse(g)
+    collapse = network._collapse
+    monkeypatch.setattr(network, "_collapse", counted)
+    rows = ((((1, Linear(0.4)),), ((0, Linear(0.9)), (2, Linear(3.0))))
+            + chain[2:])
+    report = check_small_gain(GainMatrix(n, rows))
+    assert [cv.cycle for cv in report.cycles] == [(0, 1)] and report.holds
+    assert seen == [Linear(0.4), Linear(0.9), Linear(3.0)]
+
+
 def test_ring_reports_one_cycle():
     n = 30
     G = GainMatrix.zeros(n)

@@ -471,10 +471,15 @@ def _scalar_run_and_reference():
         Signal(kind="sinusoid", amplitude=0.8, frequency=1.3)),
     lambda: _bio_run_and_reference([0.1, 0.1, 0.1],
                                    {"form": "hill", "c": 2.5, "p": 3.5}),
+    lambda: _bio_run_and_reference([0.1, 0.2, 0.1], _MM),
+    lambda: _bio_run_and_reference([0.1, 0.0, 0.2],
+                                   {"form": "hill", "c": 2.5, "p": 3.5}),
+    lambda: _bio_run_and_reference([0.2, 0.1, 0.0], _MM),
     lambda: _zoh_run_and_reference({"kind": "constant", "value": 0.2}),
     lambda: _zoh_run_and_reference({"kind": "state_norm", "value": 0.2}),
     _scalar_run_and_reference,
-], ids=["ldn-no-delay", "delayed-linear", "bio-hill", "zoh-constant",
+], ids=["ldn-no-delay", "delayed-linear", "bio-hill", "bio-two-groups",
+        "bio-present-channel", "bio-present-drives-g", "zoh-constant",
         "zoh-state-norm", "scalar-input"])
 def test_trajectory_matches_plain_rk4_bit_for_bit(run):
     # with the two tests above: every model and coupling, stepped by a
