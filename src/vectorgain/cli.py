@@ -363,6 +363,8 @@ _DISPATCH = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run one command; argv defaults to the process's arguments."""
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "repro":
@@ -385,7 +387,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             "effective_config.json": {"command": args.command, "config": cfg,
                                       "seed": seed},
             "run_meta.json": {"timestamp": datetime.datetime.now(
-                datetime.timezone.utc).isoformat(), "argv": sys.argv[1:]}}
+                datetime.timezone.utc).isoformat(), "argv": argv}}
         out.mkdir(parents=True, exist_ok=True)
         for name, body in files.items():
             path = out / name

@@ -546,6 +546,18 @@ def gain_to_json(g: GainFn) -> dict:
     return d
 
 
+def _describe_json(v) -> str:
+    """A JSON value as an error message shows it: a number, bool, null or
+    short string as its repr, anything else by its JSON type alone, so a
+    message stays short whatever the config holds."""
+    if v is None or isinstance(v, (bool, int, float)) or (
+            isinstance(v, str) and len(v) <= 40):
+        return repr(v)
+    kind = {str: "string", list: "array", dict: "object"}.get(
+        type(v), type(v).__name__)
+    return f"a JSON {kind}"
+
+
 def gain_from_json(d: dict) -> GainFn:
     """Deserialize a gain expression tree; raises GainError on bad input,
     including nesting deeper than MAX_JSON_DEPTH."""
@@ -559,11 +571,12 @@ def _from_json(d: dict, depth: int) -> GainFn:
     try:
         kind = d["kind"]
     except (TypeError, KeyError):
-        raise GainError(f"gain JSON must be an object with a 'kind': {d!r}")
+        raise GainError(f"gain JSON must be an object with a 'kind', "
+                        f"got {_describe_json(d)}")
     try:
         cls, names = _KINDS[kind]
     except (TypeError, KeyError):  # TypeError: an unhashable kind
-        raise GainError(f"unknown gain kind {kind!r}")
+        raise GainError(f"unknown gain kind {_describe_json(kind)}")
     return cls(*[_from_json(d[name], depth + 1) if child
                  else _json_number(kind, name, d[name])
                  for name, child in names])
@@ -574,5 +587,6 @@ def _json_number(kind: str, name: str, v) -> float:
     a string is not one."""
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise GainError(
-            f"{kind} parameter {name!r} must be a number, got {v!r}")
+            f"{kind} parameter {name!r} must be a number, "
+            f"got {_describe_json(v)}")
     return float(v)

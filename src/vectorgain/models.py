@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from math import copysign
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
@@ -146,12 +147,13 @@ def _ldn_parse(p: Dict) -> ParsedModel:
 
 
 def _memo_by_identity(fn):
-    """fn as a function of an array that is computed again only when it is
-    handed a different array object.
+    """fn as a function of a tuple that is computed again only when it is
+    handed a different tuple object.
 
     The integrators hand a right-hand side the same window, delayed value
-    or held state in several RK4 stages, read-only, so what a model
-    derives from it alone is computed once for all those stages.
+    or held state in several RK4 stages, and a tuple cannot change, so
+    what a model derives from it alone is computed once for all those
+    stages.
     """
     last = value = None
 
@@ -169,27 +171,27 @@ def _ldn_rhs(spec: SystemSpec):
     a, c, r = v["a"], v["c"], v["r"]
     d_sig = spec.disturbance_signal
     disturbed = d_sig.kind != "zero"
-    neg_a = -a
+    neg_a = (-a).tolist()
 
+    # the disturbance s scales the coupling; a product with 1.0 is exact
     if v["coupling"] == "sign_aligned":
-        drive = _memo_by_identity(lambda w: (c * w).max(axis=1))  # >= 0
+        # max_j c_ij w_j >= 0, so copysign gives it the sign of x_i
+        drive = _memo_by_identity(lambda w: (c * w).max(axis=1).tolist())
 
         def rhs(t, x, hist):
             # with r = 0 the window [t - r, t] holds the present state alone
-            w = hist.window_absmax(t) if r > 0 else np.abs(x)
+            w = hist.window_absmax(t) if r > 0 else tuple(map(abs, x))
+            s = d_sig(t) if disturbed else 1.0
             # sgn(x) with sgn(+-0) = +1: x + 0.0 turns -0.0 into +0.0
-            g = np.copysign(drive(w), x + 0.0)
-            if disturbed:
-                g *= d_sig(t)
-            return neg_a * x + g
+            return [na * xi + copysign(gi, xi + 0.0) * s
+                    for na, xi, gi in zip(neg_a, x, drive(w))]
     else:
-        lag = _memo_by_identity(lambda xd: c @ xd)
+        lag = _memo_by_identity(lambda xd: (c @ xd).tolist())
 
         def rhs(t, x, hist):
             g = lag(hist.interp(t - r) if r > 0 else x)
-            if disturbed:
-                g = g * d_sig(t)
-            return neg_a * x + g
+            s = d_sig(t) if disturbed else 1.0
+            return [na * xi + gi * s for na, xi, gi in zip(neg_a, x, g)]
 
     return rhs
 
@@ -213,7 +215,15 @@ def make_g(gp: Dict) -> Callable[[float], float]:
         c, p = float(gp.get("c", 1.0)), float(gp["p"])
         _require(0 < c < math.inf and 0 < p < math.inf,
                  "hill g-curve needs finite c > 0, p > 0")
-        return lambda X: c * X ** p / (1.0 + X ** p)
+
+        def hill(X):
+            try:
+                Xp = X ** p
+            except OverflowError:  # past the float range, where an array's
+                Xp = math.inf      # power is inf and the curve inf/inf = NaN
+            return c * Xp / (1.0 + Xp)
+
+        return hill
     raise ModelError(f"unknown g-curve form {form!r}")
 
 
@@ -239,20 +249,22 @@ def _bio_rhs(spec: SystemSpec):
         source = lambda t, x, hist: hist.interp(t - d0)
     else:
         def source(t, x, hist):
-            src = x.copy()
+            src = list(x)
             for d, idx in groups:
-                src[idx] = hist.interp(t - d)[idx]
-            return src
-    prev = np.arange(n) - 1  # channel j - 1 drives channel j; -1 wraps to n - 1
+                xd = hist.interp(t - d)
+                for j in idx:
+                    src[j] = xd[j]
+            return tuple(src)
+    rates = a.tolist()
 
     @_memo_by_identity
     def production(src):  # src[j]: x_j at its own delay
-        out = src.take(prev)
-        out[0] = g(max(src[n - 1], 0.0))
-        return out
+        # channel j - 1 drives channel j, and g of the last drives the first
+        return (g(max(src[n - 1], 0.0)), *src[:n - 1])
 
     def rhs(t, x, hist):
-        return production(source(t, x, hist)) - a * x
+        return [p - ai * xi
+                for p, ai, xi in zip(production(source(t, x, hist)), rates, x)]
 
     return rhs
 
@@ -380,7 +392,8 @@ def _scalar_rhs(spec: SystemSpec):
     u, d = spec.input_signal, spec.disturbance_signal
 
     def rhs(t, x):
-        return -a * x + bu * u(t) + bd * d(t)
+        drive_u, drive_d = bu * u(t), bd * d(t)
+        return [-a * xi + drive_u + drive_d for xi in x]
 
     return rhs
 
@@ -408,10 +421,10 @@ def _zoh_rhs(spec: SystemSpec):
     A_cur = given["A_cur"] if "A_cur" in given else np.zeros((n, n))
     A_hold = given["A_hold"] if "A_hold" in given else -np.eye(n)
 
-    hold = _memo_by_identity(lambda x_held: A_hold @ x_held)
+    hold = _memo_by_identity(lambda x_held: (A_hold @ x_held).tolist())
 
     def rhs(t, x, x_held):
-        return A_cur @ x + hold(x_held)
+        return [p + q for p, q in zip((A_cur @ x).tolist(), hold(x_held))]
 
     return rhs
 
@@ -427,10 +440,13 @@ _REGISTRY: Dict[str, Callable[[Dict], ParsedModel]] = {
 def model_rhs(spec: SystemSpec):
     """Right-hand side builder appropriate to the spec kind.
 
-    The right-hand side may keep what it derives from a window, delayed
-    value or held state for as long as it is handed the same array object,
-    so a caller must never change such an array once it has handed it in.
-    The integrators of `simulate` hand these in read-only.
+    The right-hand side takes the time, the state as a tuple of floats and,
+    by kind, nothing (ode), the delay history (delay) or the held state as
+    a tuple (sampled), and returns dx/dt as a sequence of floats.  The
+    history's queries also return tuples.  The right-hand side may keep
+    what it derives from a window, delayed value or held state for as long
+    as it is handed the same tuple object; a tuple cannot change, so that
+    memo cannot go stale.
     """
     if spec.kind != spec.parsed.kind:
         raise ModelError(

@@ -40,8 +40,8 @@ import numpy as np
 
 from .gains import (
     ARRAY_SLACK, ContractionVerdict, GainFn, GridSpec, Linear, LogExpSq,
-    Zero, _chain_verdict, _collapse, _collapse_compose, gain_from_json,
-    gain_to_json,
+    Zero, _chain_verdict, _collapse, _collapse_compose, _describe_json,
+    gain_from_json, gain_to_json,
 )
 
 __all__ = [
@@ -602,17 +602,20 @@ def matrix_from_json(d: dict) -> GainMatrix:
     and 1 <= n <= MAX_NODES; a later entry for (i, j) replaces an earlier
     one, and a zero gain removes it.  n, i and j must be JSON integers: a
     float, a string or a bool is rejected, not truncated."""
-    try:
-        n = _json_int(d, "n")
-    except (TypeError, KeyError):
-        raise ValueError(f"matrix JSON requires an integer field 'n': {d!r}")
+    if not isinstance(d, dict):
+        raise ValueError(f"matrix JSON must be an object, "
+                         f"got {_describe_json(d)}")
+    if "n" not in d:
+        raise ValueError("matrix JSON requires an integer field 'n'")
+    n = _json_int(d, "n")
     if not 1 <= n <= MAX_NODES:
         raise ValueError(f"matrix dimension must be 1 to {MAX_NODES}, got {n}")
     rows: Dict[int, Dict[int, GainFn]] = {}
     for item in d.get("gains", []):
         i, j = _json_int(item, "i") - 1, _json_int(item, "j") - 1
         if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"gain index out of range: {item}")
+            raise ValueError(f"gain index out of range: i = {i + 1}, "
+                             f"j = {j + 1} with n = {n}")
         rows.setdefault(i, {})[j] = gain_from_json(item["fn"])
     return GainMatrix(n, tuple(_row(rows.get(i, {}).items()) for i in range(n)))
 
@@ -622,5 +625,5 @@ def _json_int(item: dict, key: str) -> int:
     v = item[key]
     if type(v) is not int:
         raise ValueError(f"gain matrix field {key!r} must be an integer, "
-                         f"got {v!r}")
+                         f"got {_describe_json(v)}")
     return v

@@ -6,23 +6,28 @@ equations, and an event loop computing successive sampling instants for
 sampled-data systems.  Fixed stepping is deliberate: reproducibility of
 validation runs matters more than efficiency at this scale.
 
-The states here have a few components, so a step's cost is numpy's
-per-call overhead more than arithmetic, and each step is built to make
-few calls while giving the same floats as the plain formula.  `_rk4`
-builds its coefficients once per step size.  Work that does not change
-between the stages of a step is done once: `_History` memoizes a delayed
-value by its half-step point and a window until its start or end moves,
-and a right-hand side keeps what it derives from such a value, or from a
-held state, for as long as it is handed the same array.  So the arrays
-handed to a right-hand side as a window, delayed value or held state are
-read-only: writing to one raises an error instead of staling a memo.
+The states here have a few components, so the integrators step on
+tuples of Python floats: numpy's per-call overhead would cost more than
+the arithmetic.  Python float +, *, / and abs round as the elementwise
+ufuncs do, and each step keeps the plain formula's order of operations,
+so the floats are those of the same formula on arrays.  A coupling of
+all channels to all, a maximum or a sum over n x n products, stays one
+numpy call in the model.  A delay or ODE run writes its states into one
+float64 array as it goes.
+
+Work that does not change between the stages of a step is done once:
+`_rk4` builds its coefficients once per step size, `_History` memoizes a
+delayed value by its half-step point and a window until its start or end
+moves, and a right-hand side keeps what it derives from such a value, or
+from a held state, for as long as it is handed the same tuple.  A tuple
+cannot be written to, so no memo goes stale.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,6 +40,7 @@ __all__ = [
 ]
 
 ESCAPE_BOUND = 1e12
+_ESCAPE_CLEAR = ESCAPE_BOUND * (1.0 - 1e-9)
 # most steps a run takes: horizon / dt, or a sampled run's node count
 MAX_STEPS = 10_000_000
 DELAY_ALIGN_TOL = 1e-12
@@ -83,31 +89,33 @@ class Trajectory:
             yield f"{float(t)!r}," + ",".join(repr(float(v)) for v in row)
 
 
-def _check_escape(x: np.ndarray, t: float) -> None:
-    # a NaN fails the comparison and an inf exceeds the bound
-    if not abs(x).max() <= ESCAPE_BOUND:
+def _check_escape(x: Sequence[float], t: float) -> None:
+    # math.hypot is the 2-norm to about an ulp, at least the largest |x_i|
+    # and NaN or inf when an entry is, so a norm clearly within the bound
+    # clears the state in one call; any other state is decided entry by
+    # entry, where a NaN fails the comparison and an inf exceeds the bound
+    if not math.hypot(*x) <= _ESCAPE_CLEAR and not all(
+            abs(v) <= ESCAPE_BOUND for v in x):
         raise FiniteEscapeError(t)
 
 
 def _rk4(f, dt: float):
     """The classical RK4 step of dx/dt = f(t, x, *extra) with step dt, as a
-    function step(t, x, *extra) that returns the new state.
+    function step(t, x, *extra) of a tuple x that returns the new state as
+    a tuple.
 
-    dt/2, dt and dt/6 are 0-d float64 arrays, built here once per step
-    size: an array times an array is the same product at less cost than a
-    Python float times one.  2k is k + k, and the update sums
-    ((k1 + 2k2) + 2k3) + k4 in elementwise operations, so no BLAS call or
-    fused multiply-add changes a last bit of the plain formula.
+    dt/2 and dt/6 are computed once per step size.  2k is k + k, and the
+    update is x + (dt/6)(((k1 + 2k2) + 2k3) + k4), one channel at a time.
     """
-    half = 0.5 * dt
-    c_half, c_full, c_sixth = np.array(half), np.array(dt), np.array(dt / 6.0)
+    half, sixth = 0.5 * dt, dt / 6.0
 
-    def step(t: float, x: np.ndarray, *extra) -> np.ndarray:
+    def step(t: float, x: Tuple[float, ...], *extra) -> Tuple[float, ...]:
         k1 = f(t, x, *extra)
-        k2 = f(t + half, x + c_half * k1, *extra)
-        k3 = f(t + half, x + c_half * k2, *extra)
-        k4 = f(t + dt, x + c_full * k3, *extra)
-        return x + c_sixth * (k1 + (k2 + k2) + (k3 + k3) + k4)
+        k2 = f(t + half, tuple([a + half * k for a, k in zip(x, k1)]), *extra)
+        k3 = f(t + half, tuple([a + half * k for a, k in zip(x, k2)]), *extra)
+        k4 = f(t + dt, tuple([a + dt * k for a, k in zip(x, k3)]), *extra)
+        return tuple([a + sixth * (((p + (q + q)) + (r + r)) + s)
+                      for a, p, q, r, s in zip(x, k1, k2, k3, k4)])
 
     return step
 
@@ -134,21 +142,27 @@ def _check_grid(dt: float, horizon: float, r: float = 0.0) -> None:
         raise ConfigError(f"{name} = {count:g} exceeds MAX_STEPS = {MAX_STEPS}")
 
 
+def _initial_state(x0, n: int) -> Tuple[float, ...]:
+    """x0 as a tuple of n finite floats."""
+    x = np.asarray(x0, dtype=float).reshape(n)
+    _check_initial(x, "initial state")
+    return tuple(x.tolist())
+
+
 def integrate_ode(spec: SystemSpec, x0, horizon: float, dt: float) -> Trajectory:
     """RK4 on a uniform grid for an ODE model."""
     if spec.kind != "ode":
         raise ConfigError(f"integrate_ode requires kind='ode', got {spec.kind!r}")
     _check_grid(dt, horizon)
     n = model_dim(spec)
-    x = np.asarray(x0, dtype=float).reshape(n)
-    _check_initial(x, "initial state")
+    x = _initial_state(x0, n)
     step = _rk4(model_rhs(spec), dt)
     steps = int(round(horizon / dt))
     times = dt * np.arange(steps + 1)
     states = np.empty((steps + 1, n))
     states[0] = x
     for k in range(steps):
-        x = step(times[k], x)
+        x = step(float(times[k]), x)
         _check_escape(x, times[k + 1])
         states[k + 1] = x
     return Trajectory(times=times, states=states, dt=dt)
@@ -164,23 +178,25 @@ class _History:
     exact; a delay of at least one step keeps every query at or before the
     newest row.
 
-    interp(t) is row h/2 for even h, else the mean of rows (h -/+ 1)/2.  It
-    is memoized on h, since RK4 stages 2 and 3 query the same half-step
-    point and stage 4 the point of the next step's stage 1; the memo is
-    emptied when it holds INTERP_MEMO points.
+    Both queries return tuples of floats.  interp(t) is row h/2 for even
+    h, else the mean of the points at h -/+ 1.  It is memoized on h, since
+    RK4 stages 2 and 3 query the same half-step point and stage 4 the point
+    of the next step's stage 1, and a mean takes its rows from the memo, so
+    a run reads each row once; the memo is emptied when it holds
+    INTERP_MEMO points.
 
     window_absmax(t) is the per-channel max of |x| over rows
     start = max((h - 2m) // 2, 0) to the newest valid row, m = r/dt: the
     stored nodes of [t - r, t].  The start only moves forward, so a
-    two-stack (van Herk / Gil-Werman) max serves it in O(1) numpy calls
-    for any n.  A frozen block of rows [b0, b1) holds the suffix maxima of
-    |row|, and a running max covers the rows [b1, filled); a window is the
+    two-stack (van Herk / Gil-Werman) max serves it in O(n) per query.  A
+    frozen block of rows [b0, b1) holds the suffix maxima of |row|, as an
+    array, and a running max covers the rows [b1, filled); a window is the
     max of the suffix row at its start and the running max.  When the start
-    passes b1, rows [start, filled) become the new block, a rebuild that
-    comes about once per m steps.  The first window query builds the first
-    block, so a model that never asks for a window builds no window
-    state.  The result is memoized on (start, filled), which RK4 stages 1-3
-    of a step share.
+    passes b1, rows [start, filled) become the new block, a rebuild in a
+    few numpy calls that comes about once per m steps.  The first window
+    query builds the first block, so a model that never asks for a window
+    builds no window state.  The result is memoized on (start, filled),
+    which RK4 stages 1-3 of a step share.
     """
 
     def __init__(self, states: np.ndarray, dt: float, t0: float, m: int,
@@ -204,38 +220,45 @@ class _History:
     def _half_steps(self, t: float) -> int:
         return round(2.0 * (t - self.t0) / self.dt)
 
-    def interp(self, t: float) -> np.ndarray:
-        h = self._half_steps(t)
+    def interp(self, t: float) -> Tuple[float, ...]:
+        return self._point(self._half_steps(t))
+
+    def _point(self, h: int) -> Tuple[float, ...]:
         value = self._interp.get(h)
         if value is None:
-            i, odd = divmod(h, 2)
-            value = (0.5 * (self.states[i] + self.states[i + 1]) if odd
-                     else self.states[i])
-            value.flags.writeable = False  # a writer would stale the memos
+            if h % 2:  # the mean of the rows at h -/+ 1, each read once
+                value = tuple([0.5 * (a + b) for a, b in
+                               zip(self._point(h - 1), self._point(h + 1))])
+            else:
+                value = tuple(self.states[h // 2].tolist())
             if len(self._interp) == INTERP_MEMO:
                 self._interp.clear()
             self._interp[h] = value
         return value
 
-    def window_absmax(self, t: float) -> np.ndarray:
+    def window_absmax(self, t: float) -> Tuple[float, ...]:
         start = max((self._half_steps(t) - 2 * self.m) // 2, 0)
         key = (start, self.filled)
         if key != self._window_key:
             if start >= self._b1:
                 rows = np.abs(self.states[start:self.filled])
                 self._suffix = np.maximum.accumulate(rows[::-1])[::-1]
-                self._running = np.zeros(rows.shape[1])  # max of no |row|
+                self._running = (0.0,) * rows.shape[1]  # max of no |row|
                 self._b0 = start
                 self._b1 = self._pushed = self.filled
+            running = self._running
             for k in range(self._pushed, self.filled):
-                np.maximum(self._running, np.abs(self.states[k]),
-                           out=self._running)
-            self._pushed = self.filled
+                running = _max2(running, map(abs, self.states[k].tolist()))
+            self._running, self._pushed = running, self.filled
             self._window_key = key
-            self._window = np.maximum(self._suffix[start - self._b0],
-                                      self._running)
-            self._window.flags.writeable = False
+            self._window = _max2(self._suffix[start - self._b0].tolist(),
+                                 running)
         return self._window
+
+
+def _max2(u, v) -> Tuple[float, ...]:
+    """The channelwise max of two sequences of floats without NaN."""
+    return tuple([q if q > p else p for p, q in zip(u, v)])
 
 
 def _history_array(history, r: float, dt: float, n: int) -> np.ndarray:
@@ -284,7 +307,7 @@ def integrate_delay(spec: SystemSpec, history, horizon: float,
     states[: m + 1] = hist_states
     hist = _History(states, dt, float(times[0]), m, filled=m + 1)
     step = _rk4(model_rhs(spec), dt)
-    x = states[m].copy()
+    x = tuple(states[m].tolist())
     for k in range(steps):
         # a Python float: the same value, cheaper arithmetic in every stage
         t = float(times[m + k])
@@ -311,15 +334,15 @@ def integrate_sampled(spec: SystemSpec, x0, horizon: float,
         raise ConfigError(
             f"integrate_sampled requires kind='sampled', got {spec.kind!r}")
     _check_grid(dt, horizon)
-    n = model_dim(spec)
-    x = np.asarray(x0, dtype=float).reshape(n)
-    _check_initial(x, "initial state")
+    x = _initial_state(x0, model_dim(spec))
     rhs = model_rhs(spec)
     dtilde = spec.dtilde
     tau = 0.0
     t_end = horizon
     times: List[float] = [tau]
-    states: List[np.ndarray] = [x.copy()]
+    # one array of states per interval: a tuple's floats live no longer
+    # than the interval that made them
+    states: List[np.ndarray] = [np.array([x])]
     sampling: List[float] = [tau]
     while tau < t_end - 1e-15:
         h_val = spec.period(x)
@@ -339,19 +362,18 @@ def integrate_sampled(spec: SystemSpec, x0, horizon: float,
             raise ConfigError(f"sampled run longer than MAX_STEPS = {MAX_STEPS}")
         hstep = span / substeps
         step = _rk4(rhs, hstep)
-        # a step returns a new array; the held state is never written
-        held = x
-        held.flags.writeable = False
+        held, rows = x, []
         for k in range(substeps):
             t = tau + k * hstep
             x = step(t, x, held)
             _check_escape(x, t + hstep)
             times.append(t + hstep)
-            states.append(x)
+            rows.append(x)
+        states.append(np.array(rows))
         tau = tau_next
         if tau <= t_end + 1e-15:
             sampling.append(tau)
-    return Trajectory(times=np.asarray(times), states=np.asarray(states),
+    return Trajectory(times=np.asarray(times), states=np.concatenate(states),
                       dt=dt, sampling_times=np.asarray(sampling))
 
 

@@ -53,6 +53,16 @@ def test_check_sg_negative_exit_2(tmp_path):
     assert "gas_witness" in report
 
 
+def test_run_meta_records_the_arguments_main_parsed(tmp_path, sg_config,
+                                                    monkeypatch):
+    # an in-process call records its own argv, not the host process's
+    monkeypatch.setattr(sys, "argv", ["host", "--unrelated"])
+    argv = ["check-sg", "--input", sg_config, "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    meta = json.loads((tmp_path / "out" / "run_meta.json").read_text())
+    assert meta["argv"] == argv
+
+
 def test_overwrite_protection(tmp_path, sg_config):
     out = tmp_path / "out"
     assert main(["check-sg", "--input", sg_config, "--out", str(out)]) == 0
@@ -214,6 +224,22 @@ def test_simulate_finite_escape_exit_2(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["status"] == "finite-escape"
     assert report["escape_time"] > 0
+
+
+def test_simulate_hill_curve_past_the_float_range_escapes(tmp_path, capsys):
+    # 1e9 ** 40 is past the float range: the Hill curve is inf / inf = NaN,
+    # as it is on arrays, so the first step escapes; no traceback, no warning
+    cfg = _write(tmp_path / "sim.json", {
+        "system": {"kind": "delay", "model": "biochem_circuit",
+                   "params": {"a": [1.0, 1.0], "tau": [0.1, 0.1],
+                              "g": {"form": "hill", "c": 2.0, "p": 40}}},
+        "analysis": {"horizon": 1.0, "dt": 0.01, "history": [1e9, 1e9]}})
+    out = tmp_path / "out"
+    assert main(["simulate", "--input", cfg, "--out", str(out)]) == 2
+    report = json.loads((out / "report.json").read_text())
+    assert report["status"] == "finite-escape"
+    assert report["escape_time"] == 0.01
+    assert capsys.readouterr() == ("finite escape at t = 0.01\n", "")
 
 
 def test_simulate_delay_network_without_delay(tmp_path, capsys):
@@ -447,6 +473,38 @@ def test_check_sg_gain_config_numbers_strict(tmp_path, capsys, gains, message):
     assert main(["check-sg", "--input", path, "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: config field 'gains': {message}\n"
     assert not out.exists()
+
+
+_BIG = [{"i": 1, "j": 1, "fn": _HALF}] * 100_000
+
+
+@pytest.mark.parametrize("gains, message", [
+    (_BIG, "matrix JSON must be an object, got a JSON array"),
+    ({"gains": _BIG}, "matrix JSON requires an integer field 'n'"),
+    ({"n": _BIG, "gains": []},
+     "gain matrix field 'n' must be an integer, got a JSON array"),
+    ({"n": 1, "gains": [{"i": 2, "j": 1, "fn": {"kind": "linear", "k": 0.5,
+                                               "pad": _BIG}}]},
+     "gain index out of range: i = 2, j = 1 with n = 1"),
+    ({"n": 1, "gains": [{"i": 1, "j": 1, "fn": {"k": _BIG}}]},
+     "gain JSON must be an object with a 'kind', got a JSON object"),
+    ({"n": 1, "gains": [{"i": 1, "j": 1, "fn": {"kind": "x" * 100_000}}]},
+     "unknown gain kind a JSON string"),
+    ({"n": 1, "gains": [{"i": 1, "j": 1, "fn": {"kind": "linear",
+                                               "k": _BIG}}]},
+     "linear parameter 'k' must be a number, got a JSON array"),
+], ids=["array", "no-n", "n-array", "index-out-of-range", "no-kind",
+        "long-kind", "k-array"])
+def test_gain_config_error_names_the_field_not_its_value(tmp_path, capsys,
+                                                         gains, message):
+    # the message names the field, never its value: echoing a 100,000-entry
+    # matrix whole took 5.4 MB of stderr
+    path = _write(tmp_path / "cfg.json", {"gains": gains})
+    out = tmp_path / "out"
+    assert main(["check-sg", "--input", path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: config field 'gains': {message}\n"
+    assert len(err.encode()) < 1024
 
 
 _FIELDS = {

@@ -119,7 +119,8 @@ def test_make_g_forms():
 # -- right-hand sides against row-wise transcriptions -----------------------
 
 class _StubHistory:
-    """Stands in for the integrator's history: made-up functions of t.
+    """Stands in for the integrator's history: made-up functions of t, as
+    tuples of floats.
 
     interp returns multiples of 1/16, so with coefficients in eighths every
     product and partial sum of a delayed_linear row is exact and the
@@ -133,13 +134,16 @@ class _StubHistory:
         self.w = rng.uniform(0.0, 1.5, n)
 
     def interp(self, t):
-        return np.round(16.0 * self.amp * np.cos(self.freq * t)) / 16.0
+        return tuple((np.round(16.0 * self.amp * np.cos(self.freq * t))
+                      / 16.0).tolist())
 
     def window_absmax(self, t):
-        return self.w * (1.0 + 0.1 * math.sin(t))
+        return tuple((self.w * (1.0 + 0.1 * math.sin(t))).tolist())
 
 
 def _same_bits(got, ref):
+    # a right-hand side returns a sequence of floats; compare it as floats
+    got = np.array(got, dtype=float)
     return got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
 
@@ -175,6 +179,7 @@ def test_ldn_rhs_matches_rowwise_formula(coupling, disturbance):
     for t in np.linspace(0.0, 5.0, 41):
         x = rng.standard_normal(n)
         x[rng.choice(n, 2, replace=False)] = (0.0, -0.0)
+        x = tuple(x.tolist())  # a state is a tuple of floats
         assert _same_bits(rhs(t, x, hist), _ldn_rowwise(p, disturbance, t, x, hist))
 
 
@@ -198,7 +203,7 @@ def test_bio_rhs_matches_channelwise_formula(g, tau):
     hist = _StubHistory(3, 8)
     rng = np.random.default_rng(9)
     for t in np.linspace(0.0, 3.0, 31):
-        x = rng.uniform(-0.5, 3.0, 3)
+        x = tuple(rng.uniform(-0.5, 3.0, 3).tolist())
         assert _same_bits(rhs(t, x, hist), _bio_channelwise(p, t, x, hist))
 
 
