@@ -3,7 +3,8 @@
 Each model is registered under a name with one parse function, which a
 `SystemSpec` runs once, on construction: it checks that every parameter is
 finite and in range and returns the model's kind, dimension, delays,
-right-hand-side builder and the parsed values that every reader uses.
+right-hand side, worst-case channel derivative (or None) and the parsed
+values that every reader uses, and a spec of another kind is rejected.
 Model parameters arrive as plain dicts so specs stay JSON round-trippable.
 """
 
@@ -19,7 +20,7 @@ import numpy as np
 from .signals import Signal, signal_from_json, signal_to_json
 
 __all__ = [
-    "SystemSpec", "ModelError", "model_dim", "model_delays", "make_g",
+    "SystemSpec", "ModelError", "make_g",
     "biochem_equilibrium", "biochem_hypothesis", "spec_from_json",
     "spec_to_json",
 ]
@@ -33,12 +34,19 @@ class ModelError(ValueError):
 class ParsedModel:
     """A model's checked parameters: the system kind it runs as, its
     dimension, its distinct positive delays (ascending), its right-hand-side
-    builder and the parsed values, by name, that its readers use."""
+    builder, its worst-case channel-derivative builder or None, and the
+    parsed values, by name, that its readers use.
+
+    A worst-case channel derivative maps a batch of points (channel indices
+    i, values x_i, rows of delayed levels V_j, input magnitudes u) to the
+    sup of dv_i/dt over admissible disturbances and delayed arguments
+    within the Razumikhin bounds sqrt(2 V_j)."""
 
     kind: str
     dim: int
     delays: List[float]
     rhs: Callable[[SystemSpec], Callable]
+    deriv_sup: Optional[Callable[[SystemSpec], Callable]]
     values: Dict[str, object]
 
 
@@ -74,6 +82,8 @@ class SystemSpec:
             raise ModelError(f"unknown model {self.model!r}; "
                              f"known: {sorted(_REGISTRY)}")
         self.parsed = _REGISTRY[self.model](self.params)
+        _require(self.kind == self.parsed.kind,
+                 f"model {self.model!r} does not support kind {self.kind!r}")
         self.period = _parse_period(self.h)
 
 
@@ -97,20 +107,6 @@ def _parse_period(h: Optional[Dict]) -> Callable[[np.ndarray], float]:
         # h(x) = h0 / (1 + |x|): faster sampling far from the origin
         return lambda x: h0 / (1.0 + float(np.linalg.norm(x)))
     raise ModelError(f"unknown sampling-period kind {kind!r}")
-
-
-def model_dim(spec: SystemSpec) -> int:
-    return spec.parsed.dim
-
-
-def model_delays(spec: SystemSpec) -> List[float]:
-    """Distinct positive delays the model reads from its history."""
-    return spec.parsed.delays
-
-
-def max_delay(spec: SystemSpec) -> float:
-    ds = model_delays(spec)
-    return max(ds) if ds else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +139,7 @@ def _ldn_parse(p: Dict) -> ParsedModel:
     _require(coupling in ("sign_aligned", "delayed_linear"),
              "linear_delay_network: unknown coupling mode")
     return ParsedModel("delay", a.size, [r] if r > 0 else [], _ldn_rhs,
+                       _ldn_deriv_sup,
                        {"a": a, "c": c, "r": r, "bu": bu, "coupling": coupling})
 
 
@@ -196,6 +193,18 @@ def _ldn_rhs(spec: SystemSpec):
     return rhs
 
 
+def _ldn_deriv_sup(spec: SystemSpec):
+    v = spec.parsed.values
+    a, c, bu = v["a"], v["c"], v["bu"]
+
+    def dsup(idx: np.ndarray, x: np.ndarray, V: np.ndarray,
+             u: np.ndarray) -> np.ndarray:
+        drive = np.max(c[idx] * np.sqrt(2.0 * V), axis=1) + bu * np.abs(u)
+        return -a[idx] * x * x + np.abs(x) * drive
+
+    return dsup
+
+
 # ---------------------------------------------------------------------------
 # biochemical control circuit:
 #   dX_1 = g(X_n(t - tau_n)) - a_1 X_1
@@ -235,7 +244,8 @@ def _bio_parse(p: Dict) -> ParsedModel:
     _require(tau.shape == a.shape and np.all((0 <= tau) & (tau < math.inf)),
              "biochem_circuit: tau must match a and be finite and >= 0")
     return ParsedModel("delay", a.size, sorted({float(t) for t in tau if t > 0}),
-                       _bio_rhs, {"a": a, "tau": tau, "g": make_g(p["g"])})
+                       _bio_rhs, _bio_deriv_sup,
+                       {"a": a, "tau": tau, "g": make_g(p["g"])})
 
 
 def _bio_rhs(spec: SystemSpec):
@@ -267,6 +277,33 @@ def _bio_rhs(spec: SystemSpec):
                 for p, ai, xi in zip(production(source(t, x, hist)), rates, x)]
 
     return rhs
+
+
+def _bio_deriv_sup(spec: SystemSpec):
+    a, g = spec.parsed.values["a"], spec.parsed.values["g"]
+    xn_star = float(biochem_equilibrium(spec)[-1])
+    g_star = g(xn_star)
+    n = a.size
+
+    def dsup(idx: np.ndarray, x: np.ndarray, V: np.ndarray,
+             u: np.ndarray) -> np.ndarray:
+        out = np.empty(x.size)
+        first = idx == 0
+        # channel 1: the g-curve of the delayed last level, on a 41-point grid
+        x0 = x[first][:, None]
+        bound = np.sqrt(2.0 * V[first, n - 1])
+        ws = np.linspace(-bound, bound, 41, axis=1)
+        out[first] = np.max(a[0] * x0 * (g(xn_star * np.exp(ws)) / g_star
+                                          * np.exp(-x0) - 1.0), axis=1)
+        # cascade channels: the delayed predecessor at -bound, 0 or bound
+        rest = ~first
+        i, xr = idx[rest], x[rest][:, None]
+        bound = np.sqrt(2.0 * V[rest, i - 1])
+        ws = np.stack([-bound, np.zeros_like(bound), bound], axis=1)
+        out[rest] = np.max(a[i][:, None] * xr * (np.exp(ws - xr) - 1.0), axis=1)
+        return out
+
+    return dsup
 
 
 def biochem_equilibrium(spec: SystemSpec, x_hi: float = 1e6,
@@ -383,7 +420,8 @@ def _scalar_parse(p: Dict) -> ParsedModel:
     _require(0 < a < math.inf, "scalar_linear: a must be finite and > 0")
     _require(math.isfinite(bu) and math.isfinite(bd),
              "scalar_linear: bu and bd must be finite")
-    return ParsedModel("ode", 1, [], _scalar_rhs, {"a": a, "bu": bu, "bd": bd})
+    return ParsedModel("ode", 1, [], _scalar_rhs, None,
+                       {"a": a, "bu": bu, "bd": bd})
 
 
 def _scalar_rhs(spec: SystemSpec):
@@ -411,7 +449,7 @@ def _zoh_parse(p: Dict) -> ParsedModel:
     for key, A in given.items():
         _require(A.shape == (n, n) and np.all(np.isfinite(A)),
                  f"zoh_linear: {key} must be {n} x {n} and finite")
-    return ParsedModel("sampled", n, [], _zoh_rhs, given)
+    return ParsedModel("sampled", n, [], _zoh_rhs, None, given)
 
 
 def _zoh_rhs(spec: SystemSpec):
@@ -438,7 +476,7 @@ _REGISTRY: Dict[str, Callable[[Dict], ParsedModel]] = {
 
 
 def model_rhs(spec: SystemSpec):
-    """Right-hand side builder appropriate to the spec kind.
+    """The right-hand side of the spec's model.
 
     The right-hand side takes the time, the state as a tuple of floats and,
     by kind, nothing (ode), the delay history (delay) or the held state as
@@ -448,9 +486,6 @@ def model_rhs(spec: SystemSpec):
     as it is handed the same tuple object; a tuple cannot change, so that
     memo cannot go stale.
     """
-    if spec.kind != spec.parsed.kind:
-        raise ModelError(
-            f"model {spec.model!r} does not support kind {spec.kind!r}")
     return spec.parsed.rhs(spec)
 
 

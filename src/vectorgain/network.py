@@ -24,7 +24,8 @@ it, a strongly connected component whose gains all collapse to ``Linear``
 cycles all contract exactly when the maximum cycle mean of the log weights
 is below 0.  Karp's algorithm (Discrete Math. 23(3), 1978) computes that
 mean in O(n*m) time, and only one critical cycle per component is listed.
-Any other component over the cap is still decided circuit by circuit.
+If any component over the cap is not multiplicative, every circuit of
+every component is listed.
 """
 
 from __future__ import annotations
@@ -176,6 +177,17 @@ def _gamma_step(G: GainMatrix, xs: List[float]) -> List[float]:
             vals.insert(0, 0.0)
         out.append(max(vals))
     return out
+
+
+def _gamma_block(G: GainMatrix, X: np.ndarray) -> Iterator[np.ndarray]:
+    """Gamma's rows, max_j gamma_ij(X[j]), on the K columns of an (n, K)
+    array, each made when asked for, so a caller can stop early.  Only the
+    support entries are evaluated; a NaN gain value passes on."""
+    for row in G.rows:
+        y = np.zeros(X.shape[1])
+        for j, g in row:
+            y = np.maximum(y, g(X[j]))
+        yield y
 
 
 def q_operator(G: GainMatrix, x) -> np.ndarray:
@@ -504,7 +516,7 @@ def check_small_gain(G: GainMatrix, grid: Optional[GridSpec] = None) -> SmallGai
     contraction verdict of its critical cycle decides.  ``cycles`` then
     holds that critical cycle alone per component and ``critical_only`` is
     set.  Otherwise, or where a critical cycle's verdict disagrees with
-    the sign of its mean, every circuit is listed, whatever their number.
+    the sign of its mean, every circuit of every component is listed.
     """
     circuits = support_circuits(G)
     head = list(itertools.islice(circuits, _LIST_CAP + 1))
@@ -553,10 +565,7 @@ def gas_witness_search(G: GainMatrix, samples: int = 100_000,
     for start in range(0, samples, rows):
         X = np.exp(rng.uniform(lo, hi, size=(min(rows, samples - start), G.n)))
         hits = np.ones(X.shape[0], dtype=bool)
-        for i, row in enumerate(G.rows):
-            y = np.zeros(X.shape[0])
-            for j, g in row:
-                y = np.maximum(y, g(X[:, j]))
+        for i, y in enumerate(_gamma_block(G, X.T)):
             hits &= y >= X[:, i] * (1.0 - ARRAY_SLACK)
             if not hits.any():
                 break

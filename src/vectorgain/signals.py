@@ -3,7 +3,8 @@
 Every signal is a pure function of time described by a small JSON-able
 record, so simulation runs are reproducible from config alone.  The
 "noise" kind is seeded piecewise-constant: the value on interval k is the
-k-th draw of a fixed generator, independent of evaluation order.
+k-th draw of a fixed generator, independent of evaluation order.  One
+table, `_FIELDS`, names each kind's fields and drives the JSON both ways.
 """
 
 from __future__ import annotations
@@ -22,18 +23,20 @@ class Signal:
     """Scalar signal of time.  kinds: zero, constant, sinusoid, piecewise, noise."""
 
     kind: str = "zero"
-    value: float = 0.0                      # constant
-    amplitude: float = 0.0                  # sinusoid / noise
-    frequency: float = 1.0                  # sinusoid (Hz)
-    phase: float = 0.0                      # sinusoid
-    times: Optional[List[float]] = None     # piecewise breakpoints (ascending)
-    values: Optional[List[float]] = None    # piecewise values, len == len(times)
-    seed: int = 0                           # noise
-    dt_switch: float = 1.0                  # noise switching period
-    _noise_cache: List[float] = field(default_factory=list, repr=False)
+    value: float = 0.0
+    amplitude: float = 0.0
+    frequency: float = 1.0                  # Hz
+    phase: float = 0.0
+    times: Optional[List[float]] = None     # breakpoints, ascending
+    values: Optional[List[float]] = None    # one per breakpoint
+    seed: int = 0
+    dt_switch: float = 1.0                  # switching period
+    # the draws made so far; neither an init argument nor compared
+    _noise_cache: List[float] = field(default_factory=list, init=False,
+                                      compare=False, repr=False)
 
     def __post_init__(self):
-        if self.kind not in ("zero", "constant", "sinusoid", "piecewise", "noise"):
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown signal kind {self.kind!r}")
         numbers = [self.value, self.amplitude, self.frequency, self.phase,
                    self.dt_switch, *(self.times or ()), *(self.values or ())]
@@ -80,16 +83,28 @@ class Signal:
         return cache[k]
 
 
+def _floats(values) -> List[float]:
+    return [float(v) for v in values]
+
+
+# the fields each kind reads, by name, with the conversion of a JSON value
+_FIELDS = {
+    "zero": {},
+    "constant": {"value": float},
+    "sinusoid": {"amplitude": float, "frequency": float, "phase": float},
+    "piecewise": {"times": _floats, "values": _floats},
+    "noise": {"amplitude": float, "seed": int, "dt_switch": float},
+}
+_KINDS = tuple(_FIELDS)
+# the fields a signal's JSON must give; the others take the class default
+_REQUIRED = frozenset({"value", "amplitude", "times", "values"})
+
+
 def signal_to_json(sig: Signal) -> dict:
     d = {"kind": sig.kind}
-    if sig.kind == "constant":
-        d["value"] = sig.value
-    elif sig.kind == "sinusoid":
-        d.update(amplitude=sig.amplitude, frequency=sig.frequency, phase=sig.phase)
-    elif sig.kind == "piecewise":
-        d.update(times=list(sig.times), values=list(sig.values))
-    elif sig.kind == "noise":
-        d.update(amplitude=sig.amplitude, seed=sig.seed, dt_switch=sig.dt_switch)
+    for name in _FIELDS[sig.kind]:
+        v = getattr(sig, name)
+        d[name] = list(v) if isinstance(v, (list, tuple)) else v
     return d
 
 
@@ -97,19 +112,8 @@ def signal_from_json(d: Optional[dict]) -> Signal:
     if d is None:
         return Signal()
     kind = d.get("kind", "zero")
-    if kind == "zero":
-        return Signal()
-    if kind == "constant":
-        return Signal(kind="constant", value=float(d["value"]))
-    if kind == "sinusoid":
-        return Signal(kind="sinusoid", amplitude=float(d["amplitude"]),
-                      frequency=float(d.get("frequency", 1.0)),
-                      phase=float(d.get("phase", 0.0)))
-    if kind == "piecewise":
-        return Signal(kind="piecewise", times=[float(t) for t in d["times"]],
-                      values=[float(v) for v in d["values"]])
-    if kind == "noise":
-        return Signal(kind="noise", amplitude=float(d["amplitude"]),
-                      seed=int(d.get("seed", 0)),
-                      dt_switch=float(d.get("dt_switch", 1.0)))
-    raise ValueError(f"unknown signal kind {kind!r}")
+    if kind not in _KINDS:
+        raise ValueError(f"unknown signal kind {kind!r}")
+    return Signal(kind=kind, **{
+        name: convert(d[name]) for name, convert in _FIELDS[kind].items()
+        if name in d or name in _REQUIRED})

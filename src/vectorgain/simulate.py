@@ -31,7 +31,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .models import SystemSpec, max_delay, model_delays, model_dim, model_rhs
+from .models import SystemSpec, model_rhs
 
 __all__ = [
     "Trajectory", "SimulationError", "FiniteEscapeError", "ConfigError",
@@ -154,7 +154,7 @@ def integrate_ode(spec: SystemSpec, x0, horizon: float, dt: float) -> Trajectory
     if spec.kind != "ode":
         raise ConfigError(f"integrate_ode requires kind='ode', got {spec.kind!r}")
     _check_grid(dt, horizon)
-    n = model_dim(spec)
+    n = spec.parsed.dim
     x = _initial_state(x0, n)
     step = _rk4(model_rhs(spec), dt)
     steps = int(round(horizon / dt))
@@ -289,15 +289,16 @@ def integrate_delay(spec: SystemSpec, history, horizon: float,
     """
     if spec.kind != "delay":
         raise ConfigError(f"integrate_delay requires kind='delay', got {spec.kind!r}")
-    r = max_delay(spec)
+    delays = spec.parsed.delays
+    r = max(delays, default=0.0)
     _check_grid(dt, horizon, r)  # history rows and steps share one buffer
-    for tau in model_delays(spec):
+    for tau in delays:
         ratio = tau / dt
         k = round(ratio)
         if k < 1 or abs(ratio - k) > DELAY_ALIGN_TOL * max(1.0, ratio):
             raise ConfigError(
                 f"delay {tau} is not a positive integer multiple of dt = {dt}")
-    n = model_dim(spec)
+    n = spec.parsed.dim
     m = int(round(r / dt))
     hist_states = _history_array(history, r, dt, n)
     _check_initial(hist_states, "history")
@@ -334,7 +335,7 @@ def integrate_sampled(spec: SystemSpec, x0, horizon: float,
         raise ConfigError(
             f"integrate_sampled requires kind='sampled', got {spec.kind!r}")
     _check_grid(dt, horizon)
-    x = _initial_state(x0, model_dim(spec))
+    x = _initial_state(x0, spec.parsed.dim)
     rhs = model_rhs(spec)
     dtilde = spec.dtilde
     tau = 0.0

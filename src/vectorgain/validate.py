@@ -1,7 +1,8 @@
 """Trajectory- and sample-based validation of the stability certificates.
 
 Three checks live here: sampled falsification of the per-channel decay
-implication (premise on the gains, conclusion on the Lyapunov derivative),
+implication (premise on the gains, conclusion on the worst-case Lyapunov
+derivative that the model's registry entry gives, where it has one),
 tail-based convergence verdicts on simulated trajectories, and the
 asymptotic-gain bound of each Lyapunov channel against the synthesized
 channel maps.  All are evidence at the reported sampling density or
@@ -17,8 +18,8 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from .gains import GainFn, Zero
-from .models import SystemSpec, biochem_equilibrium
-from .network import GainMatrix
+from .models import SystemSpec
+from .network import GainMatrix, _gamma_block
 from .simulate import Trajectory
 
 __all__ = [
@@ -94,66 +95,16 @@ class LyapunovSetup:
             raise ValueError("rho_list length must equal the matrix dimension")
 
 
-# ---------------------------------------------------------------------------
-# Per-model worst-case channel derivatives.  Each evaluator receives a batch
-# of sampled points (channel indices, pointwise values x_i, rows of delayed
-# channel levels V_j, input magnitudes u) and returns, for each point, the
-# supremum of the channel derivative over admissible disturbances and
-# delayed arguments within the Razumikhin bounds sqrt(2 V_j).
-# ---------------------------------------------------------------------------
-
-def _ldn_deriv_sup(spec: SystemSpec):
-    v = spec.parsed.values
-    a, c, bu = v["a"], v["c"], v["bu"]
-
-    def dsup(idx: np.ndarray, x: np.ndarray, V: np.ndarray,
-             u: np.ndarray) -> np.ndarray:
-        drive = np.max(c[idx] * np.sqrt(2.0 * V), axis=1) + bu * np.abs(u)
-        return -a[idx] * x * x + np.abs(x) * drive
-
-    return dsup
-
-
-def _biochem_deriv_sup(spec: SystemSpec):
-    a, g = spec.parsed.values["a"], spec.parsed.values["g"]
-    xn_star = float(biochem_equilibrium(spec)[-1])
-    g_star = g(xn_star)
-    n = a.size
-
-    def dsup(idx: np.ndarray, x: np.ndarray, V: np.ndarray,
-             u: np.ndarray) -> np.ndarray:
-        out = np.empty(x.size)
-        first = idx == 0
-        # channel 1: the g-curve of the delayed last level, on a 41-point grid
-        x0 = x[first][:, None]
-        bound = np.sqrt(2.0 * V[first, n - 1])
-        ws = np.linspace(-bound, bound, 41, axis=1)
-        out[first] = np.max(a[0] * x0 * (g(xn_star * np.exp(ws)) / g_star
-                                          * np.exp(-x0) - 1.0), axis=1)
-        # cascade channels: the delayed predecessor at -bound, 0 or bound
-        rest = ~first
-        i, xr = idx[rest], x[rest][:, None]
-        bound = np.sqrt(2.0 * V[rest, i - 1])
-        ws = np.stack([-bound, np.zeros_like(bound), bound], axis=1)
-        out[rest] = np.max(a[i][:, None] * xr * (np.exp(ws - xr) - 1.0), axis=1)
-        return out
-
-    return dsup
-
-
-_DERIV_SUP = {
-    "linear_delay_network": _ldn_deriv_sup,
-    "biochem_circuit": _biochem_deriv_sup,
-}
-
-
-def _deriv_sup(spec: SystemSpec):
-    try:
-        return _DERIV_SUP[spec.model](spec)
-    except KeyError:
+def _checked_dsup(setup: LyapunovSetup, model: SystemSpec):
+    """The model's worst-case channel derivative, for a setup with rho_list."""
+    if setup.rho_list is None:
+        raise ValueError("implication check requires rho_list")
+    build = model.parsed.deriv_sup
+    if build is None:
         raise ValueError(
             f"implication check has no derivative evaluator for model "
-            f"{spec.model!r}")
+            f"{model.model!r}")
+    return build(model)
 
 
 def _violations(setup: LyapunovSetup, dsup, idx: np.ndarray, x: np.ndarray,
@@ -165,10 +116,9 @@ def _violations(setup: LyapunovSetup, dsup, idx: np.ndarray, x: np.ndarray,
     ok = np.ones(x.size, dtype=bool)
     if not isinstance(setup.zeta, Zero):
         ok &= setup.zeta(np.abs(u)) <= q
-    for i, row in enumerate(G.rows):
-        r = np.flatnonzero(idx == i)
-        for j, g in row:
-            ok[r] &= g(V[r, j]) <= q[r]
+    # each point's premise is its own channel's row of Gamma at or below q
+    for i, row_i in enumerate(_gamma_block(G, V.T)):
+        ok &= (idx != i) | (row_i <= q)
     hit = np.flatnonzero(ok)
     ih, qh = idx[hit], q[hit]
     deriv = dsup(ih, x[hit], V[hit], u[hit])
@@ -201,10 +151,8 @@ def check_implication(setup: LyapunovSetup, model: SystemSpec,
     only when the input gain is not Zero, the log-inputs ``uniform(lo, hi,
     B)``, with lo, hi = log(1e-6 * radius), log(radius).
     """
-    if setup.rho_list is None:
-        raise ValueError("implication check requires rho_list")
+    dsup = _checked_dsup(setup, model)
     n = setup.gains.n
-    dsup = _deriv_sup(model)
     rng = np.random.default_rng(seed)
     has_input = not isinstance(setup.zeta, Zero)
     violations: List[Dict] = []
@@ -224,10 +172,8 @@ def recheck_violation(setup: LyapunovSetup, model: SystemSpec,
                       violation: Dict, tol_impl: float = TOL_IMPL) -> bool:
     """Re-evaluate one reported violation point in isolation: a batch of
     one sample through the code of check_implication."""
-    if setup.rho_list is None:
-        raise ValueError("implication check requires rho_list")
     return bool(_violations(
-        setup, _deriv_sup(model), np.array([violation["i"] - 1]),
+        setup, _checked_dsup(setup, model), np.array([violation["i"] - 1]),
         np.array([float(violation["x_i"])]),
         np.asarray(violation["V"], dtype=float).reshape(1, setup.gains.n),
         np.array([float(violation.get("u", 0.0))]), tol_impl))

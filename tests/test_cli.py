@@ -637,10 +637,12 @@ def _input(**signal):
      _ODE_RUN, "piecewise signal needs finite numbers"),
     (_input(kind="constant", value=math.nan), _ODE_RUN,
      "constant signal needs finite numbers"),
+    (dict(_BIO, kind="ode"), _ODE_RUN,
+     "model 'biochem_circuit' does not support kind 'ode'"),
 ], ids=["ldn-r-nan", "bio-tau-nan", "ldn-a-nan", "ldn-c-inf", "bio-g-c-nan",
         "scalar-a-nan", "zoh-a-hold-nan", "bio-no-nodes", "h-nan",
         "h-unknown-kind", "noise-amplitude-nan", "noise-amplitude-huge",
-        "piecewise-time-nan", "constant-input-nan"])
+        "piecewise-time-nan", "constant-input-nan", "kind-not-the-models"])
 def test_simulate_system_not_finite_or_out_of_range_rejected(
         tmp_path, capsys, system, run, err):
     path = _write(tmp_path / "cfg.json", {"system": system, "analysis": run})

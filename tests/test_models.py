@@ -6,7 +6,7 @@ import pytest
 
 from vectorgain.models import (
     ModelError, SystemSpec, biochem_equilibrium, biochem_hypothesis, make_g,
-    model_delays, model_dim, model_rhs, spec_from_json, spec_to_json,
+    model_rhs, spec_from_json, spec_to_json,
 )
 from vectorgain.signals import Signal, signal_from_json, signal_to_json
 
@@ -61,15 +61,53 @@ def test_signal_validation():
 
 
 def test_signal_json_round_trip():
-    for sig in [Signal(), Signal(kind="constant", value=3.0),
-                Signal(kind="sinusoid", amplitude=1.0, frequency=2.0, phase=0.3),
-                Signal(kind="piecewise", times=[0.0, 1.0], values=[1.0, 0.0]),
-                Signal(kind="noise", amplitude=0.5, seed=3, dt_switch=0.25)]:
+    every_kind = [
+        (Signal(), {"kind": "zero"}),
+        (Signal(kind="constant", value=3.0),
+         {"kind": "constant", "value": 3.0}),
+        (Signal(kind="sinusoid", amplitude=1.0, frequency=2.0, phase=0.3),
+         {"kind": "sinusoid", "amplitude": 1.0, "frequency": 2.0,
+          "phase": 0.3}),
+        (Signal(kind="piecewise", times=[0.0, 1.0], values=[1.0, 0.0]),
+         {"kind": "piecewise", "times": [0.0, 1.0], "values": [1.0, 0.0]}),
+        (Signal(kind="noise", amplitude=0.5, seed=3, dt_switch=0.25),
+         {"kind": "noise", "amplitude": 0.5, "seed": 3, "dt_switch": 0.25}),
+    ]
+    for sig, wire in every_kind:
+        sig(2.7)  # a noise signal draws, and keeps its draws, on evaluation
         d = signal_to_json(sig)
-        json.dumps(d)
-        sig2 = signal_from_json(d)
+        assert d == wire and list(d) == list(wire)
+        sig2 = signal_from_json(json.loads(json.dumps(d)))
+        assert sig2 == sig
         for t in (0.0, 0.3, 2.7):
             assert sig2(t) == sig(t)
+
+
+def test_signal_json_optional_fields_take_the_defaults():
+    assert signal_from_json({"kind": "sinusoid", "amplitude": 2}) == Signal(
+        kind="sinusoid", amplitude=2.0, frequency=1.0, phase=0.0)
+    noise = signal_from_json({"kind": "noise", "amplitude": 1, "seed": 4.0})
+    assert noise == Signal(kind="noise", amplitude=1.0, seed=4, dt_switch=1.0)
+    assert type(noise.seed) is int
+    assert signal_from_json(None) == signal_from_json({}) == Signal()
+    for wire, missing in [({"kind": "constant"}, "value"),
+                          ({"kind": "sinusoid", "phase": 1.0}, "amplitude"),
+                          ({"kind": "noise", "seed": 1}, "amplitude"),
+                          ({"kind": "piecewise", "times": [0.0]}, "values")]:
+        with pytest.raises(KeyError) as exc:
+            signal_from_json(wire)
+        assert exc.value.args == (missing,)
+    with pytest.raises(ValueError, match="unknown signal kind 'ramp'"):
+        signal_from_json({"kind": "ramp"})
+
+
+def test_noise_draws_are_neither_an_argument_nor_compared():
+    with pytest.raises(TypeError):
+        Signal(kind="noise", amplitude=1.0, _noise_cache=[99.0])
+    a = Signal(kind="noise", amplitude=1.0, seed=5)
+    b = Signal(kind="noise", amplitude=1.0, seed=5)
+    a(10.0)
+    assert a == b and b(10.0) == a(10.0)
 
 
 # -- registry and validation ------------------------------------------------
@@ -85,8 +123,8 @@ def test_linear_delay_network_validation():
     ok = SystemSpec(kind="delay", model="linear_delay_network",
                     params={"a": [1.0, 1.0], "c": [[0.1, 0.2], [0.3, 0.4]],
                             "r": 0.5})
-    assert model_dim(ok) == 2
-    assert model_delays(ok) == [0.5]
+    assert ok.parsed.dim == 2
+    assert ok.parsed.delays == [0.5]
     with pytest.raises(ModelError):
         SystemSpec(kind="delay", model="linear_delay_network",
                    params={"a": [1.0], "c": [[0.1, 0.2]], "r": 0.5})
@@ -99,12 +137,25 @@ def test_biochem_validation():
     ok = SystemSpec(kind="delay", model="biochem_circuit",
                     params={"a": [1.0, 2.0], "tau": [0.1, 0.2],
                             "g": {"form": "mm", "c": 3.0, "K": 1.0}})
-    assert model_dim(ok) == 2
-    assert set(model_delays(ok)) == {0.1, 0.2}
+    assert ok.parsed.dim == 2
+    assert set(ok.parsed.delays) == {0.1, 0.2}
     with pytest.raises(ModelError):
         SystemSpec(kind="delay", model="biochem_circuit",
                    params={"a": [1.0], "tau": [0.1],
                            "g": {"form": "mm", "c": -1.0, "K": 1.0}})
+
+
+@pytest.mark.parametrize("kind, model, params", [
+    ("ode", "biochem_circuit",
+     {"a": [1.0], "tau": [0.1], "g": {"form": "mm", "c": 3.0, "K": 1.0}}),
+    ("sampled", "linear_delay_network", {"a": [1.0], "c": [[0.5]]}),
+    ("delay", "scalar_linear", {}),
+    ("ode", "zoh_linear", {"n": 1}),
+])
+def test_kind_must_be_the_models(kind, model, params):
+    with pytest.raises(ModelError, match=(
+            f"^model '{model}' does not support kind '{kind}'$")):
+        SystemSpec(kind=kind, model=model, params=params)
 
 
 def test_make_g_forms():
@@ -278,3 +329,25 @@ def test_spec_json_round_trip():
     assert spec2.h == {"kind": "constant", "value": 0.25}
     assert spec2.dtilde(1.0) == spec.dtilde(1.0)
     assert spec2.input_signal(0.0) == 1.0
+    assert spec2 == spec
+    noise = Signal(kind="noise", amplitude=0.4, seed=9, dt_switch=0.05)
+    specs = [
+        SystemSpec(kind="sampled", model="zoh_linear",
+                   params={"n": 1, "A_hold": [[-2.0]]},
+                   h={"kind": "state_norm", "value": 0.2}, dtilde=noise,
+                   input_signal=Signal(kind="sinusoid", amplitude=1.0)),
+        SystemSpec(kind="delay", model="linear_delay_network",
+                   params={"a": [1.0, 2.0], "c": [[0.0, 0.5], [0.5, 0.0]],
+                           "r": 0.1},
+                   disturbance_signal=Signal(kind="piecewise",
+                                             times=[0.0, 1.0],
+                                             values=[0.5, -0.5])),
+        SystemSpec(kind="ode", model="scalar_linear", params={"a": 2.0},
+                   input_signal=Signal(kind="noise", amplitude=1.0, seed=2)),
+    ]
+    noise(3.0)  # the noise draws are kept, and not compared
+    specs[2].input_signal(7.5)
+    for spec in specs:
+        d = json.loads(json.dumps(spec_to_json(spec)))
+        assert spec_from_json(d) == spec
+

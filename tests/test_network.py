@@ -601,6 +601,52 @@ def test_over_cap_lists_each_circuit_of_other_components():
     report = check_small_gain(G)
     assert not report.critical_only and len(report.cycles) == 16_072
     assert not report.holds
+    # a dense linear block and, apart from it, a 2-cycle of Power gains:
+    # the linear block's circuits are listed one by one too
+    rows = [[Zero()] * 10 for _ in range(10)]
+    for i in range(8):
+        rows[i][:8] = [Linear(0.5)] * 8
+    rows[8][9] = rows[9][8] = Power(0.5, 2.0)
+    report = check_small_gain(GainMatrix.from_entries(rows))
+    assert not report.critical_only and len(report.cycles) == 16_073
+    assert sum(max(cv.cycle) < 8 for cv in report.cycles) == 16_072
+    assert (8, 9) in [cv.cycle for cv in report.cycles]
+
+
+@pytest.mark.parametrize("k", [0.5, 2.0])
+def test_over_cap_mean_that_disagrees_lists_every_circuit(monkeypatch, k):
+    # a maximum cycle mean of the wrong sign, beyond the tie band, leaves
+    # the component to the circuit-by-circuit listing
+    karp, calls = network._max_cycle_mean, []
+
+    def wrong_sign(weights):
+        lam, cycle = karp(weights)
+        calls.append(lam)
+        return -lam, cycle
+    monkeypatch.setattr(network, "_max_cycle_mean", wrong_sign)
+    report = check_small_gain(_dense(8, np.full((8, 8), k)))
+    assert calls == [pytest.approx(math.log(k))]
+    assert not report.critical_only and len(report.cycles) == 16_072
+    assert report.holds == (k < 1)
+
+
+def test_witness_sampler_stops_at_the_first_row_without_a_hit():
+    # row 0 has no coupling, so no sample has Gamma(x)_0 >= x_0 and the
+    # gains of row 1 are never evaluated
+    seen = []
+
+    @dataclass(frozen=True)
+    class Seen(GainFn):
+        def _eval(self, s):
+            seen.append(s)
+            return s
+    G = GainMatrix.from_entries([[Zero(), Zero()], [Seen(), Zero()]])
+    no_cycles = SmallGainReport(holds=True, cycles=())
+    assert gas_witness_search(G, samples=1000, report=no_cycles) is None
+    assert seen == []
+    rows = network._gamma_block(G, np.ones((2, 3)))
+    assert next(rows).tolist() == [0.0, 0.0, 0.0] and seen == []
+    assert next(rows).tolist() == [1.0, 1.0, 1.0] and len(seen) == 1
 
 
 def test_over_cap_one_critical_cycle_per_component():

@@ -54,14 +54,23 @@ def test_implication_falsified_with_shrunk_gain():
 
 def test_implication_requires_rho():
     setup = LyapunovSetup(gains=GainMatrix.zeros(1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="requires rho_list"):
         check_implication(setup, _scalar_model())
+    with pytest.raises(ValueError, match="requires rho_list"):
+        recheck_violation(setup, _scalar_model(), {"i": 1, "x_i": 1.0,
+                                                   "V": [1.0]})
 
 
 def test_implication_unknown_model_rejected():
+    no_derivative = ("implication check has no derivative evaluator for "
+                     "model 'scalar_linear'")
     spec = SystemSpec(kind="ode", model="scalar_linear", params={"a": 1.0})
-    with pytest.raises(ValueError):
+    assert spec.parsed.deriv_sup is None
+    with pytest.raises(ValueError, match=no_derivative):
         check_implication(_scalar_setup(), spec)
+    with pytest.raises(ValueError, match=no_derivative):
+        recheck_violation(_scalar_setup(), spec, {"i": 1, "x_i": 1.0,
+                                                  "V": [1.0]})
 
 
 def test_implication_network_instance():
