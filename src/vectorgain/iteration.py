@@ -41,30 +41,32 @@ class IterationResult:
 def iterate(G: GainMatrix, x0, max_steps: int = 200,
             tol_conv: float = TOL_CONV) -> IterationResult:
     """Apply Gamma repeatedly until the max-norm drops below tol_conv,
-    exceeds the divergence bound, or max_steps is exhausted."""
+    exceeds the divergence bound, or max_steps is exhausted.
+
+    The iterates are stepped as lists of Python floats and stacked into
+    one array at the end; sup_norm_trace is read off that array's rows."""
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
-    x = as_plus_vec(x0, G.n)
-    xs = x.tolist()
-    iterates: List[np.ndarray] = [x]
-    trace: List[float] = [float(x.max())]
+    xs = as_plus_vec(x0, G.n).tolist()
+    iterates: List[List[float]] = [xs]
     for steps in range(max_steps + 1):
-        if trace[-1] < tol_conv:
+        # nan if any entry is, as numpy's max; Python's keeps a leading one only
+        top = math.nan if any(map(math.isnan, xs)) else max(xs)
+        if top < tol_conv:
             status = "converged"
             break
-        if trace[-1] > DIVERGENCE_BOUND:
+        if top > DIVERGENCE_BOUND:
             status = "diverged"
             break
         if steps == max_steps:
             status = "stalled"
             break
         xs = _gamma_step(G, xs)
-        x = np.array(xs)
-        iterates.append(x)
-        trace.append(float(x.max()))
+        iterates.append(xs)
     rows = np.array(iterates)
     rows.flags.writeable = False
-    return IterationResult(rows, status, steps, tuple(trace))
+    return IterationResult(rows, status, steps,
+                           tuple(rows.max(axis=1).tolist()))
 
 
 def sandwich_oracle(G: GainMatrix, x, y, max_steps: int = 200,
@@ -104,17 +106,15 @@ def lfp_bound_check(G: GainMatrix, a, max_steps: int = 1000,
     av = as_plus_vec(a, G.n)
     if not check_small_gain(G).holds:
         raise ValueError("precondition: small-gain condition not established")
-    x = av.copy()
+    a_list = x = av.tolist()
     for _ in range(max_steps):
-        y = _gamma_step(G, x.tolist())
+        y = _gamma_step(G, x)
         if not all(map(math.isfinite, y)):  # the last step has no next one
             raise ValueError(_VEC_ENTRIES)
-        nxt = np.maximum(av, y)
-        if np.max(np.abs(nxt - x)) < tol_conv:
-            x = nxt
+        prev, x = x, list(map(max, a_list, y))
+        if max(map(abs, map(operator.sub, x, prev))) < tol_conv:
             break
-        x = nxt
     else:
         raise RuntimeError(
             f"fixed-point iteration did not settle in {max_steps} steps")
-    return bool(np.all(x <= q_operator(G, av) + tol_conv))
+    return bool(np.all(np.less_equal(x, q_operator(G, av) + tol_conv)))

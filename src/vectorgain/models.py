@@ -17,6 +17,7 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
+from .gains import _describe_json
 from .signals import Signal, signal_from_json, signal_to_json
 
 __all__ = [
@@ -500,6 +501,14 @@ def spec_to_json(spec: SystemSpec) -> dict:
 
 
 def spec_from_json(d: dict) -> SystemSpec:
+    _require(isinstance(d, dict),
+             f"system must be an object, got {_describe_json(d)}")
+    for name in ("params", "h", "input_signal", "disturbance_signal", "dtilde"):
+        v = d.get(name, {})
+        # params, when given, must be an object; the others may also be null
+        _require(isinstance(v, dict) or (v is None and name != "params"),
+                 f"system field {name!r} must be an object, "
+                 f"got {_describe_json(v)}")
     return SystemSpec(
         kind=d["kind"], model=d["model"], params=d.get("params", {}),
         input_signal=signal_from_json(d.get("input_signal")),

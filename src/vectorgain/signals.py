@@ -15,7 +15,12 @@ from typing import List, Optional
 
 import numpy as np
 
-__all__ = ["Signal", "signal_from_json", "signal_to_json"]
+from .gains import _describe_json
+
+__all__ = ["Signal", "signal_from_json", "signal_to_json", "MAX_NOISE_DRAWS"]
+
+# most values a noise signal draws; later intervals are refused
+MAX_NOISE_DRAWS = 10_000_000
 
 
 @dataclass
@@ -70,14 +75,19 @@ class Signal:
                     break
             return v
         # noise
-        k = max(0, int(math.floor(t / self.dt_switch)))
+        q = t / self.dt_switch  # inf for a subnormal dt_switch
+        if q >= MAX_NOISE_DRAWS:
+            raise ValueError(
+                f"noise signal at t = {t:g} needs more than {MAX_NOISE_DRAWS} "
+                f"draws; raise dt_switch ({self.dt_switch:g})")
+        k = max(0, int(math.floor(q)))
         cache = self._noise_cache
         if k >= len(cache):
             # the draws of one generator are a prefix of any longer batch, so
             # redrawing at least twice as many keeps every value and makes
             # a forward sweep over K intervals cost O(K)
             rng = np.random.default_rng(self.seed)
-            size = max(k + 1, 2 * len(cache))
+            size = min(max(k + 1, 2 * len(cache)), MAX_NOISE_DRAWS)
             cache[:] = list(rng.uniform(-self.amplitude, self.amplitude,
                                         size=size))
         return cache[k]
@@ -111,6 +121,8 @@ def signal_to_json(sig: Signal) -> dict:
 def signal_from_json(d: Optional[dict]) -> Signal:
     if d is None:
         return Signal()
+    if not isinstance(d, dict):
+        raise ValueError(f"signal must be an object, got {_describe_json(d)}")
     kind = d.get("kind", "zero")
     if kind not in _KINDS:
         raise ValueError(f"unknown signal kind {kind!r}")

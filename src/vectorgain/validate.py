@@ -110,7 +110,7 @@ def _checked_dsup(setup: LyapunovSetup, model: SystemSpec):
 def _violations(setup: LyapunovSetup, dsup, idx: np.ndarray, x: np.ndarray,
                 V: np.ndarray, u: np.ndarray, tol_impl: float) -> List[Dict]:
     """The points of a batch where the premise holds and the decay
-    conclusion fails, in batch order."""
+    conclusion fails, in batch order, as dicts of .tolist() columns."""
     G = setup.gains
     q = 0.5 * x * x
     ok = np.ones(x.size, dtype=bool)
@@ -120,15 +120,15 @@ def _violations(setup: LyapunovSetup, dsup, idx: np.ndarray, x: np.ndarray,
     for i, row_i in enumerate(_gamma_block(G, V.T)):
         ok &= (idx != i) | (row_i <= q)
     hit = np.flatnonzero(ok)
-    ih, qh = idx[hit], q[hit]
-    deriv = dsup(ih, x[hit], V[hit], u[hit])
+    idx, x, V, u, q = idx[hit], x[hit], V[hit], u[hit], q[hit]  # hits only
+    deriv = dsup(idx, x, V, u)
     bound = np.empty(hit.size)
     for i, rho in enumerate(setup.rho_list):
-        bound[ih == i] = -rho(qh[ih == i])
-    return [{"i": int(idx[k]) + 1, "x_i": float(x[k]),
-             "V": V[k].tolist(), "u": float(u[k]),
-             "derivative": float(deriv[m]), "bound": float(bound[m])}
-            for m, k in enumerate(hit) if deriv[m] > bound[m] + tol_impl]
+        bound[idx == i] = -rho(q[idx == i])
+    bad = np.flatnonzero(deriv > bound + tol_impl)
+    cols = (idx + 1, x, V, u, deriv, bound)
+    return [dict(zip(("i", "x_i", "V", "u", "derivative", "bound"), row))
+            for row in zip(*(c[bad].tolist() for c in cols))]
 
 
 def check_implication(setup: LyapunovSetup, model: SystemSpec,

@@ -257,6 +257,39 @@ def test_simulate_delay_network_without_delay(tmp_path, capsys):
         assert err.startswith("error: ") if code else err == ""
 
 
+@pytest.mark.parametrize("system, message", [
+    ({"input_signal": "step"},
+     "system field 'input_signal' must be an object, got 'step'"),
+    ({"params": [1]}, "system field 'params' must be an object, got a JSON "
+                      "array"),
+])
+def test_simulate_system_field_not_an_object(tmp_path, capsys, system,
+                                             message):
+    cfg = _write(tmp_path / "sim.json", {
+        "system": {"kind": "ode", "model": "scalar_linear", **system},
+        "analysis": {"horizon": 1.0, "dt": 0.01, "x0": [1.0]}})
+    out = tmp_path / "out"
+    assert main(["simulate", "--input", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: config field 'system': {message}\n")
+    assert not out.exists()
+
+
+def test_simulate_noise_past_the_draw_cap_exits_1(tmp_path, capsys):
+    # interval t / dt_switch = 5e9 at the first half step
+    cfg = _write(tmp_path / "sim.json", {
+        "system": {"kind": "ode", "model": "scalar_linear",
+                   "input_signal": {"kind": "noise", "amplitude": 1.0,
+                                    "dt_switch": 1e-12}},
+        "analysis": {"horizon": 1.0, "dt": 0.01, "x0": [1.0]}})
+    out = tmp_path / "out"
+    assert main(["simulate", "--input", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error (simulate): noise signal at t = 0.005 needs more than "
+        "10000000 draws; raise dt_switch (1e-12)\n")
+    assert not out.exists()
+
+
 def test_validate_convergence_and_gain(tmp_path):
     cfg = _write(tmp_path / "val.json", {
         "system": {"kind": "ode", "model": "scalar_linear",

@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vectorgain.gains import Linear, Power, Scale, Zero
-from vectorgain.iteration import iterate, sandwich_oracle, lfp_bound_check
-from vectorgain.network import GainMatrix, gamma_apply, q_operator
+from vectorgain.gains import Linear, LogExpSq, Power, Scale, Zero
+from vectorgain.iteration import (
+    DIVERGENCE_BOUND, iterate, sandwich_oracle, lfp_bound_check,
+)
+from vectorgain.network import (
+    GainMatrix, _gamma_step, as_plus_vec, gamma_apply, q_operator,
+)
 from vectorgain.recipes import random_linear_matrix
 from conftest import random_verified_matrix
 
@@ -85,6 +91,83 @@ def test_non_finite_step_raises_value_error():
                                   [Zero(), Zero(), Zero()]])
     with pytest.raises(ValueError, match="finite"):
         q_operator(G3, [0.0, 5.0, 0.0])  # Gamma(x) holds inf, Gamma^2 raises
+
+
+# Scale(0, Power(1, 500)) turns 5.0 into 0 * inf = nan
+_NAN_GAIN = Scale(0.0, Power(1.0, 500.0))
+
+
+@pytest.mark.parametrize("entries, max_steps, outcome", [
+    # a step of [5e13, nan]: its max is nan, not past the divergence bound
+    ([[Zero(), Linear(1e13)], [_NAN_GAIN, Zero()]], 200, "raises"),
+    # a step of [0.0, nan]: its max is nan, not below tol_conv
+    ([[Zero(), Zero()], [_NAN_GAIN, Zero()]], 200, "raises"),
+    ([[Zero(), Zero()], [_NAN_GAIN, Zero()]], 1, "stalled"),
+])
+def test_nan_anywhere_in_a_step_decides_its_stopping_test(entries, max_steps,
+                                                          outcome):
+    G = GainMatrix.from_entries(entries)
+    if outcome == "raises":
+        with pytest.raises(ValueError, match="finite"):
+            iterate(G, [5.0, 5.0], max_steps=max_steps)
+        return
+    res = iterate(G, [5.0, 5.0], max_steps=max_steps)
+    assert (res.status, res.steps) == ("stalled", 1)
+    assert repr(res.sup_norm_trace) == "(5.0, nan)"
+
+
+def _numpy_step_iterate(G, x0, max_steps, tol_conv):
+    """iterate as it was written with one numpy array and max per step."""
+    x = as_plus_vec(x0, G.n)
+    xs = x.tolist()
+    iterates = [x]
+    trace = [float(x.max())]
+    for steps in range(max_steps + 1):
+        if trace[-1] < tol_conv:
+            status = "converged"
+            break
+        if trace[-1] > DIVERGENCE_BOUND:
+            status = "diverged"
+            break
+        if steps == max_steps:
+            status = "stalled"
+            break
+        xs = _gamma_step(G, xs)
+        x = np.array(xs)
+        iterates.append(x)
+        trace.append(float(x.max()))
+    return np.array(iterates), status, steps, tuple(trace)
+
+
+_GAINS = st.one_of(
+    st.just(Zero()),
+    st.builds(Linear, st.floats(0.0, 3.0)),
+    st.builds(Power, st.floats(0.0, 3.0), st.floats(0.2, 3.0)),
+    st.builds(LogExpSq, st.floats(0.01, 2.0), st.floats(0.01, 3.0)))
+_STARTS = st.one_of(st.sampled_from([0.0, -0.0, 1e-12]), st.floats(0.0, 50.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(_GAINS, min_size=n, max_size=n), min_size=n,
+             max_size=n),
+    st.lists(_STARTS, min_size=n, max_size=n))),
+    st.integers(1, 80), st.sampled_from([1e-9, 1e-3, 0.5]))
+def test_iterate_matches_numpy_step_loop(case, max_steps, tol_conv):
+    entries, x0 = case
+    G = GainMatrix.from_entries(entries)
+    try:
+        rows, status, steps, trace = _numpy_step_iterate(G, x0, max_steps,
+                                                         tol_conv)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            iterate(G, x0, max_steps, tol_conv)
+        return
+    res = iterate(G, x0, max_steps, tol_conv)
+    assert res.iterates.shape == rows.shape
+    assert res.iterates.tobytes() == rows.tobytes()
+    assert (res.status, res.steps) == (status, steps)
+    assert repr(res.sup_norm_trace) == repr(trace)
 
 
 def test_iterates_monotone_from_dominating_start(rng):

@@ -8,6 +8,7 @@ from vectorgain.models import (
     ModelError, SystemSpec, biochem_equilibrium, biochem_hypothesis, make_g,
     model_rhs, spec_from_json, spec_to_json,
 )
+import vectorgain.signals as signals
 from vectorgain.signals import Signal, signal_from_json, signal_to_json
 
 
@@ -99,6 +100,8 @@ def test_signal_json_optional_fields_take_the_defaults():
         assert exc.value.args == (missing,)
     with pytest.raises(ValueError, match="unknown signal kind 'ramp'"):
         signal_from_json({"kind": "ramp"})
+    with pytest.raises(ValueError, match="signal must be an object, got 'x'"):
+        signal_from_json("x")
 
 
 def test_noise_draws_are_neither_an_argument_nor_compared():
@@ -108,6 +111,49 @@ def test_noise_draws_are_neither_an_argument_nor_compared():
     b = Signal(kind="noise", amplitude=1.0, seed=5)
     a(10.0)
     assert a == b and b(10.0) == a(10.0)
+
+
+def test_noise_past_the_draw_cap_raises_before_drawing(monkeypatch):
+    def no_generator(seed):
+        raise AssertionError("a generator was made")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    for dt_switch in (1e-9, 1e-320):  # t / 1e-320 overflows to inf
+        sig = Signal(kind="noise", amplitude=1.0, dt_switch=dt_switch)
+        with pytest.raises(ValueError, match="raise dt_switch"):
+            sig(1.0)
+
+
+def test_noise_draws_below_the_cap_keep_their_values(monkeypatch):
+    free = Signal(kind="noise", amplitude=1.0, seed=3)
+    expected = [free(float(k)) for k in range(10)]
+    monkeypatch.setattr(signals, "MAX_NOISE_DRAWS", 10)
+    capped = Signal(kind="noise", amplitude=1.0, seed=3)
+    assert capped(6.0) == expected[6]  # draws 7 values
+    assert capped(7.0) == expected[7]  # draws 10, not 14
+    assert len(capped._noise_cache) == 10
+    assert [capped(float(k)) for k in range(10)] == expected
+    with pytest.raises(ValueError, match="more than 10 draws"):
+        capped(10.0)
+
+
+@pytest.mark.parametrize("system, message", [
+    ([1], "system must be an object, got a JSON array"),
+    ({"kind": "ode", "model": "scalar_linear", "params": None},
+     "system field 'params' must be an object, got None"),
+    ({"kind": "ode", "model": "scalar_linear", "input_signal": "step"},
+     "system field 'input_signal' must be an object, got 'step'"),
+    ({"kind": "ode", "model": "scalar_linear", "disturbance_signal": 1},
+     "system field 'disturbance_signal' must be an object, got 1"),
+    ({"kind": "sampled", "model": "zoh_linear", "h": [0.1]},
+     "system field 'h' must be an object, got a JSON array"),
+    ({"kind": "sampled", "model": "zoh_linear", "dtilde": True},
+     "system field 'dtilde' must be an object, got True"),
+])
+def test_spec_json_that_is_not_an_object_rejected(system, message):
+    with pytest.raises(ModelError) as exc:
+        spec_from_json(system)
+    assert str(exc.value) == message
 
 
 # -- registry and validation ------------------------------------------------

@@ -1,13 +1,16 @@
 """Compare the output of every benchmark op between two source trees.
 
     python3 tools/op_digests.py OLD_SRC NEW_SRC [--seeds 0 7 201]
+                                [--workload W ...]
 
 OLD_SRC and NEW_SRC are ``src/`` directories, each holding a ``vectorgain``
 package.  Each tree runs in its own process, which imports the package from
 that tree and runs every op of ``vgbench/workloads.py`` (the workload
 definitions of this checkout) once per workload and seed, recording the
 op's ``Op.digest`` (for a CLI op: exit code, stdout and every artifact but
-``run_meta.json``) and the number of problems its check finds.  The two
+``run_meta.json``) and the number of problems its check finds.
+``--workload W``, which may be repeated, restricts both trees to the named
+workloads of ``BENCHMARK.json``; by default all of them run.  The two
 trees run one after the other in the same work directory, since ``synth``
 prints its output directory and so a different path changes its digest.
 
@@ -29,10 +32,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 VGBENCH = ROOT / "vgbench"
+WORKLOADS = [w["name"] for w in
+             json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
-def emit(src: Path, seeds, work: Path) -> None:
-    """Run every op against the package in src; print one JSON line each."""
+def emit(src: Path, seeds, workloads, work: Path) -> None:
+    """Run every op of the named workloads against the package in src;
+    print one JSON line each."""
     sys.path[:0] = [str(src), str(VGBENCH)]
     import numpy as np
     from workloads import WORKLOADS as BUILD
@@ -41,7 +47,8 @@ def emit(src: Path, seeds, work: Path) -> None:
     importlib.import_module("vectorgain.cli")
     if Path(vg.__file__).resolve().parent.parent != src:
         raise ImportError(f"vectorgain imported from {vg.__file__}, not {src}")
-    for workload, build in BUILD.items():
+    for workload in workloads:
+        build = BUILD[workload]
         for seed in seeds:
             where = work / f"{workload}-{seed}"
             shutil.rmtree(where, ignore_errors=True)
@@ -60,9 +67,11 @@ def emit(src: Path, seeds, work: Path) -> None:
             shutil.rmtree(where, ignore_errors=True)
 
 
-def collect(src: Path, seeds, work: Path) -> dict:
+def collect(src: Path, seeds, workloads, work: Path) -> dict:
     cmd = [sys.executable, __file__, "--emit", str(src), "--work", str(work),
            "--seeds", *map(str, seeds)]
+    for workload in workloads:
+        cmd += ["--workload", workload]
     out = subprocess.run(cmd, check=True, stdout=subprocess.PIPE, text=True)
     rows = (json.loads(line) for line in out.stdout.splitlines())
     return {row["op"]: row for row in rows}
@@ -92,17 +101,21 @@ def main(argv=None) -> int:
     parser.add_argument("trees", nargs="*", type=Path, metavar="SRC",
                         help="the OLD and the NEW src/ directory")
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 7, 201])
+    parser.add_argument("--workload", action="append", choices=WORKLOADS,
+                        help="run only this workload (repeatable; "
+                             "default: all)")
     parser.add_argument("--emit", type=Path, help=argparse.SUPPRESS)
     parser.add_argument("--work", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
+    workloads = args.workload or WORKLOADS
     if args.emit is not None:
-        emit(args.emit.resolve(), args.seeds, args.work)
+        emit(args.emit.resolve(), args.seeds, workloads, args.work)
         return 0
     if len(args.trees) != 2:
         parser.error("give two src/ directories, OLD and NEW")
     with tempfile.TemporaryDirectory(prefix="op-digests-") as tmp:
         work = Path(tmp)
-        old, new = (collect(src.resolve(), args.seeds, work)
+        old, new = (collect(src.resolve(), args.seeds, workloads, work)
                     for src in args.trees)
         return compare(old, new)
 
