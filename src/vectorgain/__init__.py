@@ -23,7 +23,7 @@ from .models import (
 )
 from .simulate import (
     ConfigError, FiniteEscapeError, SimulationError, Trajectory,
-    integrate_delay, integrate_ode, integrate_sampled, log_transform,
+    integrate_delay, integrate_sampled, log_transform,
 )
 from .validate import (
     InconclusiveError, LyapunovSetup, check_asymptotic_gain, check_convergence,

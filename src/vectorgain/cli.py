@@ -12,8 +12,10 @@ becomes an exit-2 report here) and then writes, in this order:
 ``effective_config.json`` (the config as given plus the seed used, so a
 run of the same version is reproducible from its artifacts alone) and
 ``run_meta.json`` (wall-clock metadata, kept apart so the other artifacts
-are byte-identical across reruns).  A run that fails before this point
-writes nothing and creates no output directory.  Every numeric
+are byte-identical across reruns).  Every target path is checked before
+the first write, so a run that fails before this point, or would
+overwrite a file without ``--force``, writes nothing and creates no
+output directory.  Every numeric
 ``analysis`` field is read by ``_number``, so a value of the wrong type is
 an error that names the field.
 
@@ -43,7 +45,7 @@ from .network import (
 from .recipes import RECIPES, run_recipe
 from .simulate import (
     ConfigError, FiniteEscapeError, SimulationError, Trajectory,
-    integrate_delay, integrate_ode, integrate_sampled,
+    integrate_delay, integrate_sampled,
 )
 from .synthesis import SmallGainRequired, SynthesisInput, overall_gain
 from .validate import (
@@ -229,24 +231,24 @@ def _cmd_iterate(cfg: Dict, analysis: Dict, seed: int, out: Path) -> _Result:
         {"iterates.csv": rows}, f"iteration {res.status} after {res.steps} steps"
 
 
+# what a run of each kind starts from, as named when it is missing
+_START = {"ode": "x0 for an ODE model",
+          "delay": "history (or x0) for a delay model",
+          "sampled": "x0 for a sampled model"}
+
+
 def _run_simulation(spec: SystemSpec, analysis: Dict) -> Trajectory:
     horizon = _number(analysis, "horizon", 10.0)
     dt = _number(analysis, "dt", 1e-3)
-    x0 = _number(analysis, "x0", parse=_vector)
+    start = _number(analysis, "x0", parse=_vector)
+    if spec.kind == "delay":
+        start = _number(analysis, "history", start, _vector)
+    if start is None:
+        raise CliError(f"simulate needs analysis.{_START[spec.kind]}")
     try:
-        if spec.kind == "ode":
-            if x0 is None:
-                raise CliError("simulate needs analysis.x0 for an ODE model")
-            return integrate_ode(spec, x0, horizon=horizon, dt=dt)
-        if spec.kind == "delay":
-            hist = _number(analysis, "history", x0, _vector)
-            if hist is None:
-                raise CliError(
-                    "simulate needs analysis.history (or x0) for a delay model")
-            return integrate_delay(spec, hist, horizon=horizon, dt=dt)
-        if x0 is None:
-            raise CliError("simulate needs analysis.x0 for a sampled model")
-        return integrate_sampled(spec, x0, horizon=horizon, dt=dt)
+        if spec.kind == "sampled":
+            return integrate_sampled(spec, start, horizon=horizon, dt=dt)
+        return integrate_delay(spec, start, horizon=horizon, dt=dt)
     except ConfigError as exc:
         raise CliError(str(exc))
 
@@ -388,12 +390,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                                       "seed": seed},
             "run_meta.json": {"timestamp": datetime.datetime.now(
                 datetime.timezone.utc).isoformat(), "argv": argv}}
-        out.mkdir(parents=True, exist_ok=True)
-        for name, body in files.items():
-            path = out / name
+        for path in (out / name for name in files):
             if path.exists() and not args.force:
                 raise CliError(f"refusing to overwrite {path}; pass --force")
-            with path.open("w") as fh:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, body in files.items():
+            with (out / name).open("w") as fh:
                 if isinstance(body, dict):
                     _write_json(fh, body)
                 else:

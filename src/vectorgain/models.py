@@ -430,7 +430,7 @@ def _scalar_rhs(spec: SystemSpec):
     a, bu, bd = v["a"], v["bu"], v["bd"]
     u, d = spec.input_signal, spec.disturbance_signal
 
-    def rhs(t, x):
+    def rhs(t, x, hist):  # an ODE: the history is never read
         drive_u, drive_d = bu * u(t), bd * d(t)
         return [-a * xi + drive_u + drive_d for xi in x]
 
@@ -479,10 +479,11 @@ _REGISTRY: Dict[str, Callable[[Dict], ParsedModel]] = {
 def model_rhs(spec: SystemSpec):
     """The right-hand side of the spec's model.
 
-    The right-hand side takes the time, the state as a tuple of floats and,
-    by kind, nothing (ode), the delay history (delay) or the held state as
-    a tuple (sampled), and returns dx/dt as a sequence of floats.  The
-    history's queries also return tuples.  The right-hand side may keep
+    The right-hand side rhs(t, x, extra) takes the time, the state as a
+    tuple of floats and, by kind, the history (ode and delay, where an ODE
+    never reads it) or the held state as a tuple (sampled), and returns
+    dx/dt as a sequence of floats.  The history's queries also return
+    tuples.  The right-hand side may keep
     what it derives from a window, delayed value or held state for as long
     as it is handed the same tuple object; a tuple cannot change, so that
     memo cannot go stale.
@@ -503,6 +504,10 @@ def spec_to_json(spec: SystemSpec) -> dict:
 def spec_from_json(d: dict) -> SystemSpec:
     _require(isinstance(d, dict),
              f"system must be an object, got {_describe_json(d)}")
+    for name in ("kind", "model"):
+        _require(name in d, f"system requires a string field {name!r}")
+        _require(isinstance(d[name], str), f"system field {name!r} must be "
+                 f"a string, got {_describe_json(d[name])}")
     for name in ("params", "h", "input_signal", "disturbance_signal", "dtilde"):
         v = d.get(name, {})
         # params, when given, must be an object; the others may also be null

@@ -614,23 +614,34 @@ def matrix_from_json(d: dict) -> GainMatrix:
     if not isinstance(d, dict):
         raise ValueError(f"matrix JSON must be an object, "
                          f"got {_describe_json(d)}")
-    if "n" not in d:
-        raise ValueError("matrix JSON requires an integer field 'n'")
-    n = _json_int(d, "n")
+    n = _json_int(d, "n", "matrix JSON")
     if not 1 <= n <= MAX_NODES:
         raise ValueError(f"matrix dimension must be 1 to {MAX_NODES}, got {n}")
+    gains = d.get("gains", [])
+    if not isinstance(gains, list):
+        raise ValueError(f"matrix field 'gains' must be an array, "
+                         f"got {_describe_json(gains)}")
     rows: Dict[int, Dict[int, GainFn]] = {}
-    for item in d.get("gains", []):
-        i, j = _json_int(item, "i") - 1, _json_int(item, "j") - 1
+    for item in gains:
+        if not isinstance(item, dict):
+            raise ValueError(f"gain entry must be an object, "
+                             f"got {_describe_json(item)}")
+        i = _json_int(item, "i", "gain entry") - 1
+        j = _json_int(item, "j", "gain entry") - 1
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"gain index out of range: i = {i + 1}, "
                              f"j = {j + 1} with n = {n}")
+        if "fn" not in item:
+            raise ValueError("gain entry requires a gain field 'fn'")
         rows.setdefault(i, {})[j] = gain_from_json(item["fn"])
     return GainMatrix(n, tuple(_row(rows.get(i, {}).items()) for i in range(n)))
 
 
-def _json_int(item: dict, key: str) -> int:
-    """item[key], which must be a JSON integer; a bool is not one."""
+def _json_int(item: dict, key: str, where: str) -> int:
+    """item[key], which must be a JSON integer; a bool is not one.  A
+    missing key is named with `where`, the object that lacks it."""
+    if key not in item:
+        raise ValueError(f"{where} requires an integer field {key!r}")
     v = item[key]
     if type(v) is not int:
         raise ValueError(f"gain matrix field {key!r} must be an integer, "

@@ -17,7 +17,7 @@ from .gains import Linear, LogExpSq, Zero
 from .iteration import iterate
 from .models import SystemSpec, biochem_equilibrium, biochem_hypothesis
 from .network import GainMatrix, check_small_gain
-from .simulate import FiniteEscapeError, integrate_delay, integrate_ode, log_transform
+from .simulate import FiniteEscapeError, integrate_delay, log_transform
 
 __all__ = [
     "random_linear_matrix", "brute_force_gas", "cycle_test_sweep", "rk4_order",
@@ -88,7 +88,7 @@ def rk4_order() -> Dict:
     errs = []
     dts = [1e-2, 5e-3, 2.5e-3]
     for dt in dts:
-        traj = integrate_ode(spec, [1.0], horizon=1.0, dt=dt)
+        traj = integrate_delay(spec, [1.0], horizon=1.0, dt=dt)
         errs.append(abs(float(traj.states[-1, 0]) - math.exp(-1.0)))
     orders = [math.log(errs[i] / errs[i + 1]) / math.log(2.0)
               for i in range(len(errs) - 1)]

@@ -1,9 +1,10 @@
 """Fixed-step integrators for the three system kinds.
 
-All integrators are classical 4-stage Runge-Kutta on a deterministic grid:
-plain for ODEs, method-of-steps with grid-aligned delays for retarded
-equations, and an event loop computing successive sampling instants for
-sampled-data systems.  Fixed stepping is deliberate: reproducibility of
+Both integrators are classical 4-stage Runge-Kutta on a deterministic
+grid.  ODE and delay runs share one uniform-grid loop, method of steps
+with grid-aligned delays, since an ODE is a retarded equation without
+delays; sampled-data systems run an event loop computing successive
+sampling instants.  Fixed stepping is deliberate: reproducibility of
 validation runs matters more than efficiency at this scale.
 
 The states here have a few components, so the integrators step on
@@ -12,7 +13,7 @@ the arithmetic.  Python float +, *, / and abs round as the elementwise
 ufuncs do, and each step keeps the plain formula's order of operations,
 so the floats are those of the same formula on arrays.  A coupling of
 all channels to all, a maximum or a sum over n x n products, stays one
-numpy call in the model.  A delay or ODE run writes its states into one
+numpy call in the model.  An ODE or delay run writes its states into one
 float64 array as it goes.
 
 Work that does not change between the stages of a step is done once:
@@ -35,8 +36,7 @@ from .models import SystemSpec, model_rhs
 
 __all__ = [
     "Trajectory", "SimulationError", "FiniteEscapeError", "ConfigError",
-    "integrate_ode", "integrate_delay", "integrate_sampled", "log_transform",
-    "MAX_STEPS",
+    "integrate_delay", "integrate_sampled", "log_transform", "MAX_STEPS",
 ]
 
 ESCAPE_BOUND = 1e12
@@ -64,20 +64,16 @@ class FiniteEscapeError(SimulationError):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time grid with state samples.
+    """Time grid with state samples, from t = 0 on.
 
     times is uniform for ode/delay runs; for sampled-data runs it is the
-    union of the locally refined inter-sample grids.  history, when
-    present, holds the initial segment on [t0 - r, t0] (its last row
-    coincides with states[0]).
+    union of the locally refined inter-sample grids, and sampling_times
+    holds the sampling instants.
     """
 
     times: np.ndarray
     states: np.ndarray
-    dt: float
     sampling_times: Optional[np.ndarray] = None
-    history_times: Optional[np.ndarray] = None
-    history_states: Optional[np.ndarray] = None
 
     @property
     def n(self) -> int:
@@ -100,8 +96,8 @@ def _check_escape(x: Sequence[float], t: float) -> None:
 
 
 def _rk4(f, dt: float):
-    """The classical RK4 step of dx/dt = f(t, x, *extra) with step dt, as a
-    function step(t, x, *extra) of a tuple x that returns the new state as
+    """The classical RK4 step of dx/dt = f(t, x, extra) with step dt, as a
+    function step(t, x, extra) of a tuple x that returns the new state as
     a tuple.
 
     dt/2 and dt/6 are computed once per step size.  2k is k + k, and the
@@ -109,11 +105,11 @@ def _rk4(f, dt: float):
     """
     half, sixth = 0.5 * dt, dt / 6.0
 
-    def step(t: float, x: Tuple[float, ...], *extra) -> Tuple[float, ...]:
-        k1 = f(t, x, *extra)
-        k2 = f(t + half, tuple([a + half * k for a, k in zip(x, k1)]), *extra)
-        k3 = f(t + half, tuple([a + half * k for a, k in zip(x, k2)]), *extra)
-        k4 = f(t + dt, tuple([a + dt * k for a, k in zip(x, k3)]), *extra)
+    def step(t: float, x: Tuple[float, ...], extra) -> Tuple[float, ...]:
+        k1 = f(t, x, extra)
+        k2 = f(t + half, tuple([a + half * k for a, k in zip(x, k1)]), extra)
+        k3 = f(t + half, tuple([a + half * k for a, k in zip(x, k2)]), extra)
+        k4 = f(t + dt, tuple([a + dt * k for a, k in zip(x, k3)]), extra)
         return tuple([a + sixth * (((p + (q + q)) + (r + r)) + s)
                       for a, p, q, r, s in zip(x, k1, k2, k3, k4)])
 
@@ -147,25 +143,6 @@ def _initial_state(x0, n: int) -> Tuple[float, ...]:
     x = np.asarray(x0, dtype=float).reshape(n)
     _check_initial(x, "initial state")
     return tuple(x.tolist())
-
-
-def integrate_ode(spec: SystemSpec, x0, horizon: float, dt: float) -> Trajectory:
-    """RK4 on a uniform grid for an ODE model."""
-    if spec.kind != "ode":
-        raise ConfigError(f"integrate_ode requires kind='ode', got {spec.kind!r}")
-    _check_grid(dt, horizon)
-    n = spec.parsed.dim
-    x = _initial_state(x0, n)
-    step = _rk4(model_rhs(spec), dt)
-    steps = int(round(horizon / dt))
-    times = dt * np.arange(steps + 1)
-    states = np.empty((steps + 1, n))
-    states[0] = x
-    for k in range(steps):
-        x = step(float(times[k]), x)
-        _check_escape(x, times[k + 1])
-        states[k + 1] = x
-    return Trajectory(times=times, states=states, dt=dt)
 
 
 class _History:
@@ -268,7 +245,7 @@ def _history_array(history, r: float, dt: float, n: int) -> np.ndarray:
     if callable(history):
         return np.array([np.asarray(history(t), dtype=float).reshape(n) for t in ts])
     arr = np.asarray(history, dtype=float)
-    if arr.ndim == 1:
+    if arr.ndim <= 1:
         return np.tile(arr.reshape(1, n), (m + 1, 1))
     if arr.shape == (m + 1, n):
         return arr.copy()
@@ -278,17 +255,20 @@ def _history_array(history, r: float, dt: float, n: int) -> np.ndarray:
 
 def integrate_delay(spec: SystemSpec, history, horizon: float,
                     dt: float) -> Trajectory:
-    """Method of steps with RK4 inside each step.
+    """RK4 on a uniform grid for an ODE or delay model: the method of steps
+    with RK4 inside each step.
 
     Every model delay must sit on the grid (a positive integer multiple
     of dt), so no stage reads past the newest stored node;
     a delayed value at a half-step stage time is the mean of the two
     stored nodes around it.  The history covers [-r, 0] and may be given as
     a callable of t, a constant vector, or a pre-sampled array.  Its r/dt
-    rows and the horizon/dt steps number at most MAX_STEPS together.
+    rows and the horizon/dt steps number at most MAX_STEPS together.  An
+    ODE has no delays: r = 0, and its history is the initial state alone.
     """
-    if spec.kind != "delay":
-        raise ConfigError(f"integrate_delay requires kind='delay', got {spec.kind!r}")
+    if spec.kind == "sampled":
+        raise ConfigError(
+            f"integrate_delay requires kind='ode' or 'delay', got {spec.kind!r}")
     delays = spec.parsed.delays
     r = max(delays, default=0.0)
     _check_grid(dt, horizon, r)  # history rows and steps share one buffer
@@ -301,7 +281,8 @@ def integrate_delay(spec: SystemSpec, history, horizon: float,
     n = spec.parsed.dim
     m = int(round(r / dt))
     hist_states = _history_array(history, r, dt, n)
-    _check_initial(hist_states, "history")
+    _check_initial(hist_states,
+                   "initial state" if spec.kind == "ode" else "history")
     steps = int(round(horizon / dt))
     times = dt * np.arange(-m, steps + 1)
     states = np.empty((m + steps + 1, n))
@@ -316,9 +297,7 @@ def integrate_delay(spec: SystemSpec, history, horizon: float,
         _check_escape(x, t + dt)
         states[m + k + 1] = x
         hist.advance(m + k + 2)
-    return Trajectory(times=times[m:], states=states[m:], dt=dt,
-                      history_times=times[: m + 1],
-                      history_states=states[: m + 1].copy())
+    return Trajectory(times=times[m:], states=states[m:])
 
 
 def integrate_sampled(spec: SystemSpec, x0, horizon: float,
@@ -375,7 +354,7 @@ def integrate_sampled(spec: SystemSpec, x0, horizon: float,
         if tau <= t_end + 1e-15:
             sampling.append(tau)
     return Trajectory(times=np.asarray(times), states=np.concatenate(states),
-                      dt=dt, sampling_times=np.asarray(sampling))
+                      sampling_times=np.asarray(sampling))
 
 
 def log_transform(X, Xstar) -> np.ndarray:

@@ -19,7 +19,7 @@ from vectorgain.recipes import (
     run_recipe,
 )
 from vectorgain.signals import Signal
-from vectorgain.simulate import integrate_ode, integrate_sampled
+from vectorgain.simulate import integrate_delay, integrate_sampled
 from vectorgain.synthesis import SynthesisInput, overall_gain
 from vectorgain.validate import (
     LyapunovSetup, check_asymptotic_gain, check_implication, ldn_rho,
@@ -204,7 +204,7 @@ def test_criterion_11_asymptotic_gain_bound(_line):
         spec = SystemSpec(kind="ode", model="scalar_linear",
                           params={"a": 1.0, "bu": 1.0},
                           input_signal=Signal(kind="constant", value=c))
-        traj = integrate_ode(spec, [0.0], horizon=40.0, dt=1e-2)
+        traj = integrate_delay(spec, [0.0], horizon=40.0, dt=1e-2)
         out = check_asymptotic_gain(traj, quadratic_channels(1),
                                     comp.gmap, u_sup=c)
         ok = ok and out[0]["status"] == "satisfied"

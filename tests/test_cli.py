@@ -71,6 +71,19 @@ def test_overwrite_protection(tmp_path, sg_config):
                  "--force"]) == 0
 
 
+def test_refused_overwrite_writes_nothing(tmp_path, sg_config, capsys):
+    # run_meta.json is the last file written: every path is checked before
+    # report.json, the first, is written
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "run_meta.json").write_text("{}\n")
+    assert main(["check-sg", "--input", sg_config, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: refusing to overwrite {out / 'run_meta.json'}; pass --force\n")
+    assert sorted(p.name for p in out.iterdir()) == ["run_meta.json"]
+    assert (out / "run_meta.json").read_text() == "{}\n"
+
+
 _SIM_CFG = {
     "system": {"kind": "ode", "model": "scalar_linear",
                "params": {"a": 1.0, "bu": 1.0},
@@ -672,10 +685,17 @@ def _input(**signal):
      "constant signal needs finite numbers"),
     (dict(_BIO, kind="ode"), _ODE_RUN,
      "model 'biochem_circuit' does not support kind 'ode'"),
+    ({k: v for k, v in _ODE.items() if k != "kind"}, _ODE_RUN,
+     "system requires a string field 'kind'"),
+    ({k: v for k, v in _ODE.items() if k != "model"}, _ODE_RUN,
+     "system requires a string field 'model'"),
+    (dict(_ODE, kind=["ode"] * 100), _ODE_RUN,
+     "system field 'kind' must be a string, got a JSON array"),
 ], ids=["ldn-r-nan", "bio-tau-nan", "ldn-a-nan", "ldn-c-inf", "bio-g-c-nan",
         "scalar-a-nan", "zoh-a-hold-nan", "bio-no-nodes", "h-nan",
         "h-unknown-kind", "noise-amplitude-nan", "noise-amplitude-huge",
-        "piecewise-time-nan", "constant-input-nan", "kind-not-the-models"])
+        "piecewise-time-nan", "constant-input-nan", "kind-not-the-models",
+        "no-kind", "no-model", "kind-array"])
 def test_simulate_system_not_finite_or_out_of_range_rejected(
         tmp_path, capsys, system, run, err):
     path = _write(tmp_path / "cfg.json", {"system": system, "analysis": run})

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 
@@ -499,6 +500,21 @@ def test_matrix_json_rejects_bad_input():
     with pytest.raises(ValueError):
         matrix_from_json({"n": 2, "gains": [
             {"i": 3, "j": 1, "fn": {"kind": "zero"}}]})
+    # a missing field is named, and a value of the wrong JSON type is
+    # described by its type
+    entry = {"i": 1, "j": 1, "fn": {"kind": "zero"}}
+    for gains, message in [
+            ([{k: v for k, v in entry.items() if k != "i"}],
+             "gain entry requires an integer field 'i'"),
+            ([{k: v for k, v in entry.items() if k != "j"}],
+             "gain entry requires an integer field 'j'"),
+            ([{k: v for k, v in entry.items() if k != "fn"}],
+             "gain entry requires a gain field 'fn'"),
+            ("x", "matrix field 'gains' must be an array, got 'x'"),
+            ([5], "gain entry must be an object, got 5"),
+            ([[entry]], "gain entry must be an object, got a JSON array")]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            matrix_from_json({"n": 1, "gains": gains})
 
 
 def _random_multiplicative_matrix(rng, n):

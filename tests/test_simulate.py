@@ -9,7 +9,7 @@ from vectorgain.models import SystemSpec, make_g
 from vectorgain.signals import Signal
 from vectorgain.simulate import (
     ConfigError, FiniteEscapeError, Trajectory, _check_escape, _History,
-    integrate_delay, integrate_ode, integrate_sampled, log_transform,
+    integrate_delay, integrate_sampled, log_transform,
 )
 from oracles import rk4_reference
 import vectorgain.simulate as simulate
@@ -24,14 +24,14 @@ def _scalar(a=1.0, **kw):
 
 def test_ode_matches_reference_rk4_exactly():
     spec = _scalar(a=1.3)
-    traj = integrate_ode(spec, [2.0], horizon=2.0, dt=0.01)
+    traj = integrate_delay(spec, [2.0], horizon=2.0, dt=0.01)
     ref = rk4_reference(lambda t, x: -1.3 * x, np.array([2.0]), 0.0, 2.0, 200)
     assert traj.states[-1] == pytest.approx(ref, rel=1e-14)
 
 
 def test_ode_accuracy_against_exact_solution():
     spec = _scalar(a=1.0)
-    traj = integrate_ode(spec, [1.0], horizon=1.0, dt=1e-3)
+    traj = integrate_delay(spec, [1.0], horizon=1.0, dt=1e-3)
     assert traj.states[-1, 0] == pytest.approx(math.exp(-1.0), abs=1e-12)
 
 
@@ -39,7 +39,7 @@ def test_rk4_order_richardson():
     spec = _scalar(a=1.0)
     errs = []
     for dt in (1e-2, 5e-3, 2.5e-3):
-        traj = integrate_ode(spec, [1.0], horizon=1.0, dt=dt)
+        traj = integrate_delay(spec, [1.0], horizon=1.0, dt=dt)
         errs.append(abs(traj.states[-1, 0] - math.exp(-1.0)))
     orders = [math.log(errs[i] / errs[i + 1]) / math.log(2.0) for i in range(2)]
     assert all(3.5 <= o <= 4.5 for o in orders)
@@ -50,21 +50,20 @@ def test_ode_with_input_signal():
     spec = SystemSpec(kind="ode", model="scalar_linear",
                       params={"a": 1.0, "bu": 1.0},
                       input_signal=Signal(kind="constant", value=1.0))
-    traj = integrate_ode(spec, [0.0], horizon=30.0, dt=1e-2)
+    traj = integrate_delay(spec, [0.0], horizon=30.0, dt=1e-2)
     assert traj.states[-1, 0] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_ode_config_errors():
     spec = _scalar()
     with pytest.raises(ConfigError):
-        integrate_ode(spec, [1.0], horizon=1.0, dt=0.0)
+        integrate_delay(spec, [1.0], horizon=1.0, dt=0.0)
     with pytest.raises(ConfigError):
-        integrate_ode(spec, [1.0], horizon=1.0, dt=2.0)
-    delay_spec = SystemSpec(kind="delay", model="biochem_circuit",
-                            params={"a": [1.0], "tau": [0.1],
-                                    "g": {"form": "mm", "c": 3.0, "K": 1.0}})
-    with pytest.raises(ConfigError):
-        integrate_ode(delay_spec, [1.0], horizon=1.0, dt=0.01)
+        integrate_delay(spec, [1.0], horizon=1.0, dt=2.0)
+    sampled_spec = SystemSpec(kind="sampled", model="zoh_linear",
+                              params={"n": 1})
+    with pytest.raises(ConfigError, match="requires kind='ode' or 'delay'"):
+        integrate_delay(sampled_spec, [1.0], horizon=1.0, dt=0.01)
 
 
 def test_finite_escape_detected():
@@ -154,20 +153,11 @@ def test_delay_history_forms_agree():
                          horizon=2.0, dt=0.01)
     arr = integrate_delay(spec, np.tile([1.0, -1.0], (51, 1)),
                           horizon=2.0, dt=0.01)
+    assert const.times[0] == 0.0 and np.all(const.states[0] == [1.0, -1.0])
     assert np.array_equal(const.states, fn.states)
     assert np.array_equal(const.states, arr.states)
     with pytest.raises(ConfigError):
         integrate_delay(spec, np.ones((7, 2)), horizon=2.0, dt=0.01)
-
-
-def test_delay_trajectory_exposes_history_segment():
-    spec = SystemSpec(kind="delay", model="linear_delay_network",
-                      params={"a": [1.0], "c": [[0.1]], "r": 0.5})
-    traj = integrate_delay(spec, np.array([2.0]), horizon=1.0, dt=0.1)
-    assert traj.history_times[0] == pytest.approx(-0.5)
-    assert traj.history_times[-1] == 0.0
-    assert np.all(traj.history_states == 2.0)
-    assert traj.times[0] == 0.0 and traj.states[0, 0] == 2.0
 
 
 def test_delay_convergence_order_at_least_two():
@@ -275,17 +265,18 @@ def test_values_handed_to_a_right_hand_side_are_float_tuples(monkeypatch):
     def recording_rhs(spec):
         rhs = build(spec)
 
-        def f(t, x, *extra):
+        def f(t, x, extra):
             handed.append(x)
-            handed.extend(e for e in extra if isinstance(e, tuple))
-            return rhs(t, x, *extra)
+            if isinstance(extra, tuple):
+                handed.append(extra)
+            return rhs(t, x, extra)
         return f
 
     monkeypatch.setattr(simulate, "model_rhs", recording_rhs)
     spec = SystemSpec(kind="sampled", model="zoh_linear", params={"n": 2})
     integrate_sampled(spec, np.array([1.0, -1.0]), horizon=0.5, dt=0.05)
     assert len(handed) == 2 * 4 * 10  # a state and a held state per stage
-    integrate_ode(_scalar(), [1.0], horizon=0.5, dt=0.05)
+    integrate_delay(_scalar(), [1.0], horizon=0.5, dt=0.05)
     assert len(handed) == 2 * 4 * 10 + 4 * 10
     assert all(map(_is_float_tuple, handed))
 
@@ -296,7 +287,7 @@ def test_delay_history_counts_toward_max_steps(monkeypatch):
     spec = SystemSpec(kind="delay", model="linear_delay_network",
                       params={"a": [1.0], "c": [[0.5]], "r": 1.0})
     traj = integrate_delay(spec, np.array([1.0]), horizon=49.0, dt=0.5)
-    assert len(traj.history_times) + len(traj.times) == 102
+    assert len(traj.times) == 99  # the 98 steps and the initial row
     with pytest.raises(ConfigError, match="= 101 exceeds MAX_STEPS = 100$"):
         integrate_delay(spec, np.array([1.0]), horizon=49.5, dt=0.5)
 
@@ -425,8 +416,10 @@ def _bio_run_and_reference(tau, g, dt=0.01, steps=300):
                       params={"a": _BIO_A, "tau": tau, "g": g})
     hist0 = lambda t: np.array([1.5 + t, 0.4 - 2.0 * t, 2.2 + math.sin(9 * t)])
     traj = integrate_delay(spec, hist0, horizon=steps * dt, dt=dt)
-    ref = _reference_delay_run(_bio_deriv(_BIO_A, tau, g),
-                               traj.history_states, max(tau), dt, steps)
+    m = int(round(max(tau) / dt))
+    rows = np.array([hist0(t) for t in dt * np.arange(-m, 1)])
+    ref = _reference_delay_run(_bio_deriv(_BIO_A, tau, g), rows, max(tau),
+                               dt, steps)
     return traj.states, ref
 
 
@@ -469,7 +462,7 @@ def _scalar_run_and_reference():
     spec = SystemSpec(kind="ode", model="scalar_linear",
                       params={"a": 1.3, "bu": 0.6, "bd": 0.4},
                       input_signal=u, disturbance_signal=d)
-    traj = integrate_ode(spec, [2.0], horizon=3.0, dt=0.01)
+    traj = integrate_delay(spec, [2.0], horizon=3.0, dt=0.01)
     times, x = 0.01 * np.arange(301), np.array([2.0])
     ref = [x]
     for t in times[:-1]:
@@ -644,7 +637,7 @@ def test_sampled_node_count_capped(monkeypatch):
 
 def test_trajectory_csv_format():
     traj = Trajectory(times=np.array([0.0, 0.5]),
-                      states=np.array([[1.0, 2.0], [3.0, 4.0]]), dt=0.5)
+                      states=np.array([[1.0, 2.0], [3.0, 4.0]]))
     lines = list(traj.csv_rows())
     assert len(lines) == 3
     assert lines[0] == "t,x1,x2"

@@ -9,7 +9,7 @@ from vectorgain.models import (
 )
 from vectorgain.network import GainMatrix
 from vectorgain.signals import Signal
-from vectorgain.simulate import Trajectory, integrate_delay, integrate_ode
+from vectorgain.simulate import Trajectory, integrate_delay
 from vectorgain.validate import (
     _IMPL_BLOCK, InconclusiveError, LyapunovSetup, biochem_rho_chain,
     biochem_rho_first, check_asymptotic_gain, check_convergence,
@@ -218,7 +218,7 @@ def test_spec_is_read_once_on_construction(case):
 def _decaying_traj(n=2, count=1000):
     times = np.linspace(0.0, 10.0, count)
     states = np.exp(-times)[:, None] * np.ones((count, n))
-    return Trajectory(times=times, states=states, dt=times[1] - times[0])
+    return Trajectory(times=times, states=states)
 
 
 def test_check_convergence_verdicts():
@@ -227,7 +227,7 @@ def test_check_convergence_verdicts():
     assert all(c["status"] == "converged" for c in out)
     # constant trajectory does not converge
     flat = Trajectory(times=traj.times,
-                      states=np.ones_like(traj.states), dt=traj.dt)
+                      states=np.ones_like(traj.states))
     out = check_convergence(flat, quadratic_channels(2))
     assert all(c["status"] == "not-converged" for c in out)
     assert out[0]["tail_sup"] == 0.5
@@ -235,7 +235,7 @@ def test_check_convergence_verdicts():
 
 def test_check_convergence_inconclusive_on_short_tail():
     times = np.linspace(0.0, 1.0, 20)
-    traj = Trajectory(times=times, states=np.zeros((20, 1)), dt=times[1])
+    traj = Trajectory(times=times, states=np.zeros((20, 1)))
     with pytest.raises(InconclusiveError):
         check_convergence(traj, quadratic_channels(1))
 
@@ -257,7 +257,7 @@ def test_asymptotic_gain_scalar_bound():
     spec = SystemSpec(kind="ode", model="scalar_linear",
                       params={"a": 1.0, "bu": 1.0},
                       input_signal=Signal(kind="constant", value=c))
-    traj = integrate_ode(spec, [0.0], horizon=30.0, dt=1e-2)
+    traj = integrate_delay(spec, [0.0], horizon=30.0, dt=1e-2)
     gmap = [Power(1.0 / (2.0 * lam * lam), 2.0)]
     out = check_asymptotic_gain(traj, quadratic_channels(1), gmap, u_sup=c)
     assert out[0]["status"] == "satisfied"
