@@ -27,7 +27,7 @@ from .simulate import (
 )
 from .validate import (
     InconclusiveError, LyapunovSetup, check_asymptotic_gain, check_convergence,
-    check_implication, quadratic_channels, recheck_violation,
+    check_implication, recheck_violation,
 )
 
 __version__ = "0.1.0"

@@ -15,9 +15,9 @@ run of the same version is reproducible from its artifacts alone) and
 are byte-identical across reruns).  Every target path is checked before
 the first write, so a run that fails before this point, or would
 overwrite a file without ``--force``, writes nothing and creates no
-output directory.  Every numeric
-``analysis`` field is read by ``_number``, so a value of the wrong type is
-an error that names the field.
+output directory.  Every ``analysis`` field is read by ``_field``, by the
+JSON type rules of gain configs, so a value of the wrong type is an error
+that names the field.
 
 Exit codes: 0 = analysis ran and all verdicts positive, 2 = analysis ran
 but a verdict is negative (small gain refuted, iteration not converged,
@@ -36,7 +36,10 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .gains import MAX_GRID_POINTS, GridSpec, Linear, Zero, gain_from_json
+from .gains import (
+    MAX_GRID_POINTS, GridSpec, Linear, Zero, _describe_json, _json_number,
+    gain_from_json,
+)
 from .iteration import TOL_CONV, iterate
 from .models import SystemSpec, spec_from_json
 from .network import (
@@ -50,7 +53,7 @@ from .simulate import (
 from .synthesis import SmallGainRequired, SynthesisInput, overall_gain
 from .validate import (
     TAIL_FRACTION, TOL_GAIN, TOL_TAIL, InconclusiveError, check_asymptotic_gain,
-    check_convergence, quadratic_channels,
+    check_convergence,
 )
 
 __all__ = ["main"]
@@ -128,7 +131,7 @@ def _synthesis_from_config(cfg: Dict, G: GainMatrix) -> SynthesisInput:
         a1 = gain_from_json(syn["a1"]) if "a1" in syn \
             else Linear(1.0 / (2.0 * G.n))
         return SynthesisInput(gains=G, zeta=zeta, p_list=p_list, a1=a1,
-                              M=float(syn.get("M", 1.0)))
+                              M=_json_number(syn.get("M", 1.0), "M"))
 
     return _parse("synthesis", _require(cfg, "synthesis"), build)
 
@@ -140,13 +143,37 @@ def _analysis(cfg: Dict) -> Dict:
     return a
 
 
+def _real(value) -> float:
+    return _json_number(value, "value")
+
+
+def _integer(value) -> int:
+    return _json_number(value, "value", integer=True)
+
+
+def _boolean(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"value must be true or false, "
+                         f"got {_describe_json(value)}")
+    return value
+
+
 def _vector(value) -> np.ndarray:
+    """A JSON number, or nested arrays of them, as a float array."""
+    pending = [value]
+    while pending:  # a loop, not recursion: the JSON may nest deeply
+        v = pending.pop()
+        if isinstance(v, list):
+            pending += v
+        else:
+            _json_number(v, "each entry")
     return np.asarray(value, dtype=float)
 
 
-def _number(analysis: Dict, name: str, default=None, parse=float):
-    """analysis[name] read by parse (float, int or _vector), default when
-    absent or null; a value parse rejects is a CliError naming the field."""
+def _field(analysis: Dict, name: str, default=None, parse=_real):
+    """analysis[name] read by parse (_real, _integer, _boolean or _vector),
+    default when absent or null; a value parse rejects is a CliError naming
+    the field."""
     value = analysis.get(name)
     return default if value is None else _parse(f"analysis.{name}", value, parse)
 
@@ -157,9 +184,10 @@ def _grid_from_analysis(analysis: Dict) -> Optional[GridSpec]:
         return None
     d = GridSpec()
     return _parse("analysis.grid", g, lambda g: GridSpec(
-        s_min=float(g.get("s_min", d.s_min)),
-        s_max=float(g.get("s_max", d.s_max)),
-        points=int(g.get("points", d.points))))
+        s_min=_json_number(g.get("s_min", d.s_min), "s_min"),
+        s_max=_json_number(g.get("s_max", d.s_max), "s_max"),
+        points=_json_number(g.get("points", d.points), "points",
+                            integer=True)))
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +211,7 @@ def _cmd_check_sg(cfg: Dict, analysis: Dict, seed: int, out: Path) -> _Result:
 
 
 def _table_points(value) -> int:
-    points = int(value)
+    points = _integer(value)
     if not 0 <= points <= MAX_GRID_POINTS:
         raise ValueError(f"must be 0 to {MAX_GRID_POINTS}, got {points}")
     return points
@@ -192,7 +220,7 @@ def _table_points(value) -> int:
 def _cmd_synth(cfg: Dict, analysis: Dict, seed: int, out: Path) -> _Result:
     G = _gains_from_config(cfg)
     inp = _synthesis_from_config(cfg, G)
-    points = _number(analysis, "table_points", 121, _table_points)
+    points = _field(analysis, "table_points", 121, _table_points)
     report = check_small_gain(G, _grid_from_analysis(analysis))
     if not report.holds:
         return 2, {"status": "small-gain-refuted",
@@ -212,11 +240,11 @@ def _cmd_synth(cfg: Dict, analysis: Dict, seed: int, out: Path) -> _Result:
 
 def _cmd_iterate(cfg: Dict, analysis: Dict, seed: int, out: Path) -> _Result:
     G = _gains_from_config(cfg)
-    x0 = _number(analysis, "x0", parse=_vector)
+    x0 = _field(analysis, "x0", parse=_vector)
     if x0 is None:
         raise CliError("iterate needs analysis.x0 (initial vector)")
-    max_steps = _number(analysis, "max_steps", 200, int)
-    tol_conv = _number(analysis, "tol_conv", TOL_CONV)
+    max_steps = _field(analysis, "max_steps", 200, _integer)
+    tol_conv = _field(analysis, "tol_conv", TOL_CONV)
     try:
         res = iterate(G, x0, max_steps=max_steps, tol_conv=tol_conv)
     except ValueError as exc:
@@ -238,11 +266,11 @@ _START = {"ode": "x0 for an ODE model",
 
 
 def _run_simulation(spec: SystemSpec, analysis: Dict) -> Trajectory:
-    horizon = _number(analysis, "horizon", 10.0)
-    dt = _number(analysis, "dt", 1e-3)
-    start = _number(analysis, "x0", parse=_vector)
+    horizon = _field(analysis, "horizon", 10.0)
+    dt = _field(analysis, "dt", 1e-3)
+    start = _field(analysis, "x0", parse=_vector)
     if spec.kind == "delay":
-        start = _number(analysis, "history", start, _vector)
+        start = _field(analysis, "history", start, _vector)
     if start is None:
         raise CliError(f"simulate needs analysis.{_START[spec.kind]}")
     try:
@@ -274,22 +302,21 @@ def _cmd_simulate(cfg: Dict, analysis: Dict, seed: int, out: Path) -> _Result:
 
 def _cmd_validate(cfg: Dict, analysis: Dict, seed: int, out: Path) -> _Result:
     spec = _system_from_config(cfg)
-    tail_fraction = _number(analysis, "tail_fraction", TAIL_FRACTION)
-    tol_tail = _number(analysis, "tol_tail", TOL_TAIL)
-    tol_gain = _number(analysis, "tol_gain", TOL_GAIN)
-    u_sup = _number(analysis, "u_sup")
+    tail_fraction = _field(analysis, "tail_fraction", TAIL_FRACTION)
+    tol_tail = _field(analysis, "tol_tail", TOL_TAIL)
+    tol_gain = _field(analysis, "tol_gain", TOL_GAIN)
+    u_sup = _field(analysis, "u_sup")
+    require = _field(analysis, "require_convergence", True, _boolean)
     traj = _run_simulation(spec, analysis)
-    channels = quadratic_channels(traj.n)
     try:
-        conv = check_convergence(traj, channels, tol_tail=tol_tail,
+        conv = check_convergence(traj, tol_tail=tol_tail,
                                  tail_fraction=tail_fraction)
     except InconclusiveError as exc:
         raise CliError(str(exc))
     payload: Dict = {"convergence": conv}
     lines = [f"channel {k + 1}: {c['status']} (tail sup {c['tail_sup']:.3e})"
              for k, c in enumerate(conv)]
-    ok = not analysis.get("require_convergence", True) or \
-        all(c["status"] == "converged" for c in conv)
+    ok = not require or all(c["status"] == "converged" for c in conv)
     if "gains" in cfg and "synthesis" in cfg and u_sup is not None:
         G = _gains_from_config(cfg)
         inp = _synthesis_from_config(cfg, G)
@@ -298,8 +325,7 @@ def _cmd_validate(cfg: Dict, analysis: Dict, seed: int, out: Path) -> _Result:
             comp = overall_gain(inp, report)
         except SmallGainRequired as exc:
             raise CliError(str(exc))
-        ag = check_asymptotic_gain(traj, channels, comp.gmap, u_sup,
-                                   tol_gain=tol_gain,
+        ag = check_asymptotic_gain(traj, comp.gmap, u_sup, tol_gain=tol_gain,
                                    tail_fraction=tail_fraction)
         payload["asymptotic_gain"] = ag
         ok = ok and all(e["status"] == "satisfied" for e in ag)
@@ -375,7 +401,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             cfg = _load_config(args.input)
             analysis = _analysis(cfg)
             seed = args.seed if args.seed is not None \
-                else _number(analysis, "seed", 0, int)
+                else _field(analysis, "seed", 0, _integer)
         out = Path(args.out)
         try:
             code, payload, sidecars, message = _DISPATCH[args.command](

@@ -578,15 +578,20 @@ def _from_json(d: dict, depth: int) -> GainFn:
     except (TypeError, KeyError):  # TypeError: an unhashable kind
         raise GainError(f"unknown gain kind {_describe_json(kind)}")
     return cls(*[_from_json(d[name], depth + 1) if child
-                 else _json_number(kind, name, d[name])
+                 else _json_number(d[name], "{} parameter {!r}", kind, name)
                  for name, child in names])
 
 
-def _json_number(kind: str, name: str, v) -> float:
-    """A gain parameter as a float; it must be a JSON number, and a bool or
-    a string is not one."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise GainError(
-            f"{kind} parameter {name!r} must be a number, "
-            f"got {_describe_json(v)}")
-    return float(v)
+def _json_number(v, what: str, *args, integer: bool = False):
+    """v, a JSON number, as a float, or with integer, a JSON integer as an
+    int; a bool or a string is neither.  Any other v is a GainError (a
+    ValueError) that names the field as what.format(*args), formatted only
+    then, since a config can hold millions of valid fields."""
+    if integer:
+        if type(v) is int:
+            return v
+    elif isinstance(v, (int, float)) and not isinstance(v, bool):
+        return float(v)
+    raise GainError(f"{what.format(*args)} must be "
+                    f"{'an integer' if integer else 'a number'}, "
+                    f"got {_describe_json(v)}")

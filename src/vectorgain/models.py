@@ -93,6 +93,12 @@ def _require(ok, message: str) -> None:
         raise ModelError(message)
 
 
+def _required(d: Dict, name: str, owner: str, item: str = "parameter"):
+    """d[name]; a missing one is a ModelError that names it."""
+    _require(name in d, f"{owner} requires a {item} {name!r}")
+    return d[name]
+
+
 def _parse_period(h: Optional[Dict]) -> Callable[[np.ndarray], float]:
     """The sampling period h(x) that an h object describes: kind "constant"
     (the default) or "state_norm", with a finite value > 0."""
@@ -124,8 +130,8 @@ def _parse_period(h: Optional[Dict]) -> Callable[[np.ndarray], float]:
 # ---------------------------------------------------------------------------
 
 def _ldn_parse(p: Dict) -> ParsedModel:
-    a = np.asarray(p["a"], dtype=float)
-    c = np.asarray(p["c"], dtype=float)
+    a = np.asarray(_required(p, "a", "linear_delay_network"), dtype=float)
+    c = np.asarray(_required(p, "c", "linear_delay_network"), dtype=float)
     r = float(p.get("r", 0.0))
     bu = float(p.get("bu", 0.0))
     coupling = p.get("coupling", "sign_aligned")
@@ -217,12 +223,14 @@ def make_g(gp: Dict) -> Callable[[float], float]:
     """The g-curve of a g object; its c, K and p must be finite and > 0."""
     form = gp.get("form", "mm")
     if form == "mm":
-        c, K = float(gp["c"]), float(gp["K"])
+        c, K = (float(_required(gp, name, "mm g-curve", "field"))
+                for name in ("c", "K"))
         _require(0 < c < math.inf and 0 < K < math.inf,
                  "mm g-curve needs finite c > 0, K > 0")
         return lambda X: c * X / (K + X)
     if form == "hill":
-        c, p = float(gp.get("c", 1.0)), float(gp["p"])
+        c = float(gp.get("c", 1.0))
+        p = float(_required(gp, "p", "hill g-curve", "field"))
         _require(0 < c < math.inf and 0 < p < math.inf,
                  "hill g-curve needs finite c > 0, p > 0")
 
@@ -238,15 +246,16 @@ def make_g(gp: Dict) -> Callable[[float], float]:
 
 
 def _bio_parse(p: Dict) -> ParsedModel:
-    a = np.asarray(p["a"], dtype=float)
-    tau = np.asarray(p["tau"], dtype=float)
+    a, tau = (np.asarray(_required(p, name, "biochem_circuit"), dtype=float)
+              for name in ("a", "tau"))
     _require(a.ndim == 1 and a.size > 0 and np.all((0 < a) & (a < math.inf)),
              "biochem_circuit: a must be a nonempty finite positive vector")
     _require(tau.shape == a.shape and np.all((0 <= tau) & (tau < math.inf)),
              "biochem_circuit: tau must match a and be finite and >= 0")
     return ParsedModel("delay", a.size, sorted({float(t) for t in tau if t > 0}),
                        _bio_rhs, _bio_deriv_sup,
-                       {"a": a, "tau": tau, "g": make_g(p["g"])})
+                       {"a": a, "tau": tau,
+                        "g": make_g(_required(p, "g", "biochem_circuit"))})
 
 
 def _bio_rhs(spec: SystemSpec):
@@ -290,36 +299,38 @@ def _bio_deriv_sup(spec: SystemSpec):
              u: np.ndarray) -> np.ndarray:
         out = np.empty(x.size)
         first = idx == 0
-        # channel 1: the g-curve of the delayed last level, on a 41-point grid
+        # for fixed x each term is monotone in the delayed log-level w, so
+        # its sup over |w| <= bound lies at w = -bound or w = bound.
+        # channel 1: the g-curve of the delayed last level
         x0 = x[first][:, None]
         bound = np.sqrt(2.0 * V[first, n - 1])
-        ws = np.linspace(-bound, bound, 41, axis=1)
+        ws = np.stack([-bound, bound], axis=1)
         out[first] = np.max(a[0] * x0 * (g(xn_star * np.exp(ws)) / g_star
                                           * np.exp(-x0) - 1.0), axis=1)
-        # cascade channels: the delayed predecessor at -bound, 0 or bound
+        # cascade channels: the delayed predecessor
         rest = ~first
         i, xr = idx[rest], x[rest][:, None]
         bound = np.sqrt(2.0 * V[rest, i - 1])
-        ws = np.stack([-bound, np.zeros_like(bound), bound], axis=1)
+        ws = np.stack([-bound, bound], axis=1)
         out[rest] = np.max(a[i][:, None] * xr * (np.exp(ws - xr) - 1.0), axis=1)
         return out
 
     return dsup
 
 
-def biochem_equilibrium(spec: SystemSpec, x_hi: float = 1e6,
-                        tol: float = 1e-12) -> np.ndarray:
+def biochem_equilibrium(spec: SystemSpec) -> np.ndarray:
     """Positive equilibrium of the circuit: solves prod(a)*X = g(X), X > 0.
 
-    Bisection on the first sign change of g(X) - prod(a)*X found on a log
-    grid; remaining components follow from the cascade balance.
+    Bisection, to a relative width of 1e-12, on the first sign change of
+    g(X) - prod(a)*X found on a 400-point log grid over [1e-9, 1e6];
+    remaining components follow from the cascade balance.
     """
     if spec.model != "biochem_circuit":
         raise ModelError("equilibrium is defined for the biochem_circuit model")
     a, g = spec.parsed.values["a"], spec.parsed.values["g"]
     prod_a = float(np.prod(a))
     f = lambda X: g(X) - prod_a * X
-    grid = np.logspace(-9, math.log10(x_hi), 400)
+    grid = np.logspace(-9, 6.0, 400)
     lo = None
     for u, v in zip(grid, grid[1:]):
         if f(u) > 0 >= f(v):
@@ -335,7 +346,7 @@ def biochem_equilibrium(spec: SystemSpec, x_hi: float = 1e6,
             lo = mid
         else:
             hi = mid
-        if hi - lo < tol * max(1.0, hi):
+        if hi - lo < 1e-12 * max(1.0, hi):
             break
     xn = 0.5 * (lo + hi)
     if abs(prod_a * xn - g(xn)) > 1e-10 * max(1.0, g(xn)):
@@ -349,20 +360,20 @@ def biochem_equilibrium(spec: SystemSpec, x_hi: float = 1e6,
     return xs
 
 
-def biochem_hypothesis(spec: SystemSpec, grid_points: int = 2000,
-                       x_hi: float = 1e4) -> Dict:
+def biochem_hypothesis(spec: SystemSpec) -> Dict:
     """Numerically verify the sector hypothesis on the g-curve.
 
     Finds the positive equilibrium Xn*, then computes the exact interval
     of constants K > 0 for which (K + Xn*)/(K + X) * X <= g(X)/prod(a)
-    holds on the grid (the inequality is linear in K pointwise), and the
-    smallest slope lam with g(X)/prod(a) <= Xn* + lam*|X - Xn*|.  Reports
-    which side fails when no admissible pair exists.
+    holds at X = 0 and on 2000 log-spaced points over [1e-8, 1e4] (the
+    inequality is linear in K pointwise), and the smallest slope lam with
+    g(X)/prod(a) <= Xn* + lam*|X - Xn*|.  Reports which side fails when no
+    admissible pair exists.
     """
     xn = float(biochem_equilibrium(spec)[-1])
     a, g = spec.parsed.values["a"], spec.parsed.values["g"]
     prod_a = float(np.prod(a))
-    X = np.concatenate([[0.0], np.logspace(-8, math.log10(x_hi), grid_points)])
+    X = np.concatenate([[0.0], np.logspace(-8, 4.0, 2000)])
     gn = np.array([g(x) / prod_a for x in X])
     # right side: smallest admissible lam
     mask = np.abs(X - xn) > 1e-9

@@ -42,7 +42,7 @@ import numpy as np
 from .gains import (
     ARRAY_SLACK, ContractionVerdict, GainFn, GridSpec, Linear, LogExpSq,
     Zero, _chain_verdict, _collapse, _collapse_compose, _describe_json,
-    gain_from_json, gain_to_json,
+    _json_number, gain_from_json, gain_to_json,
 )
 
 __all__ = [
@@ -642,8 +642,4 @@ def _json_int(item: dict, key: str, where: str) -> int:
     missing key is named with `where`, the object that lacks it."""
     if key not in item:
         raise ValueError(f"{where} requires an integer field {key!r}")
-    v = item[key]
-    if type(v) is not int:
-        raise ValueError(f"gain matrix field {key!r} must be an integer, "
-                         f"got {_describe_json(v)}")
-    return v
+    return _json_number(item[key], "gain matrix field {!r}", key, integer=True)

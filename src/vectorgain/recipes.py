@@ -26,6 +26,7 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 20260826
+SWEEP_CASES = 500
 
 
 def random_linear_matrix(rng: np.random.Generator, n: int,
@@ -36,9 +37,7 @@ def random_linear_matrix(rng: np.random.Generator, n: int,
     return GainMatrix.from_entries(rows)
 
 
-def brute_force_gas(G: GainMatrix, rng: np.random.Generator,
-                    starts: int = 20, steps: int = 200,
-                    tol: float = 1e-8) -> bool:
+def brute_force_gas(G: GainMatrix, rng: np.random.Generator) -> bool:
     """Iteration-based GAS verdict, independent of the cycle test.
 
     A start counts as decaying when its iterates either drop below tol or
@@ -47,7 +46,7 @@ def brute_force_gas(G: GainMatrix, rng: np.random.Generator,
     near-critical instances whose geometric rate is too close to 1 for the
     absolute threshold to settle within the step budget.
     """
-    w = 8
+    starts, steps, tol, w = 20, 200, 1e-8, 8
     for _ in range(starts):
         x = np.exp(rng.uniform(math.log(0.1), math.log(10.0), size=G.n))
         res = iterate(G, x, max_steps=steps, tol_conv=tol)
@@ -65,11 +64,11 @@ def brute_force_gas(G: GainMatrix, rng: np.random.Generator,
     return True
 
 
-def cycle_test_sweep(count: int = 500, seed: int = DEFAULT_SEED) -> Dict:
+def cycle_test_sweep(seed: int = DEFAULT_SEED) -> Dict:
     """Cycle test vs brute-force iteration on random max-linear maps."""
     rng = np.random.default_rng(seed)
     disagreements: List[Dict] = []
-    for k in range(count):
+    for k in range(SWEEP_CASES):
         n = int(rng.integers(2, 5))
         G = random_linear_matrix(rng, n)
         holds = check_small_gain(G).holds
@@ -77,8 +76,8 @@ def cycle_test_sweep(count: int = 500, seed: int = DEFAULT_SEED) -> Dict:
         if holds != gas:
             disagreements.append({"case": k, "n": n, "cycle_test": holds,
                                   "iteration": gas})
-    return {"passed": not disagreements, "cases": count,
-            "agreements": count - len(disagreements),
+    return {"passed": not disagreements, "cases": SWEEP_CASES,
+            "agreements": SWEEP_CASES - len(disagreements),
             "disagreements": disagreements}
 
 
@@ -105,6 +104,9 @@ LDN_C = [[0.4, 0.6, 0.5],
          [0.6, 0.5, 0.4]]
 LDN_R = 0.5
 LDN_LAMBDA = 0.95
+LDN_HORIZON = 60.0
+LDN_DT = 1e-3
+LDN_HISTORIES = 10
 
 
 def ldn_gain_matrix(a, c, lam: float) -> GainMatrix:
@@ -129,8 +131,7 @@ def delay_network_config(violating: bool = False) -> Dict:
     return {"a": list(LDN_A), "c": c, "r": LDN_R, "coupling": "sign_aligned"}
 
 
-def delay_network(seed: int = DEFAULT_SEED, horizon: float = 60.0,
-              dt: float = 1e-3, histories: int = 10) -> Dict:
+def delay_network(seed: int = DEFAULT_SEED) -> Dict:
     """Delay-network reproduction: verified instance decays, violating
     instance fails the cycle test and exhibits a non-decaying run."""
     rng = np.random.default_rng(seed)
@@ -141,9 +142,9 @@ def delay_network(seed: int = DEFAULT_SEED, horizon: float = 60.0,
     n = len(params["a"])
     decay_ok = True
     ratios = []
-    for _ in range(histories):
+    for _ in range(LDN_HISTORIES):
         h0 = rng.uniform(-1.0, 1.0, size=n)
-        traj = integrate_delay(spec, h0, horizon=horizon, dt=dt)
+        traj = integrate_delay(spec, h0, horizon=LDN_HORIZON, dt=LDN_DT)
         init = float(np.max(np.abs(traj.states[0])))
         final = float(np.max(np.abs(traj.states[-1])))
         ratio = final / init if init > 0 else 0.0
@@ -159,7 +160,7 @@ def delay_network(seed: int = DEFAULT_SEED, horizon: float = 60.0,
     grew = False
     try:
         bad_traj = integrate_delay(bad_spec, np.full(n, 1.0),
-                                   horizon=horizon, dt=dt)
+                                   horizon=LDN_HORIZON, dt=LDN_DT)
         grew = (float(np.max(np.abs(bad_traj.states[-1])))
                 >= float(np.max(np.abs(bad_traj.states[0]))))
     except FiniteEscapeError:
@@ -177,6 +178,9 @@ BIO_PARAMS = {"a": [1.0, 1.0, 1.0], "tau": [0.1, 0.1, 0.1],
               "g": {"form": "mm", "c": 3.0, "K": 1.0}}
 BIO_THETA = 0.6
 BIO_MU = 1.1
+BIO_HORIZON = 120.0
+BIO_DT = 0.01
+BIO_HISTORIES = 10
 
 
 def biochem_config() -> Dict:
@@ -194,8 +198,7 @@ def biochem_gain_matrix(n: int, theta: float, mu: float) -> GainMatrix:
     return G
 
 
-def biochem_circuit_run(seed: int = DEFAULT_SEED, horizon: float = 120.0,
-              dt: float = 0.01, histories: int = 10) -> Dict:
+def biochem_circuit_run(seed: int = DEFAULT_SEED) -> Dict:
     """Biochemical-circuit reproduction: sector hypothesis verified
     numerically, cycle test passes, all runs converge to the positive
     equilibrium, log-coordinate channels decay."""
@@ -215,9 +218,9 @@ def biochem_circuit_run(seed: int = DEFAULT_SEED, horizon: float = 120.0,
     conv_ok = True
     rel_errors = []
     v_tails = []
-    for _ in range(histories):
+    for _ in range(BIO_HISTORIES):
         h0 = xstar * np.exp(rng.uniform(-1.0, 1.0, size=n))
-        traj = integrate_delay(spec, h0, horizon=horizon, dt=dt)
+        traj = integrate_delay(spec, h0, horizon=BIO_HORIZON, dt=BIO_DT)
         rel = float(np.max(np.abs(traj.states[-1] - xstar) / xstar))
         rel_errors.append(rel)
         if rel >= 1e-3:

@@ -325,11 +325,8 @@ def integrate_sampled(spec: SystemSpec, x0, horizon: float,
     states: List[np.ndarray] = [np.array([x])]
     sampling: List[float] = [tau]
     while tau < t_end - 1e-15:
-        h_val = spec.period(x)
-        if not (h_val > 0):
-            raise ConfigError(f"sampling period must be positive, got {h_val}")
         try:
-            gap = math.exp(-dtilde(tau)) * h_val
+            gap = math.exp(-dtilde(tau)) * spec.period(x)
         except OverflowError:
             gap = math.inf
         tau_next = tau + gap

@@ -5,15 +5,16 @@ implication (premise on the gains, conclusion on the worst-case Lyapunov
 derivative that the model's registry entry gives, where it has one),
 tail-based convergence verdicts on simulated trajectories, and the
 asymptotic-gain bound of each Lyapunov channel against the synthesized
-channel maps.  All are evidence at the reported sampling density or
-horizon, never proofs.
+channel maps.  Every check uses the quadratic channels v_i = x_i^2 / 2;
+the trajectory checks read them off the states as one array.  All are
+evidence at the reported sampling density or horizon, never proofs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -23,12 +24,14 @@ from .network import GainMatrix, _gamma_block
 from .simulate import Trajectory
 
 __all__ = [
-    "LyapunovSetup", "InconclusiveError", "quadratic_channels",
-    "check_implication", "recheck_violation", "check_convergence",
+    "LyapunovSetup", "InconclusiveError", "check_implication",
+    "recheck_violation", "check_convergence",
     "check_asymptotic_gain", "ldn_rho", "biochem_rho_first", "biochem_rho_chain",
 ]
 
 TOL_IMPL = 1e-8
+# check_implication samples magnitudes log-uniformly in [1e-6, 1] * this
+IMPL_RADIUS = 10.0
 TOL_TAIL = 1e-6
 TAIL_FRACTION = 0.2
 TOL_GAIN = 0.05
@@ -38,11 +41,6 @@ _IMPL_BLOCK = 4096
 
 class InconclusiveError(RuntimeError):
     """Not enough data to produce a verdict (e.g. horizon too short)."""
-
-
-def quadratic_channels(n: int) -> List[Callable[[np.ndarray], float]]:
-    """The standard per-block channels v_i(x) = x_i^2 / 2."""
-    return [(lambda row, i=i: 0.5 * float(row[i]) ** 2) for i in range(n)]
 
 
 def ldn_rho(a: Sequence[float], lam: float) -> List[Callable]:
@@ -87,18 +85,16 @@ class LyapunovSetup:
     """
 
     gains: GainMatrix
+    rho_list: List[Callable[[np.ndarray], np.ndarray]]
     zeta: GainFn = field(default_factory=Zero)
-    rho_list: Optional[List[Callable[[np.ndarray], np.ndarray]]] = None
 
     def __post_init__(self):
-        if self.rho_list is not None and len(self.rho_list) != self.gains.n:
+        if len(self.rho_list) != self.gains.n:
             raise ValueError("rho_list length must equal the matrix dimension")
 
 
-def _checked_dsup(setup: LyapunovSetup, model: SystemSpec):
-    """The model's worst-case channel derivative, for a setup with rho_list."""
-    if setup.rho_list is None:
-        raise ValueError("implication check requires rho_list")
+def _checked_dsup(model: SystemSpec):
+    """The model's worst-case channel derivative."""
     build = model.parsed.deriv_sup
     if build is None:
         raise ValueError(
@@ -108,7 +104,7 @@ def _checked_dsup(setup: LyapunovSetup, model: SystemSpec):
 
 
 def _violations(setup: LyapunovSetup, dsup, idx: np.ndarray, x: np.ndarray,
-                V: np.ndarray, u: np.ndarray, tol_impl: float) -> List[Dict]:
+                V: np.ndarray, u: np.ndarray) -> List[Dict]:
     """The points of a batch where the premise holds and the decay
     conclusion fails, in batch order, as dicts of .tolist() columns."""
     G = setup.gains
@@ -125,23 +121,22 @@ def _violations(setup: LyapunovSetup, dsup, idx: np.ndarray, x: np.ndarray,
     bound = np.empty(hit.size)
     for i, rho in enumerate(setup.rho_list):
         bound[idx == i] = -rho(q[idx == i])
-    bad = np.flatnonzero(deriv > bound + tol_impl)
+    bad = np.flatnonzero(deriv > bound + TOL_IMPL)
     cols = (idx + 1, x, V, u, deriv, bound)
     return [dict(zip(("i", "x_i", "V", "u", "derivative", "bound"), row))
             for row in zip(*(c[bad].tolist() for c in cols))]
 
 
 def check_implication(setup: LyapunovSetup, model: SystemSpec,
-                      sample_count: int = 10_000, radius: float = 10.0,
-                      seed: int = 0, tol_impl: float = TOL_IMPL) -> List[Dict]:
+                      sample_count: int = 10_000, seed: int = 0) -> List[Dict]:
     """Sampled falsification of the per-channel decay implication.
 
-    Samples channel points and delayed levels log-uniformly up to radius;
-    wherever the premise (every coupling gain of the delayed levels, and
-    the input gain of the input, at or below the channel value) holds,
-    the worst-case channel derivative must not exceed -rho_i of the
-    channel value plus tol_impl.  Returns the violations found, in sample
-    order; an empty list means not falsified at this density.
+    Samples channel points and delayed levels log-uniformly up to
+    IMPL_RADIUS; wherever the premise (every coupling gain of the delayed
+    levels, and the input gain of the input, at or below the channel
+    value) holds, the worst-case channel derivative must not exceed -rho_i
+    of the channel value plus TOL_IMPL.  Returns the violations found, in
+    sample order; an empty list means not falsified at this density.
 
     Samples are drawn in blocks of _IMPL_BLOCK (the last block holds the
     remainder).  Each block of B samples draws, in this order: the channel
@@ -149,14 +144,14 @@ def check_implication(setup: LyapunovSetup, model: SystemSpec,
     ``uniform(lo, hi, B)``, the signs ``random(B)`` (negative where >= 0.5),
     the log-levels ``uniform(lo, hi, (B, n))`` (V_j = exp(.)**2 / 2), and,
     only when the input gain is not Zero, the log-inputs ``uniform(lo, hi,
-    B)``, with lo, hi = log(1e-6 * radius), log(radius).
+    B)``, with lo, hi = log(1e-6 * IMPL_RADIUS), log(IMPL_RADIUS).
     """
-    dsup = _checked_dsup(setup, model)
+    dsup = _checked_dsup(model)
     n = setup.gains.n
     rng = np.random.default_rng(seed)
     has_input = not isinstance(setup.zeta, Zero)
     violations: List[Dict] = []
-    lo, hi = math.log(1e-6 * radius), math.log(radius)
+    lo, hi = math.log(1e-6 * IMPL_RADIUS), math.log(IMPL_RADIUS)
     for start in range(0, sample_count, _IMPL_BLOCK):
         B = min(_IMPL_BLOCK, sample_count - start)
         idx = rng.integers(n, size=B)
@@ -164,67 +159,61 @@ def check_implication(setup: LyapunovSetup, model: SystemSpec,
         x = np.where(rng.random(B) < 0.5, mag, -mag)
         V = np.exp(rng.uniform(lo, hi, (B, n))) ** 2 / 2.0
         u = np.exp(rng.uniform(lo, hi, B)) if has_input else np.zeros(B)
-        violations += _violations(setup, dsup, idx, x, V, u, tol_impl)
+        violations += _violations(setup, dsup, idx, x, V, u)
     return violations
 
 
 def recheck_violation(setup: LyapunovSetup, model: SystemSpec,
-                      violation: Dict, tol_impl: float = TOL_IMPL) -> bool:
+                      violation: Dict) -> bool:
     """Re-evaluate one reported violation point in isolation: a batch of
     one sample through the code of check_implication."""
     return bool(_violations(
-        setup, _checked_dsup(setup, model), np.array([violation["i"] - 1]),
+        setup, _checked_dsup(model), np.array([violation["i"] - 1]),
         np.array([float(violation["x_i"])]),
         np.asarray(violation["V"], dtype=float).reshape(1, setup.gains.n),
-        np.array([float(violation.get("u", 0.0))]), tol_impl))
+        np.array([float(violation.get("u", 0.0))])))
 
 
-def _tail(traj: Trajectory, tail_fraction: float) -> np.ndarray:
+def _tail_channels(traj: Trajectory,
+                   tail_fraction: float) -> Tuple[np.ndarray, int]:
+    """The channels v_i = x_i^2 / 2 on the last tail_fraction of the
+    samples, one row per sample, and the index of the tail's first sample."""
     count = traj.states.shape[0]
     start = int(math.floor(count * (1.0 - tail_fraction)))
     if count - start < 10:
         raise InconclusiveError(
             f"tail holds only {count - start} samples; lengthen the horizon")
-    return traj.states[start:]
+    tail = traj.states[start:]
+    return 0.5 * tail * tail, start
 
 
-def check_convergence(traj: Trajectory,
-                      V_list: Sequence[Callable[[np.ndarray], float]],
-                      tol_tail: float = TOL_TAIL,
+def check_convergence(traj: Trajectory, tol_tail: float = TOL_TAIL,
                       tail_fraction: float = TAIL_FRACTION) -> List[Dict]:
-    """Per-channel verdict: tail sup of V_i below tol_tail."""
-    tail = _tail(traj, tail_fraction)
-    out = []
-    for v in V_list:
-        sup = max(float(v(row)) for row in tail)
-        out.append({"status": "converged" if sup < tol_tail else "not-converged",
-                    "tail_sup": sup, "tol": tol_tail})
-    return out
+    """Per-channel verdict: tail sup of v_i below tol_tail."""
+    V, _ = _tail_channels(traj, tail_fraction)
+    return [{"status": "converged" if sup < tol_tail else "not-converged",
+             "tail_sup": sup, "tol": tol_tail}
+            for sup in V.max(axis=0).tolist()]
 
 
-def check_asymptotic_gain(traj: Trajectory,
-                          V_list: Sequence[Callable[[np.ndarray], float]],
-                          gmap: Sequence[GainFn], u_sup: float,
-                          tol_gain: float = TOL_GAIN,
+def check_asymptotic_gain(traj: Trajectory, gmap: Sequence[GainFn],
+                          u_sup: float, tol_gain: float = TOL_GAIN,
                           tail_fraction: float = TAIL_FRACTION) -> List[Dict]:
-    """Per-channel check: tail sup of V_i within (1+tol)*G_i(u_sup).
+    """Per-channel check: tail sup of v_i within (1+tol)*G_i(u_sup).
 
     The tail restriction excludes the transient, so this tests only the
-    asymptotic-gain consequence of the closed-loop estimate.
+    asymptotic-gain consequence of the closed-loop estimate.  A violation
+    reports the first time the tail reaches its sup.
     """
     if u_sup < 0:
         raise ValueError("u_sup must be >= 0")
-    if len(gmap) != len(V_list):
-        raise ValueError("gmap and V_list lengths must match")
-    tail = _tail(traj, tail_fraction)
-    count = traj.states.shape[0]
-    start = count - tail.shape[0]
+    if len(gmap) != traj.n:
+        raise ValueError("gmap length must equal the trajectory dimension")
+    V, start = _tail_channels(traj, tail_fraction)
+    first = V.argmax(axis=0).tolist()
     out = []
-    for v, gi in zip(V_list, gmap):
-        vals = np.array([float(v(row)) for row in tail])
+    for gi, k, sup in zip(gmap, first, V.max(axis=0).tolist()):
         bound = (1.0 + tol_gain) * gi(u_sup)
-        k = int(np.argmax(vals))
-        sup = float(vals[k])
         if sup <= bound:
             out.append({"status": "satisfied", "tail_sup": sup, "bound": bound,
                         "margin": bound - sup})

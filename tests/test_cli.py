@@ -208,6 +208,21 @@ def test_simulate_sampled_writes_sampling_times(tmp_path):
     assert [float(v) for v in taus[1:]] == [0.0, 0.25, 0.5, 0.75, 1.0]
 
 
+def test_simulate_sampling_period_rounded_to_zero_rejected(tmp_path, capsys):
+    # h(x) = 5e-324 / (1 + |x|) rounds to 0 at |x| = 1
+    cfg = _write(tmp_path / "sim.json", {
+        "system": {"kind": "sampled", "model": "zoh_linear",
+                   "params": {"n": 1},
+                   "h": {"kind": "state_norm", "value": 5e-324}},
+        "analysis": {"horizon": 1.0, "dt": 0.01, "x0": [1.0]}})
+    out = tmp_path / "out"
+    assert main(["simulate", "--input", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: sampling gap 0 at tau = 0 must be finite and move tau "
+        "forward\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("dtilde, gap", [(-800.0, "inf"), (800.0, "0")],
                          ids=["overflow", "zero"])
 def test_simulate_sampling_gap_not_finite_or_zero_rejected(
@@ -427,7 +442,8 @@ _ODE_RUN = {"horizon": 0.1, "dt": 0.01, "x0": [1.0]}
 _SAMPLED = {"kind": "sampled", "model": "zoh_linear", "params": {"n": 1}}
 
 
-@pytest.mark.parametrize("grid", ['{"s_max": 1e400}', '{"points": 1e12}',
+@pytest.mark.parametrize("grid", ['{"s_max": 1e400}',
+                                  '{"points": 1000000000000}',
                                   '{"points": 1}', '{"s_min": -1e400}'])
 def test_check_sg_hostile_grid_rejected(tmp_path, capsys, monkeypatch, grid):
     # the limits are checked before any grid point is computed
@@ -476,6 +492,7 @@ def test_check_sg_grid_chain_overflow_leaves_stderr_empty(tmp_path, capsys):
     ("iterate", "analysis.x0", {"gains": _SG_GAINS, "analysis": {"x0": {}}}),
     ("iterate", "analysis.max_steps", {"gains": _SG_GAINS, "analysis": {
         "x0": [1.0], "max_steps": math.inf}}),
+    ("synth", "synthesis", {"gains": _SG_GAINS, "synthesis": {"M": "2"}}),
 ])
 def test_config_field_of_wrong_json_type_rejected(tmp_path, capsys, command,
                                                   field, cfg):
@@ -563,13 +580,35 @@ _FIELDS = {
 }
 
 
-@pytest.mark.parametrize("command, name", [
-    (command, name) for command, names in _FIELDS.items() for name in names])
+# values of a JSON type that Python's float, int or truth test would take
+_WRONG_TYPE = {
+    "simulate-horizon-string": ("simulate", "horizon", "0.05"),
+    "simulate-horizon-bool": ("simulate", "horizon", True),
+    "simulate-seed-float": ("simulate", "seed", 2.9),
+    "simulate-seed-bool": ("simulate", "seed", True),
+    "iterate-max_steps-float": ("iterate", "max_steps", 2.9),
+    "iterate-x0-string": ("iterate", "x0", [1.0, "2"]),
+    "simulate-x0-bool": ("simulate", "x0", [[True]]),
+    "synth-table_points-float": ("synth", "table_points", 3.0),
+    "check-sg-grid-points-float": ("check-sg", "grid", {"points": 2.5}),
+    "check-sg-grid-s_min-string": ("check-sg", "grid", {"s_min": "1e-9"}),
+    "validate-require_convergence-string": (
+        "validate", "require_convergence", "false"),
+    "validate-require_convergence-number": (
+        "validate", "require_convergence", 0),
+}
+
+
+@pytest.mark.parametrize("command, name, value", [
+    (command, name, [1]) for command, names in _FIELDS.items()
+    for name in names] + list(_WRONG_TYPE.values()), ids=[
+    f"{command}-{name}" for command, names in _FIELDS.items()
+    for name in names] + list(_WRONG_TYPE))
 def test_analysis_field_of_wrong_type_rejected(tmp_path, capsys, command,
-                                               name):
+                                               name, value):
     cfg = dict(_SIM_CFG, gains=_SG_GAINS,
                analysis=dict(_SIM_CFG["analysis"], horizon=0.1))
-    cfg["analysis"][name] = [1]
+    cfg["analysis"][name] = value
     out = tmp_path / "out"
     path = _write(tmp_path / "cfg.json", cfg)
     assert main([command, "--input", path, "--out", str(out)]) == 1
@@ -691,11 +730,24 @@ def _input(**signal):
      "system requires a string field 'model'"),
     (dict(_ODE, kind=["ode"] * 100), _ODE_RUN,
      "system field 'kind' must be a string, got a JSON array"),
+    (dict(_DELAY, params={"c": [[0.5]]}), _HISTORY_RUN,
+     "linear_delay_network requires a parameter 'a'"),
+    (dict(_DELAY, params={"a": [1.0]}), _HISTORY_RUN,
+     "linear_delay_network requires a parameter 'c'"),
+    (dict(_BIO, params={"a": [1.0], "g": _BIO["params"]["g"]}), _HISTORY_RUN,
+     "biochem_circuit requires a parameter 'tau'"),
+    (dict(_BIO, params={"a": [1.0], "tau": [0.1]}), _HISTORY_RUN,
+     "biochem_circuit requires a parameter 'g'"),
+    (_with(_BIO, g={"form": "mm", "c": 3.0}), _HISTORY_RUN,
+     "mm g-curve requires a field 'K'"),
+    (_with(_BIO, g={"form": "hill", "c": 3.0}), _HISTORY_RUN,
+     "hill g-curve requires a field 'p'"),
 ], ids=["ldn-r-nan", "bio-tau-nan", "ldn-a-nan", "ldn-c-inf", "bio-g-c-nan",
         "scalar-a-nan", "zoh-a-hold-nan", "bio-no-nodes", "h-nan",
         "h-unknown-kind", "noise-amplitude-nan", "noise-amplitude-huge",
         "piecewise-time-nan", "constant-input-nan", "kind-not-the-models",
-        "no-kind", "no-model", "kind-array"])
+        "no-kind", "no-model", "kind-array", "ldn-no-a", "ldn-no-c",
+        "bio-no-tau", "bio-no-g", "mm-no-K", "hill-no-p"])
 def test_simulate_system_not_finite_or_out_of_range_rejected(
         tmp_path, capsys, system, run, err):
     path = _write(tmp_path / "cfg.json", {"system": system, "analysis": run})

@@ -13,7 +13,7 @@ from vectorgain.simulate import Trajectory, integrate_delay
 from vectorgain.validate import (
     _IMPL_BLOCK, InconclusiveError, LyapunovSetup, biochem_rho_chain,
     biochem_rho_first, check_asymptotic_gain, check_convergence,
-    check_implication, ldn_rho, quadratic_channels, recheck_violation,
+    check_implication, ldn_rho, recheck_violation,
 )
 
 
@@ -50,15 +50,6 @@ def test_implication_falsified_with_shrunk_gain():
     assert recheck_violation(_scalar_setup(gain_scale=0.1), _scalar_model(), v)
     # the same point does not violate the correct construction
     assert not recheck_violation(_scalar_setup(), _scalar_model(), v)
-
-
-def test_implication_requires_rho():
-    setup = LyapunovSetup(gains=GainMatrix.zeros(1))
-    with pytest.raises(ValueError, match="requires rho_list"):
-        check_implication(setup, _scalar_model())
-    with pytest.raises(ValueError, match="requires rho_list"):
-        recheck_violation(setup, _scalar_model(), {"i": 1, "x_i": 1.0,
-                                                   "V": [1.0]})
 
 
 def test_implication_unknown_model_rejected():
@@ -223,12 +214,12 @@ def _decaying_traj(n=2, count=1000):
 
 def test_check_convergence_verdicts():
     traj = _decaying_traj()
-    out = check_convergence(traj, quadratic_channels(2))
+    out = check_convergence(traj)
     assert all(c["status"] == "converged" for c in out)
     # constant trajectory does not converge
     flat = Trajectory(times=traj.times,
                       states=np.ones_like(traj.states))
-    out = check_convergence(flat, quadratic_channels(2))
+    out = check_convergence(flat)
     assert all(c["status"] == "not-converged" for c in out)
     assert out[0]["tail_sup"] == 0.5
 
@@ -237,14 +228,14 @@ def test_check_convergence_inconclusive_on_short_tail():
     times = np.linspace(0.0, 1.0, 20)
     traj = Trajectory(times=times, states=np.zeros((20, 1)))
     with pytest.raises(InconclusiveError):
-        check_convergence(traj, quadratic_channels(1))
+        check_convergence(traj)
 
 
 def test_convergence_on_real_trajectory():
     spec = SystemSpec(kind="delay", model="linear_delay_network",
                       params={"a": [1.0], "c": [[0.2]], "r": 0.5})
     traj = integrate_delay(spec, np.array([1.0]), horizon=40.0, dt=0.01)
-    out = check_convergence(traj, quadratic_channels(1))
+    out = check_convergence(traj)
     assert out[0]["status"] == "converged"
 
 
@@ -259,12 +250,12 @@ def test_asymptotic_gain_scalar_bound():
                       input_signal=Signal(kind="constant", value=c))
     traj = integrate_delay(spec, [0.0], horizon=30.0, dt=1e-2)
     gmap = [Power(1.0 / (2.0 * lam * lam), 2.0)]
-    out = check_asymptotic_gain(traj, quadratic_channels(1), gmap, u_sup=c)
+    out = check_asymptotic_gain(traj, gmap, u_sup=c)
     assert out[0]["status"] == "satisfied"
     assert out[0]["tail_sup"] == pytest.approx(0.5 * c * c, rel=1e-6)
     # an artificially tight map is violated and reports the witness time
     tight = [Linear(0.25)]
-    out = check_asymptotic_gain(traj, quadratic_channels(1), tight, u_sup=c)
+    out = check_asymptotic_gain(traj, tight, u_sup=c)
     assert out[0]["status"] == "violated"
     assert "t" in out[0] and out[0]["value"] > (1.05 * 0.25)
 
@@ -272,6 +263,38 @@ def test_asymptotic_gain_scalar_bound():
 def test_asymptotic_gain_validation():
     traj = _decaying_traj(1)
     with pytest.raises(ValueError):
-        check_asymptotic_gain(traj, quadratic_channels(1), [Zero()], u_sup=-1.0)
+        check_asymptotic_gain(traj, [Zero()], u_sup=-1.0)
     with pytest.raises(ValueError):
-        check_asymptotic_gain(traj, quadratic_channels(2), [Zero()], u_sup=0.0)
+        check_asymptotic_gain(_decaying_traj(2), [Zero()], u_sup=0.0)
+
+
+def test_tail_checks_match_per_row_reference():
+    # a bump in the middle of the tail, so no channel peaks in the last row
+    # or at the tail's start; channel 2 peaks twice, and its witness is the
+    # first time, row 850
+    times = np.linspace(0.0, 10.0, 1000)
+    x = np.exp(-times)[:, None] * np.array([[1.0, -2.0, 0.5]])
+    x[850] = [3e-3, -2e-3, 1e-3]
+    x[900, 1] = -2e-3
+    traj = Trajectory(times=times, states=x)
+    start = int(math.floor(1000 * (1.0 - 0.2)))
+    tail = [row.tolist() for row in x[start:]]
+    gmap = [Linear(1e-6), Linear(1e-7), Linear(1.0)]
+    conv = check_convergence(traj)
+    gain = check_asymptotic_gain(traj, gmap, u_sup=2.0)
+    for i in range(3):
+        vals = [0.5 * row[i] * row[i] for row in tail]
+        sup = max(vals)
+        t = float(times[start + vals.index(sup)])
+        assert conv[i] == {"status": "converged" if sup < 1e-6
+                           else "not-converged", "tail_sup": sup, "tol": 1e-6}
+        bound = 1.05 * gmap[i](2.0)
+        if sup <= bound:
+            assert gain[i] == {"status": "satisfied", "tail_sup": sup,
+                               "bound": bound, "margin": bound - sup}
+        else:
+            assert gain[i] == {"status": "violated", "tail_sup": sup,
+                               "bound": bound, "t": t, "value": sup}
+    assert [c["status"] for c in conv] == ["not-converged"] * 2 + ["converged"]
+    assert [e["status"] for e in gain] == ["violated", "violated", "satisfied"]
+    assert gain[0]["t"] == gain[1]["t"] == times[850]
