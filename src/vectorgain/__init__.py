@@ -11,7 +11,7 @@ from .network import (
     gamma_apply, gas_witness_search, matrix_from_json, matrix_to_json,
     q_operator, support_circuits,
 )
-from .iteration import IterationResult, iterate, sandwich_oracle, lfp_bound_check
+from .iteration import IterationResult, iterate, lfp_bound_check
 from .synthesis import (
     CompositeGain, OverallGain, SmallGainRequired, SynthesisInput, build_phi,
     overall_gain,

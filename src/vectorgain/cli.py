@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import itertools
 import json
 import sys
@@ -347,6 +348,7 @@ def _cmd_repro(cfg: Dict, analysis: Dict, seed: Optional[int],
 
 # ---------------------------------------------------------------------------
 
+@functools.cache  # built on the first call, not at import
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vectorgain",

@@ -1,8 +1,7 @@
 """Iteration of the monotone discrete system x_{k+1} = Gamma(x_k).
 
-Provides the raw iterator with convergence/divergence detection plus two
-oracle-style checks: convergence of dominated starts under a decreasing
-majorant, and the envelope bound on the least fixed point of
+Provides the raw iterator with convergence/divergence detection plus an
+oracle-style check of the envelope bound on the least fixed point of
 x -> MAX{a, Gamma(x)}.
 """
 
@@ -20,7 +19,7 @@ from .network import (
     q_operator,
 )
 
-__all__ = ["IterationResult", "iterate", "sandwich_oracle", "lfp_bound_check"]
+__all__ = ["IterationResult", "iterate", "lfp_bound_check"]
 
 TOL_CONV = 1e-9
 DIVERGENCE_BOUND = 1e12
@@ -67,32 +66,6 @@ def iterate(G: GainMatrix, x0, max_steps: int = 200,
     rows.flags.writeable = False
     return IterationResult(rows, status, steps,
                            tuple(rows.max(axis=1).tolist()))
-
-
-def sandwich_oracle(G: GainMatrix, x, y, max_steps: int = 200,
-                   tol_conv: float = TOL_CONV) -> bool:
-    """Convergence of iterates from y when y <= x and Gamma(x) <= x.
-
-    Also asserts the sandwich Gamma^(k)(y) <= Gamma^(k)(x) at every step.
-    Preconditions (dominance, decrease at x, small gain) are enforced.
-    """
-    cx = as_plus_vec(x, G.n).tolist()
-    cy = as_plus_vec(y, G.n).tolist()
-    if not all(map(operator.le, _gamma_step(G, cx), cx)):
-        raise ValueError("precondition Gamma(x) <= x fails")
-    if not all(map(operator.le, cy, cx)):
-        raise ValueError("precondition y <= x fails")
-    if not check_small_gain(G).holds:
-        raise ValueError("precondition: small-gain condition not established")
-    for _ in range(max_steps):
-        cx = _gamma_step(G, cx)
-        cy = _gamma_step(G, cy)
-        # false on nan too, so the Python max below never sees one
-        if not all(map(operator.le, cy, cx)):
-            raise AssertionError("sandwich Gamma^(k)(y) <= Gamma^(k)(x) broken")
-        if max(cy) < tol_conv:
-            return True
-    return max(cy) < tol_conv
 
 
 def lfp_bound_check(G: GainMatrix, a, max_steps: int = 1000,

@@ -124,6 +124,12 @@ def _parse_period(h: Optional[Dict]) -> Callable[[np.ndarray], float]:
 #   "sign_aligned": g_i = sgn(x_i) * max_j c_ij * window-sup |x_j|
 #                   (achieves the bound, worst case for decay)
 #   "delayed_linear": g_i = sum_j c_ij x_j(t - r)  (plain linear lag)
+# The sign_aligned drive D(w)_i = max_j c_ij w_j is max-times linear, also
+# in floats (c >= 0, rounding is monotone, max is exact), so the delay
+# history takes its window max over the drives of the rows, which it
+# computes a block of rows at a time: `_max_times` is D on rows, and the
+# right-hand side holds no memo of its own.  With r = 0 the window is the
+# present state, and D is applied to |x| at each stage.
 # The disturbance signal scales the coupling; values in [-1, 1] stay
 # within the admissible set.  bu, the input gain, is read by the
 # implication check alone.
@@ -170,6 +176,24 @@ def _memo_by_identity(fn):
     return derived
 
 
+# most elements of one (rows, n, n) product in a max-times drive
+_DRIVE_BUDGET = 1 << 16
+
+
+def _max_times(c: np.ndarray):
+    """The map D(W)_ki = max_j c_ij W_kj on the rows of a (k, n) array W,
+    in products of at most _DRIVE_BUDGET elements."""
+    chunk = max(1, _DRIVE_BUDGET // c.size)
+
+    def drive(W: np.ndarray) -> np.ndarray:
+        if len(W) > chunk:
+            return np.concatenate([drive(W[lo:lo + chunk])
+                                   for lo in range(0, len(W), chunk)])
+        return np.maximum.reduce(W[:, None, :] * c, axis=2)
+
+    return drive
+
+
 def _ldn_rhs(spec: SystemSpec):
     v = spec.parsed.values
     a, c, r = v["a"], v["c"], v["r"]
@@ -180,15 +204,16 @@ def _ldn_rhs(spec: SystemSpec):
     # the disturbance s scales the coupling; a product with 1.0 is exact
     if v["coupling"] == "sign_aligned":
         # max_j c_ij w_j >= 0, so copysign gives it the sign of x_i
-        drive = _memo_by_identity(lambda w: (c * w).max(axis=1).tolist())
+        drive = _max_times(c)
 
         def rhs(t, x, hist):
             # with r = 0 the window [t - r, t] holds the present state alone
-            w = hist.window_absmax(t) if r > 0 else tuple(map(abs, x))
+            g = (hist.window_max(t, drive) if r > 0
+                 else drive(np.abs([x])).tolist()[0])
             s = d_sig(t) if disturbed else 1.0
             # sgn(x) with sgn(+-0) = +1: x + 0.0 turns -0.0 into +0.0
             return [na * xi + copysign(gi, xi + 0.0) * s
-                    for na, xi, gi in zip(neg_a, x, drive(w))]
+                    for na, xi, gi in zip(neg_a, x, g)]
     else:
         lag = _memo_by_identity(lambda xd: (c @ xd).tolist())
 
@@ -221,6 +246,8 @@ def _ldn_deriv_sup(spec: SystemSpec):
 
 def make_g(gp: Dict) -> Callable[[float], float]:
     """The g-curve of a g object; its c, K and p must be finite and > 0."""
+    _require(isinstance(gp, dict),
+             f"g must be an object, got {_describe_json(gp)}")
     form = gp.get("form", "mm")
     if form == "mm":
         c, K = (float(_required(gp, name, "mm g-curve", "field"))

@@ -126,6 +126,9 @@ def signal_from_json(d: Optional[dict]) -> Signal:
     kind = d.get("kind", "zero")
     if kind not in _KINDS:
         raise ValueError(f"unknown signal kind {kind!r}")
-    return Signal(kind=kind, **{
-        name: convert(d[name]) for name, convert in _FIELDS[kind].items()
-        if name in d or name in _REQUIRED})
+    fields = _FIELDS[kind]
+    missing = [name for name in fields if name in _REQUIRED and name not in d]
+    if missing:
+        raise ValueError(f"{kind} signal requires a field {missing[0]!r}")
+    return Signal(kind=kind, **{name: convert(d[name])
+                                for name, convert in fields.items() if name in d})

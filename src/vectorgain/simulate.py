@@ -22,6 +22,16 @@ delayed value by its half-step point and a window until its start or end
 moves, and a right-hand side keeps what it derives from such a value, or
 from a held state, for as long as it is handed the same tuple.  A tuple
 cannot be written to, so no memo goes stale.
+
+A window query returns the window max of a row map D that the model
+supplies: the max-type coupling D(w)_i = max_j c_ij w_j of a delay
+network, or the identity.  Such a D is max-times linear,
+D(max(u, v)) = max(D(u), D(v)), and exactly so in floats: c_ij >= 0, a
+correctly rounded product is non-decreasing in its other factor, and a
+max is exact.  So the drive of a window, D of its max of |x|, is the
+window max of the drives of its rows, and the history applies D to a
+block of rows in one numpy pass and to the running max only when it
+rises, instead of once per window.
 """
 
 from __future__ import annotations
@@ -162,18 +172,26 @@ class _History:
     a run reads each row once; the memo is emptied when it holds
     INTERP_MEMO points.
 
-    window_absmax(t) is the per-channel max of |x| over rows
+    window_max(t, drive) is the per-channel max of drive(|x|) over rows
     start = max((h - 2m) // 2, 0) to the newest valid row, m = r/dt: the
-    stored nodes of [t - r, t].  The start only moves forward, so a
-    two-stack (van Herk / Gil-Werman) max serves it in O(n) per query.  A
-    frozen block of rows [b0, b1) holds the suffix maxima of |row|, as an
-    array, and a running max covers the rows [b1, filled); a window is the
-    max of the suffix row at its start and the running max.  When the start
-    passes b1, rows [start, filled) become the new block, a rebuild in a
-    few numpy calls that comes about once per m steps.  The first window
-    query builds the first block, so a model that never asks for a window
-    builds no window state.  The result is memoized on (start, filled),
-    which RK4 stages 1-3 of a step share.
+    stored nodes of [t - r, t].  drive maps a (k, n) array of rows to the
+    (k, n) array of their images under a max-times linear D (see the
+    module docstring); every query of one history passes the same drive,
+    and the identity gives the window max of |x|.  The start only moves
+    forward, so a two-stack (van Herk / Gil-Werman) max serves it.  A
+    frozen block of rows [b0, b1) holds D of the max of all its rows (the
+    head, a tuple) and the suffix maxima of D(|row|) for rows b0 + 1 on
+    (an array), and a running max of |row| covers the rows [b1, filled):
+    a tuple that keeps its identity while no new row raises it, with D
+    applied to it only when it changes.  A window is the max of the block
+    entry at its start and D of the running max.  When the start reaches
+    b1, rows [start, filled) become the new block, about once per m
+    steps: the running max covers just those rows, so its drive is the
+    head, and one chunked numpy pass gives the suffix maxima of the rest
+    (none when m = 1).  The first window query builds the first block, so
+    a model that never asks for a window builds no window state.  The
+    result is memoized on (start, filled), which RK4 stages 1-3 of a step
+    share.
     """
 
     def __init__(self, states: np.ndarray, dt: float, t0: float, m: int,
@@ -184,11 +202,12 @@ class _History:
         self.m = m
         self.filled = filled  # number of valid rows
         self._interp = {}  # half-step position -> value
-        # window index: suffix maxima of |rows[b0:b1]|, and the running max
-        # of |rows[b1:pushed]|; b1 = 0 until the first window query
+        # window index: the head and suffix drives of rows[b0:b1], and the
+        # running max of |rows[b1:pushed]| with its drive
         self._b0 = self._b1 = self._pushed = 0
-        self._suffix = self._running = None
-        self._window_key = self._window = None
+        self._head = self._suffix = None
+        self._running = self._running_drive = None
+        self._drive = self._window_key = self._window = None
 
     def advance(self, filled: int) -> None:
         """Mark rows below `filled` as valid."""
@@ -213,24 +232,51 @@ class _History:
             self._interp[h] = value
         return value
 
-    def window_absmax(self, t: float) -> Tuple[float, ...]:
+    def window_max(self, t: float, drive) -> Tuple[float, ...]:
         start = max((self._half_steps(t) - 2 * self.m) // 2, 0)
-        key = (start, self.filled)
+        key = (start, self.filled, drive)
         if key != self._window_key:
+            if drive is not self._drive:  # the first query: no block yet
+                self._drive, self._b1, self._pushed = drive, 0, 0
             if start >= self._b1:
-                rows = np.abs(self.states[start:self.filled])
-                self._suffix = np.maximum.accumulate(rows[::-1])[::-1]
-                self._running = (0.0,) * rows.shape[1]  # max of no |row|
-                self._b0 = start
-                self._b1 = self._pushed = self.filled
-            running = self._running
-            for k in range(self._pushed, self.filled):
-                running = _max2(running, map(abs, self.states[k].tolist()))
-            self._running, self._pushed = running, self.filled
+                self._new_block(start, drive)
+            else:
+                self._push(drive)
+            head = (self._head if start == self._b0
+                    else self._suffix[start - self._b0 - 1].tolist())
             self._window_key = key
-            self._window = _max2(self._suffix[start - self._b0].tolist(),
-                                 running)
+            self._window = _max2(head, self._running_drive)
         return self._window
+
+    def _new_block(self, start: int, drive) -> None:
+        """Make rows [start, filled) the frozen block, and start an empty
+        running part at filled."""
+        if start == self._b1 and self._pushed == self.filled:
+            # the running max covers just these rows: its drive is theirs
+            head = self._running_drive
+        else:
+            rows = np.abs(self.states[start:self.filled]).max(axis=0)
+            head = drive(rows[None]).tolist()[0]
+        rest = self.states[start + 1:self.filled]
+        self._suffix = (np.maximum.accumulate(drive(np.abs(rest))[::-1])[::-1]
+                        if len(rest) else None)
+        self._head = head
+        self._b0, self._b1, self._pushed = start, self.filled, self.filled
+        # the max of no |row|, and its drive
+        self._running = self._running_drive = (0.0,) * self.states.shape[1]
+
+    def _push(self, drive) -> None:
+        """Raise the running max by the rows added since the last push,
+        and apply the drive when the running max has risen."""
+        running = self._running
+        for k in range(self._pushed, self.filled):
+            raised = _max2(running, map(abs, self.states[k].tolist()))
+            if raised != running:
+                running = raised
+        self._pushed = self.filled
+        if running is not self._running:
+            self._running = running
+            self._running_drive = drive(np.array([running])).tolist()[0]
 
 
 def _max2(u, v) -> Tuple[float, ...]:

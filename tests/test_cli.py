@@ -71,6 +71,15 @@ def test_overwrite_protection(tmp_path, sg_config):
                  "--force"]) == 0
 
 
+def test_force_does_not_carry_over_to_the_next_run(tmp_path, sg_config):
+    # the parser is built once per process; --force belongs to one call
+    out = tmp_path / "out"
+    assert main(["check-sg", "--input", sg_config, "--out", str(out)]) == 0
+    assert main(["check-sg", "--input", sg_config, "--out", str(out),
+                 "--force"]) == 0
+    assert main(["check-sg", "--input", sg_config, "--out", str(out)]) == 1
+
+
 def test_refused_overwrite_writes_nothing(tmp_path, sg_config, capsys):
     # run_meta.json is the last file written: every path is checked before
     # report.json, the first, is written
@@ -742,12 +751,27 @@ def _input(**signal):
      "mm g-curve requires a field 'K'"),
     (_with(_BIO, g={"form": "hill", "c": 3.0}), _HISTORY_RUN,
      "hill g-curve requires a field 'p'"),
+    (_with(_BIO, g=5), _HISTORY_RUN, "g must be an object, got 5"),
+    (_with(_BIO, g=[1.0] * 100), _HISTORY_RUN,
+     "g must be an object, got a JSON array"),
+    (_input(kind="constant"), _ODE_RUN,
+     "constant signal requires a field 'value'"),
+    (_input(kind="sinusoid", frequency=1.0), _ODE_RUN,
+     "sinusoid signal requires a field 'amplitude'"),
+    (_input(kind="piecewise", values=[1.0]), _ODE_RUN,
+     "piecewise signal requires a field 'times'"),
+    (_input(kind="piecewise", times=[0.0]), _ODE_RUN,
+     "piecewise signal requires a field 'values'"),
+    (_input(kind="noise", seed=3), _ODE_RUN,
+     "noise signal requires a field 'amplitude'"),
 ], ids=["ldn-r-nan", "bio-tau-nan", "ldn-a-nan", "ldn-c-inf", "bio-g-c-nan",
         "scalar-a-nan", "zoh-a-hold-nan", "bio-no-nodes", "h-nan",
         "h-unknown-kind", "noise-amplitude-nan", "noise-amplitude-huge",
         "piecewise-time-nan", "constant-input-nan", "kind-not-the-models",
         "no-kind", "no-model", "kind-array", "ldn-no-a", "ldn-no-c",
-        "bio-no-tau", "bio-no-g", "mm-no-K", "hill-no-p"])
+        "bio-no-tau", "bio-no-g", "mm-no-K", "hill-no-p", "bio-g-number",
+        "bio-g-array", "constant-no-value", "sinusoid-no-amplitude",
+        "piecewise-no-times", "piecewise-no-values", "noise-no-amplitude"])
 def test_simulate_system_not_finite_or_out_of_range_rejected(
         tmp_path, capsys, system, run, err):
     path = _write(tmp_path / "cfg.json", {"system": system, "analysis": run})

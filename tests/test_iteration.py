@@ -1,3 +1,5 @@
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,10 +7,11 @@ from hypothesis import strategies as st
 
 from vectorgain.gains import Linear, LogExpSq, Power, Scale, Zero
 from vectorgain.iteration import (
-    DIVERGENCE_BOUND, iterate, sandwich_oracle, lfp_bound_check,
+    DIVERGENCE_BOUND, TOL_CONV, iterate, lfp_bound_check,
 )
 from vectorgain.network import (
-    GainMatrix, _gamma_step, as_plus_vec, gamma_apply, q_operator,
+    GainMatrix, _gamma_step, as_plus_vec, check_small_gain, gamma_apply,
+    q_operator,
 )
 from vectorgain.recipes import random_linear_matrix
 from conftest import random_verified_matrix
@@ -184,6 +187,31 @@ def test_iterates_monotone_from_dominating_start(rng):
         seq = res.iterates
         for a, b in zip(seq, seq[1:]):
             assert np.all(b <= a)
+
+
+def sandwich_oracle(G, x, y, max_steps=200):
+    """Convergence of iterates from y when y <= x and Gamma(x) <= x.
+
+    Also asserts the sandwich Gamma^(k)(y) <= Gamma^(k)(x) at every step.
+    Preconditions (dominance, decrease at x, small gain) are enforced.
+    """
+    cx = as_plus_vec(x, G.n).tolist()
+    cy = as_plus_vec(y, G.n).tolist()
+    if not all(map(operator.le, _gamma_step(G, cx), cx)):
+        raise ValueError("precondition Gamma(x) <= x fails")
+    if not all(map(operator.le, cy, cx)):
+        raise ValueError("precondition y <= x fails")
+    if not check_small_gain(G).holds:
+        raise ValueError("precondition: small-gain condition not established")
+    for _ in range(max_steps):
+        cx = _gamma_step(G, cx)
+        cy = _gamma_step(G, cy)
+        # false on nan too, so the Python max below never sees one
+        if not all(map(operator.le, cy, cx)):
+            raise AssertionError("sandwich Gamma^(k)(y) <= Gamma^(k)(x) broken")
+        if max(cy) < TOL_CONV:
+            return True
+    return max(cy) < TOL_CONV
 
 
 def test_sandwich_oracle_accepts_valid_setup(rng):

@@ -95,9 +95,10 @@ def test_signal_json_optional_fields_take_the_defaults():
                           ({"kind": "sinusoid", "phase": 1.0}, "amplitude"),
                           ({"kind": "noise", "seed": 1}, "amplitude"),
                           ({"kind": "piecewise", "times": [0.0]}, "values")]:
-        with pytest.raises(KeyError) as exc:
+        with pytest.raises(ValueError) as exc:
             signal_from_json(wire)
-        assert exc.value.args == (missing,)
+        assert str(exc.value) == (
+            f"{wire['kind']} signal requires a field {missing!r}")
     with pytest.raises(ValueError, match="unknown signal kind 'ramp'"):
         signal_from_json({"kind": "ramp"})
     with pytest.raises(ValueError, match="signal must be an object, got 'x'"):
@@ -236,6 +237,9 @@ class _StubHistory:
 
     def window_absmax(self, t):
         return tuple((self.w * (1.0 + 0.1 * math.sin(t))).tolist())
+
+    def window_max(self, t, drive):
+        return tuple(drive(np.array([self.window_absmax(t)]))[0].tolist())
 
 
 def _same_bits(got, ref):

@@ -12,6 +12,7 @@ from vectorgain.simulate import (
     integrate_delay, integrate_sampled, log_transform,
 )
 from oracles import rk4_reference
+import vectorgain.models as models
 import vectorgain.simulate as simulate
 
 
@@ -190,29 +191,91 @@ def test_biochem_positivity_and_equilibrium_invariance():
         assert np.all(traj.states > 0.0)
 
 
-def test_window_absmax_takes_its_start_from_the_step_index():
-    # rows are 0-based from the oldest history row: at t_k and t_k + dt/2
-    # the window is rows [k, filled), at t_k + dt it is rows [k + 1, filled);
+def _identity(W):
+    # the window max of the drives is then the window max of |x| itself
+    return W
+
+
+def _run_window_queries(n, m, drive, check, seed=11, dt=0.01, steps=300):
+    """Query a history at the three RK4 stage times of each of `steps`
+    steps, as a run does, and pass each result with its rows to check.
+
+    Rows are 0-based from the oldest history row: at t_k and t_k + dt/2
+    the window is rows [k, filled), at t_k + dt it is rows [k + 1, filled).
+    Returns the set of block starts the history used."""
+    rng = np.random.default_rng(seed)
+    times = dt * np.arange(-m, steps + 1)
+    states = np.zeros((m + steps + 1, n))
+    states[: m + 1] = rng.standard_normal((m + 1, n))
+    hist = _History(states, dt, float(times[0]), m, filled=m + 1)
+    block_starts = set()
+    for k in range(steps):
+        t = float(times[m + k])
+        for tq, start in ((t, k), (t + 0.5 * dt, k), (t + dt, k + 1)):
+            check(hist.window_max(tq, drive), states[start:hist.filled])
+            block_starts.add(hist._b0)
+        states[m + k + 1] = rng.standard_normal(n)
+        hist.advance(m + k + 2)
+    return block_starts
+
+
+_SIZES = ((3, 20), (1, 20), (30, 20), (3, 1), (30, 1))
+
+
+def test_window_max_takes_its_start_from_the_step_index():
     # a block of suffix maxima lasts about m steps, so 300 steps rebuild it
     # many times, and m = 1 rebuilds it at nearly every step
-    rng = np.random.default_rng(11)
-    dt, steps = 0.01, 300
-    for n, m in ((3, 20), (1, 20), (30, 20), (3, 1), (30, 1)):
-        times = dt * np.arange(-m, steps + 1)
-        states = np.zeros((m + steps + 1, n))
-        states[: m + 1] = rng.standard_normal((m + 1, n))
-        hist = _History(states, dt, float(times[0]), m, filled=m + 1)
-        block_starts = set()
-        for k in range(steps):
-            t = float(times[m + k])
-            for tq, start in ((t, k), (t + 0.5 * dt, k), (t + dt, k + 1)):
-                ref = np.max(np.abs(states[start:hist.filled]), axis=0)
-                got = hist.window_absmax(tq)
-                assert np.array(got).tobytes() == ref.tobytes()
-                block_starts.add(hist._b0)
-            states[m + k + 1] = rng.standard_normal(n)
-            hist.advance(m + k + 2)
-        assert len(block_starts) >= steps // (m + 1)
+    def check(got, rows):
+        ref = np.max(np.abs(rows), axis=0)
+        assert np.array(got).tobytes() == ref.tobytes()
+
+    for n, m in _SIZES:
+        blocks = _run_window_queries(n, m, _identity, check)
+        assert len(blocks) >= 300 // (m + 1)
+
+
+@pytest.mark.parametrize("n, m", _SIZES)
+def test_window_max_of_max_times_drive_matches_brute_force(n, m):
+    # the window max of D(|row|) over the rows is max_k max_j c_ij |x_kj|,
+    # bit for bit, since D(w)_i = max_j c_ij w_j is max-times linear
+    rng = np.random.default_rng(n + m)
+    c = rng.uniform(0.0, 1.0, (n, n))
+    c[0] = 0.0  # a row with no coupling
+    c[-1, 0] = -0.0  # the parser admits -0.0 as >= 0; with n = 1 it is row 0
+    drive = models._max_times(c)
+
+    def check(got, rows):
+        ref = (np.abs(rows)[:, None, :] * c).max(axis=(0, 2))
+        assert np.array(got).tobytes() == ref.tobytes()
+
+    _run_window_queries(n, m, drive, check)
+
+
+def test_decaying_sign_aligned_run_drives_about_once_per_block(monkeypatch):
+    # the running max of a decaying history rises only with the first row
+    # after a block, so the coupling is applied about twice per m steps
+    calls = []
+    build = models._max_times
+
+    def counting(c):
+        drive = build(c)
+
+        def counted(W):
+            calls.append(len(W))
+            return drive(W)
+        return counted
+
+    monkeypatch.setattr(models, "_max_times", counting)
+    dt, m, steps = 1e-3, 100, 2000
+    spec = SystemSpec(kind="delay", model="linear_delay_network",
+                      params={"a": [1.0, 1.0, 1.0],
+                              "c": [[0.4, 0.6, 0.5], [0.5, 0.4, 0.6],
+                                    [0.6, 0.5, 0.4]],
+                              "r": m * dt, "coupling": "sign_aligned"})
+    traj = integrate_delay(spec, np.array([0.5, -0.5, 0.5]),
+                           horizon=steps * dt, dt=dt)
+    assert np.all(np.diff(np.abs(traj.states), axis=0) < 0.0)
+    assert len(calls) <= 2 * (steps // m + 1)
 
 
 @pytest.mark.parametrize("model, params", [
@@ -254,7 +317,7 @@ def test_values_handed_to_a_right_hand_side_are_float_tuples(monkeypatch):
     states = np.ones((m + 3, 2))
     hist = _History(states, dt, -m * dt, m, filled=m + 1)
     for value in (hist.interp(-2 * dt), hist.interp(-1.5 * dt),
-                  hist.window_absmax(0.0)):
+                  hist.window_max(0.0, _identity)):
         assert _is_float_tuple(value)
         with pytest.raises(TypeError):
             value[0] = 2.0
