@@ -38,8 +38,8 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from .gains import (
-    MAX_GRID_POINTS, GridSpec, Linear, Zero, _describe_json, _json_number,
-    gain_from_json,
+    MAX_GRID_POINTS, GridSpec, Linear, Zero, _describe_json, _json_array,
+    _json_number, gain_from_json,
 )
 from .iteration import TOL_CONV, iterate
 from .models import SystemSpec, spec_from_json
@@ -161,14 +161,7 @@ def _boolean(value) -> bool:
 
 def _vector(value) -> np.ndarray:
     """A JSON number, or nested arrays of them, as a float array."""
-    pending = [value]
-    while pending:  # a loop, not recursion: the JSON may nest deeply
-        v = pending.pop()
-        if isinstance(v, list):
-            pending += v
-        else:
-            _json_number(v, "each entry")
-    return np.asarray(value, dtype=float)
+    return _json_array(value, "each entry")
 
 
 def _field(analysis: Dict, name: str, default=None, parse=_real):

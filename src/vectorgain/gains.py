@@ -595,3 +595,27 @@ def _json_number(v, what: str, *args, integer: bool = False):
     raise GainError(f"{what.format(*args)} must be "
                     f"{'an integer' if integer else 'a number'}, "
                     f"got {_describe_json(v)}")
+
+
+def _json_array(value, what: str, *args) -> np.ndarray:
+    """value, a JSON number or nested arrays of them, as a float array.
+    Every entry is read by _json_number, which names it as
+    what.format(*args); a Python caller may also pass tuples and ndarrays."""
+    pending = [value]
+    while pending:  # a loop, not recursion: the JSON may nest deeply
+        v = pending.pop()
+        if isinstance(v, (list, tuple)):
+            pending += v
+        elif isinstance(v, np.ndarray):
+            pending.append(v.tolist())
+        else:
+            _json_number(v, what, *args)
+    return np.asarray(value, dtype=float)
+
+
+def _json_known(d: dict, known, owner: str, item: str = "field") -> None:
+    """Reject a key of the object d outside known: a misspelled optional
+    field would otherwise be dropped without a word."""
+    for key in d:
+        if key not in known:
+            raise GainError(f"{owner} has no {item} {_describe_json(key)}")

@@ -15,8 +15,8 @@ from typing import List, Tuple
 import numpy as np
 
 from .network import (
-    _VEC_ENTRIES, GainMatrix, _gamma_step, as_plus_vec, check_small_gain,
-    q_operator,
+    _VEC_ENTRIES, GainMatrix, _gamma_step, _q_step, as_plus_vec,
+    check_small_gain,
 )
 
 __all__ = ["IterationResult", "iterate", "lfp_bound_check"]
@@ -76,10 +76,9 @@ def lfp_bound_check(G: GainMatrix, a, max_steps: int = 1000,
     is the extremal solution of the inequality x <= MAX{a, Gamma(x)}, so
     checking it checks the sharpest case of the envelope bound.
     """
-    av = as_plus_vec(a, G.n)
+    a_list = x = as_plus_vec(a, G.n).tolist()
     if not check_small_gain(G).holds:
         raise ValueError("precondition: small-gain condition not established")
-    a_list = x = av.tolist()
     for _ in range(max_steps):
         y = _gamma_step(G, x)
         if not all(map(math.isfinite, y)):  # the last step has no next one
@@ -90,4 +89,5 @@ def lfp_bound_check(G: GainMatrix, a, max_steps: int = 1000,
     else:
         raise RuntimeError(
             f"fixed-point iteration did not settle in {max_steps} steps")
-    return bool(np.all(np.less_equal(x, q_operator(G, av) + tol_conv)))
+    # a NaN on either side fails <=, so it fails the bound
+    return all(xi <= qi + tol_conv for xi, qi in zip(x, _q_step(G, a_list)))

@@ -2,9 +2,11 @@
 
 Each model is registered under a name with one parse function, which a
 `SystemSpec` runs once, on construction: it checks that every parameter is
-finite and in range and returns the model's kind, dimension, delays,
-right-hand side, worst-case channel derivative (or None) and the parsed
-values that every reader uses, and a spec of another kind is rejected.
+a JSON number (or nested arrays of them), finite and in range, and that it
+is given no key it does not read, and returns the model's kind, dimension,
+delays, right-hand side, worst-case channel derivative (or None) and the
+parsed values that every reader uses, and a spec of another kind is
+rejected.
 Model parameters arrive as plain dicts so specs stay JSON round-trippable.
 """
 
@@ -17,7 +19,7 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from .gains import _describe_json
+from .gains import _describe_json, _json_array, _json_known, _json_number
 from .signals import Signal, signal_from_json, signal_to_json
 
 __all__ = [
@@ -99,21 +101,39 @@ def _required(d: Dict, name: str, owner: str, item: str = "parameter"):
     return d[name]
 
 
+def _number(d: Dict, name: str, owner: str, default=None,
+            item: str = "parameter") -> float:
+    """d[name] as a float, or default when d has no name (with no default
+    a missing name is an error); a value that is not a JSON number is an
+    error that names it."""
+    v = d.get(name, default) if default is not None else _required(
+        d, name, owner, item)
+    return _json_number(v, "{} {} {!r}", owner, item, name)
+
+
+def _array(d: Dict, name: str, owner: str) -> np.ndarray:
+    """d[name], a number or nested arrays of them, as a float array."""
+    return _json_array(_required(d, name, owner),
+                       "each entry of {} parameter {!r}", owner, name)
+
+
 def _parse_period(h: Optional[Dict]) -> Callable[[np.ndarray], float]:
     """The sampling period h(x) that an h object describes: kind "constant"
     (the default) or "state_norm", with a finite value > 0."""
     if h is None:
         h = {"kind": "constant", "value": 0.1}
-    _require(isinstance(h, dict) and isinstance(h.get("value"), (int, float)),
-             f"h must be an object with a numeric 'value', got {h!r}")
-    kind, h0 = h.get("kind", "constant"), float(h["value"])
+    _require(isinstance(h, dict),
+             f"h must be an object, got {_describe_json(h)}")
+    _json_known(h, ("kind", "value"), "h")
+    kind = h.get("kind", "constant")
+    h0 = _number(h, "value", "h", item="field")
     _require(0 < h0 < math.inf, f"h value must be finite and > 0, got {h0}")
     if kind == "constant":
         return lambda x: h0
     if kind == "state_norm":
         # h(x) = h0 / (1 + |x|): faster sampling far from the origin
         return lambda x: h0 / (1.0 + float(np.linalg.norm(x)))
-    raise ModelError(f"unknown sampling-period kind {kind!r}")
+    raise ModelError(f"unknown sampling-period kind {_describe_json(kind)}")
 
 
 # ---------------------------------------------------------------------------
@@ -136,10 +156,10 @@ def _parse_period(h: Optional[Dict]) -> Callable[[np.ndarray], float]:
 # ---------------------------------------------------------------------------
 
 def _ldn_parse(p: Dict) -> ParsedModel:
-    a = np.asarray(_required(p, "a", "linear_delay_network"), dtype=float)
-    c = np.asarray(_required(p, "c", "linear_delay_network"), dtype=float)
-    r = float(p.get("r", 0.0))
-    bu = float(p.get("bu", 0.0))
+    owner = "linear_delay_network"
+    _json_known(p, ("a", "c", "r", "bu", "coupling"), owner, "parameter")
+    a, c = _array(p, "a", owner), _array(p, "c", owner)
+    r, bu = _number(p, "r", owner, 0.0), _number(p, "bu", owner, 0.0)
     coupling = p.get("coupling", "sign_aligned")
     _require(a.ndim == 1 and np.all((0 < a) & (a < math.inf)),
              "linear_delay_network: a must be finite and positive")
@@ -250,14 +270,16 @@ def make_g(gp: Dict) -> Callable[[float], float]:
              f"g must be an object, got {_describe_json(gp)}")
     form = gp.get("form", "mm")
     if form == "mm":
-        c, K = (float(_required(gp, name, "mm g-curve", "field"))
+        _json_known(gp, ("form", "c", "K"), "mm g-curve")
+        c, K = (_number(gp, name, "mm g-curve", item="field")
                 for name in ("c", "K"))
         _require(0 < c < math.inf and 0 < K < math.inf,
                  "mm g-curve needs finite c > 0, K > 0")
         return lambda X: c * X / (K + X)
     if form == "hill":
-        c = float(gp.get("c", 1.0))
-        p = float(_required(gp, "p", "hill g-curve", "field"))
+        _json_known(gp, ("form", "c", "p"), "hill g-curve")
+        c = _number(gp, "c", "hill g-curve", 1.0, "field")
+        p = _number(gp, "p", "hill g-curve", item="field")
         _require(0 < c < math.inf and 0 < p < math.inf,
                  "hill g-curve needs finite c > 0, p > 0")
 
@@ -269,12 +291,12 @@ def make_g(gp: Dict) -> Callable[[float], float]:
             return c * Xp / (1.0 + Xp)
 
         return hill
-    raise ModelError(f"unknown g-curve form {form!r}")
+    raise ModelError(f"unknown g-curve form {_describe_json(form)}")
 
 
 def _bio_parse(p: Dict) -> ParsedModel:
-    a, tau = (np.asarray(_required(p, name, "biochem_circuit"), dtype=float)
-              for name in ("a", "tau"))
+    _json_known(p, ("a", "tau", "g"), "biochem_circuit", "parameter")
+    a, tau = (_array(p, name, "biochem_circuit") for name in ("a", "tau"))
     _require(a.ndim == 1 and a.size > 0 and np.all((0 < a) & (a < math.inf)),
              "biochem_circuit: a must be a nonempty finite positive vector")
     _require(tau.shape == a.shape and np.all((0 <= tau) & (tau < math.inf)),
@@ -453,9 +475,9 @@ def biochem_hypothesis(spec: SystemSpec) -> Dict:
 # ---------------------------------------------------------------------------
 
 def _scalar_parse(p: Dict) -> ParsedModel:
-    a = float(p.get("a", 1.0))
-    bu = float(p.get("bu", 1.0))
-    bd = float(p.get("bd", 0.0))
+    _json_known(p, ("a", "bu", "bd"), "scalar_linear", "parameter")
+    a, bu, bd = (_number(p, name, "scalar_linear", default)
+                 for name, default in (("a", 1.0), ("bu", 1.0), ("bd", 0.0)))
     _require(0 < a < math.inf, "scalar_linear: a must be finite and > 0")
     _require(math.isfinite(bu) and math.isfinite(bd),
              "scalar_linear: bu and bd must be finite")
@@ -480,10 +502,12 @@ def _scalar_rhs(spec: SystemSpec):
 # ---------------------------------------------------------------------------
 
 def _zoh_parse(p: Dict) -> ParsedModel:
+    _json_known(p, ("n", "A_cur", "A_hold"), "zoh_linear", "parameter")
     # n, else the rows of A_hold, else those of A_cur, else 1
-    n = int(p["n"]) if "n" in p else len(p.get("A_hold", p.get("A_cur", [0])))
+    n = (_json_number(p["n"], "zoh_linear parameter 'n'", integer=True)
+         if "n" in p else len(p.get("A_hold", p.get("A_cur", [0]))))
     _require(n >= 1, f"zoh_linear: n must be >= 1, got {n}")
-    given = {key: np.asarray(p[key], dtype=float)
+    given = {key: _array(p, key, "zoh_linear")
              for key in ("A_cur", "A_hold") if key in p}
     for key, A in given.items():
         _require(A.shape == (n, n) and np.all(np.isfinite(A)),
@@ -542,6 +566,8 @@ def spec_to_json(spec: SystemSpec) -> dict:
 def spec_from_json(d: dict) -> SystemSpec:
     _require(isinstance(d, dict),
              f"system must be an object, got {_describe_json(d)}")
+    _json_known(d, ("kind", "model", "params", "input_signal",
+                    "disturbance_signal", "h", "dtilde"), "system")
     for name in ("kind", "model"):
         _require(name in d, f"system requires a string field {name!r}")
         _require(isinstance(d[name], str), f"system field {name!r} must be "

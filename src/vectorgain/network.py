@@ -191,14 +191,22 @@ def _gamma_block(G: GainMatrix, X: np.ndarray) -> Iterator[np.ndarray]:
 
 
 def q_operator(G: GainMatrix, x) -> np.ndarray:
-    """MAX of the first n iterates {x, Gamma(x), ..., Gamma^(n-1)(x)}."""
-    v = as_plus_vec(x, G.n)
-    acc = v.copy()
-    cur = v.tolist()
+    """MAX of the first n iterates {x, Gamma(x), ..., Gamma^(n-1)(x)}: the
+    array wrapper of :func:`_q_step`, which steps on Python floats."""
+    return np.array(_q_step(G, as_plus_vec(x, G.n).tolist()))
+
+
+def _q_step(G: GainMatrix, xs: List[float]) -> List[float]:
+    """Q on a list of n nonnegative finite Python floats (xs itself when
+    n = 1).
+
+    Each of the n - 1 Gamma steps is merged into the running MAX by
+    np.maximum's rule, not max's: a NaN from either side passes on, and of
+    equal values the second is kept, which decides the sign of a zero."""
+    acc = cur = xs
     for _ in range(G.n - 1):
         cur = _gamma_step(G, cur)
-        # np.maximum, not max: it decides the sign of a zero differently
-        acc = np.maximum(acc, cur)
+        acc = [a if a > b or a != a else b for a, b in zip(acc, cur)]
     return acc
 
 

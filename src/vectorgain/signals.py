@@ -15,7 +15,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .gains import _describe_json
+from .gains import _describe_json, _json_array, _json_known, _json_number
 
 __all__ = ["Signal", "signal_from_json", "signal_to_json", "MAX_NOISE_DRAWS"]
 
@@ -93,17 +93,37 @@ class Signal:
         return cache[k]
 
 
-def _floats(values) -> List[float]:
-    return [float(v) for v in values]
+# the readers of a JSON field: each is given the value, then the kind and
+# the field's name, which an error names
+_WHAT = "{} signal field {!r}"
 
 
-# the fields each kind reads, by name, with the conversion of a JSON value
+def _number(v, kind: str, name: str) -> float:
+    return _json_number(v, _WHAT, kind, name)
+
+
+def _numbers(v, kind: str, name: str) -> List[float]:
+    values = _json_array(v, "each entry of " + _WHAT, kind, name)
+    if values.ndim != 1:
+        raise ValueError(f"{_WHAT.format(kind, name)} must be a flat array "
+                         f"of numbers, got {_describe_json(v)}")
+    return values.tolist()
+
+
+def _seed(v, kind: str, name: str) -> int:
+    # a float with an integer value, such as 4.0, reads as that integer
+    if isinstance(v, float) and v.is_integer():
+        v = int(v)
+    return _json_number(v, _WHAT, kind, name, integer=True)
+
+
+# the fields each kind reads, by name, with the reader of a JSON value
 _FIELDS = {
     "zero": {},
-    "constant": {"value": float},
-    "sinusoid": {"amplitude": float, "frequency": float, "phase": float},
-    "piecewise": {"times": _floats, "values": _floats},
-    "noise": {"amplitude": float, "seed": int, "dt_switch": float},
+    "constant": {"value": _number},
+    "sinusoid": {"amplitude": _number, "frequency": _number, "phase": _number},
+    "piecewise": {"times": _numbers, "values": _numbers},
+    "noise": {"amplitude": _number, "seed": _seed, "dt_switch": _number},
 }
 _KINDS = tuple(_FIELDS)
 # the fields a signal's JSON must give; the others take the class default
@@ -130,5 +150,6 @@ def signal_from_json(d: Optional[dict]) -> Signal:
     missing = [name for name in fields if name in _REQUIRED and name not in d]
     if missing:
         raise ValueError(f"{kind} signal requires a field {missing[0]!r}")
-    return Signal(kind=kind, **{name: convert(d[name])
-                                for name, convert in fields.items() if name in d})
+    _json_known(d, ("kind", *fields), f"{kind} signal")
+    return Signal(kind=kind, **{name: read(d[name], kind, name)
+                                for name, read in fields.items() if name in d})

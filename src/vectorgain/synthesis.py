@@ -9,22 +9,24 @@ the Q-closure phi_i(s) = Q(s*1)_i with Q(x) = MAX_{k<n} Gamma^k(x)
 networks", MCSS 2007).  The component maps G_i(s) = phi_i(inner(s)) bounding
 each Lyapunov channel asymptotically and the scalar composite gain
 theta(s) = max_i G_i(s) use the same closure, so every synthesized gain is
-one small node evaluated through :func:`network.q_operator` in O(n^3) gain
-calls per point.  The overall input-to-state gain is the lower comparison
-function inverted after theta.
+one small node evaluated in O(n^3) gain calls per point.  A node steps the
+closure on a list of Python floats, through the float core of
+:func:`network.q_operator`, and takes its maximums by numpy's rules (a NaN
+passes on; of equal values the last is kept, which decides the sign of a
+zero), so it gives the values of the array operator.  The overall
+input-to-state gain is the lower comparison function inverted after theta.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-import numpy as np
-
 from .gains import GainFn, Linear, gain_to_json, invert
 from .network import (
-    GainMatrix, SmallGainReport, check_small_gain, gamma_apply, matrix_to_json,
-    q_operator,
+    _VEC_ENTRIES, GainMatrix, SmallGainReport, _gamma_step, _q_step,
+    check_small_gain, matrix_to_json,
 )
 
 __all__ = [
@@ -59,6 +61,14 @@ class SynthesisInput:
             raise ValueError(f"M must be >= 1, got {self.M}")
 
 
+def _closure(G: GainMatrix, z) -> List[float]:
+    """Q(z*1) on floats.  z must be finite and >= 0, as q_operator requires
+    of z*1, also when n = 1 and no Gamma step checks it."""
+    if not (math.isfinite(z) and z >= 0):
+        raise ValueError(_VEC_ENTRIES)
+    return _q_step(G, [float(z)] * G.n)
+
+
 def _to_json(g: GainFn) -> dict:
     """gain_to_json, extended by the synthesized nodes of this module."""
     if isinstance(g, (QEnvelope, ThetaInner)):
@@ -76,8 +86,15 @@ class QEnvelope(GainFn):
     index: Optional[int] = None
 
     def _eval(self, s: float) -> float:
-        q = q_operator(self.gains, np.full(self.gains.n, self.inner._eval(s)))
-        return float(q.max() if self.index is None else q[self.index])
+        q = _closure(self.gains, self.inner._eval(s))
+        if self.index is not None:
+            return q[self.index]
+        # numpy's max, for n up to 8: a NaN if any entry is one, else the
+        # last of equal maxima (numpy's SIMD order decides that past 8)
+        top = q[0]
+        for v in q:
+            top = top if top > v or top != top else v
+        return top
 
     def to_json(self) -> dict:
         # the gain matrix is written once, by CompositeGain.to_json
@@ -101,7 +118,7 @@ class ThetaInner(GainFn):
 
     def _eval(self, s: float) -> float:
         G, z = self.gains, self.zeta._eval(s)
-        y = gamma_apply(G, q_operator(G, np.full(G.n, z)))
+        y = _gamma_step(G, _closure(G, z))
         pu = max([z] + [p(z) for p in self.p_list])
         py = max(max(yi, p(yi)) for yi, p in zip(y, self.p_list))
         return float(max(self.M * pu, self.M * py, z))

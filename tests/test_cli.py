@@ -764,6 +764,12 @@ def _input(**signal):
      "piecewise signal requires a field 'values'"),
     (_input(kind="noise", seed=3), _ODE_RUN,
      "noise signal requires a field 'amplitude'"),
+    # an unknown kind is described, not echoed: a 100,000-entry array as
+    # h's kind took 500 KB of stderr
+    (dict(_SAMPLED, h={"kind": ["x"] * 100_000, "value": 0.1}), _ODE_RUN,
+     "unknown sampling-period kind a JSON array"),
+    (_with(_BIO, g={"form": ["x"] * 100_000}), _HISTORY_RUN,
+     "unknown g-curve form a JSON array"),
 ], ids=["ldn-r-nan", "bio-tau-nan", "ldn-a-nan", "ldn-c-inf", "bio-g-c-nan",
         "scalar-a-nan", "zoh-a-hold-nan", "bio-no-nodes", "h-nan",
         "h-unknown-kind", "noise-amplitude-nan", "noise-amplitude-huge",
@@ -771,8 +777,68 @@ def _input(**signal):
         "no-kind", "no-model", "kind-array", "ldn-no-a", "ldn-no-c",
         "bio-no-tau", "bio-no-g", "mm-no-K", "hill-no-p", "bio-g-number",
         "bio-g-array", "constant-no-value", "sinusoid-no-amplitude",
-        "piecewise-no-times", "piecewise-no-values", "noise-no-amplitude"])
+        "piecewise-no-times", "piecewise-no-values", "noise-no-amplitude",
+        "h-kind-array", "g-form-array"])
 def test_simulate_system_not_finite_or_out_of_range_rejected(
+        tmp_path, capsys, system, run, err):
+    path = _write(tmp_path / "cfg.json", {"system": system, "analysis": run})
+    out = tmp_path / "out"
+    assert main(["simulate", "--input", path, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {_SYSTEM_ERR}{err}\n"
+    assert not out.exists()
+
+
+# each of these ran to exit 0: float(), int() and np.asarray took a bool or a
+# numeric string as a number and truncated a float seed, and a key that no
+# reader reads was dropped, so a misspelled optional field took its default
+@pytest.mark.parametrize("system, run, err", [
+    (_input(kind="constant", value="0.5"), _ODE_RUN,
+     "constant signal field 'value' must be a number, got '0.5'"),
+    (_input(kind="constant", value=True), _ODE_RUN,
+     "constant signal field 'value' must be a number, got True"),
+    (_input(kind="noise", amplitude=1.0, seed=2.9), _ODE_RUN,
+     "noise signal field 'seed' must be an integer, got 2.9"),
+    (_input(kind="sinusoid", amplitude=1.0, frequncy=5.0), _ODE_RUN,
+     "sinusoid signal has no field 'frequncy'"),
+    (_input(kind="piecewise", times=["0"], values=[1.0]), _ODE_RUN,
+     "each entry of piecewise signal field 'times' must be a number, got '0'"),
+    (_with(_DELAY, r=True), _HISTORY_RUN,
+     "linear_delay_network parameter 'r' must be a number, got True"),
+    (_with(_DELAY, a=["1.0"], c=[["0.5"]], r="0.1"), _HISTORY_RUN,
+     "each entry of linear_delay_network parameter 'a' must be a number, "
+     "got '1.0'"),
+    (_with(_DELAY, c=[["0.5"]]), _HISTORY_RUN,
+     "each entry of linear_delay_network parameter 'c' must be a number, "
+     "got '0.5'"),
+    (_with(_DELAY, couplng="delayed_linear"), _HISTORY_RUN,
+     "linear_delay_network has no parameter 'couplng'"),
+    (_with(_BIO, tau=[True]), _HISTORY_RUN,
+     "each entry of biochem_circuit parameter 'tau' must be a number, "
+     "got True"),
+    (_with(_BIO, g={"form": "mm", "c": 3.0, "K": 1.0, "p": 2.0}),
+     _HISTORY_RUN, "mm g-curve has no field 'p'"),
+    (_with(_BIO, g={"form": "hill", "c": "3", "p": 2.0}), _HISTORY_RUN,
+     "hill g-curve field 'c' must be a number, got '3'"),
+    (_with(_ODE, bd="0"), _ODE_RUN,
+     "scalar_linear parameter 'bd' must be a number, got '0'"),
+    (_with(_ODE, b=1.0), _ODE_RUN, "scalar_linear has no parameter 'b'"),
+    (dict(_SAMPLED, h={"kind": "constant", "value": True}), _ODE_RUN,
+     "h field 'value' must be a number, got True"),
+    (dict(_SAMPLED, h={"kind": "constant", "value": 0.1, "h0": 0.2}),
+     _ODE_RUN, "h has no field 'h0'"),
+    (_with(_SAMPLED, n=1.5), _ODE_RUN,
+     "zoh_linear parameter 'n' must be an integer, got 1.5"),
+    (_with(_SAMPLED, A_hold=[["-1"]]), _ODE_RUN,
+     "each entry of zoh_linear parameter 'A_hold' must be a number, "
+     "got '-1'"),
+    (dict(_ODE, input=_ODE["params"]), _ODE_RUN, "system has no field 'input'"),
+], ids=["constant-string", "constant-bool", "noise-seed-float",
+        "sinusoid-misspelled", "piecewise-time-string", "ldn-r-bool",
+        "ldn-strings", "ldn-c-string", "ldn-misspelled", "bio-tau-bool",
+        "mm-g-unknown", "hill-c-string", "scalar-bd-string",
+        "scalar-unknown", "h-bool", "h-unknown", "zoh-n-float",
+        "zoh-a-hold-string", "system-unknown"])
+def test_simulate_system_field_of_wrong_type_or_name_rejected(
         tmp_path, capsys, system, run, err):
     path = _write(tmp_path / "cfg.json", {"system": system, "analysis": run})
     out = tmp_path / "out"
@@ -835,6 +901,39 @@ def test_synth_table_of_zero_points_is_its_header(tmp_path):
     out = tmp_path / "out"
     assert main(["synth", "--input", path, "--out", str(out)]) == 0
     assert (out / "gain_table.csv").read_text() == "s,theta,overall\n"
+
+
+def _ring(n, k):
+    return {"n": n, "gains": [{"i": i + 1, "j": (i + 1) % n + 1,
+                               "fn": {"kind": "linear", "k": k}}
+                              for i in range(n)]}
+
+
+@pytest.mark.parametrize("gains, synthesis", [
+    # zeta(s) = s^52 is finite up to s = 10^5.9 and inf at s = 1e6
+    (_ring(n, 0.5), {"zeta": {"kind": "power", "k": 1.0, "p": 52.0}})
+    for n in (1, 2)] + [
+    # zeta(s) = 1e308*s is finite at s = 10^0.1, but M*zeta(s) is not: the
+    # node itself is inf, and with n = 1 Q takes no Gamma step to check it
+    (_ring(1, 0.5), {"zeta": {"kind": "linear", "k": 1e308}, "M": 1.7,
+                     "a1": {"kind": "linear", "k": 1.0}}),
+    # y = Gamma(Q(z*1)) holds 2z, and p_1(2z) = (2z)^60 overflows first at
+    # s = 1e5; p_1 gets a float, so no numpy warning precedes the error
+    ({"n": 2, "gains": [{"i": 1, "j": 2, "fn": {"kind": "linear", "k": 2.0}},
+                        {"i": 2, "j": 1, "fn": {"kind": "linear", "k": 0.25}}]},
+     {"zeta": {"kind": "linear", "k": 1.0},
+      "p": [{"kind": "power", "k": 1.0, "p": 60.0}, {"kind": "zero"}],
+      "a1": {"kind": "linear", "k": 1.0}})],
+    ids=["zeta-inf-n1", "zeta-inf-n2", "inner-inf-n1", "p-of-y-inf"])
+def test_synth_theta_argument_past_the_float_range(tmp_path, capsys, gains,
+                                                   synthesis):
+    path = _write(tmp_path / "cfg.json", {"gains": gains,
+                                          "synthesis": synthesis})
+    out = tmp_path / "out"
+    assert main(["synth", "--input", path, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error (synth): vector entries must be finite and >= 0\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("n", [0, 2 ** 20 + 1])

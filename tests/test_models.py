@@ -192,6 +192,28 @@ def test_biochem_validation():
                            "g": {"form": "mm", "c": -1.0, "K": 1.0}})
 
 
+def test_python_callers_may_pass_arrays_tuples_and_numpy_numbers():
+    # the JSON readers take what a JSON number or array reads as, and also
+    # the tuples, ndarrays and numpy floats that Python code passes
+    ldn = SystemSpec(kind="delay", model="linear_delay_network",
+                     params={"a": np.array([1.0, 2.0]),
+                             "c": ((0.0, 0.5), np.array([0.5, 0.0])),
+                             "r": np.float64(0.1)})
+    assert ldn.parsed.values["c"].tolist() == [[0.0, 0.5], [0.5, 0.0]]
+    assert ldn.parsed.values["r"] == 0.1
+    zoh = SystemSpec(kind="sampled", model="zoh_linear",
+                     params={"A_cur": np.zeros((2, 2)), "A_hold": -np.eye(2)},
+                     h={"value": np.float64(0.2)})
+    assert zoh.parsed.dim == 2 and zoh.period(np.zeros(2)) == 0.2
+    bio = SystemSpec(kind="delay", model="biochem_circuit",
+                     params={"a": (1, 2), "tau": np.array([0.1, 0.0]),
+                             "g": {"form": "hill", "p": 2}})
+    assert bio.parsed.values["a"].tolist() == [1.0, 2.0]
+    assert signal_from_json({"kind": "piecewise", "times": (0, 1.5),
+                             "values": np.array([1.0, 2.0])}) == Signal(
+        kind="piecewise", times=[0.0, 1.5], values=[1.0, 2.0])
+
+
 @pytest.mark.parametrize("kind, model, params", [
     ("ode", "biochem_circuit",
      {"a": [1.0], "tau": [0.1], "g": {"form": "mm", "c": 3.0, "K": 1.0}}),

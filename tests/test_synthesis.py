@@ -2,11 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vectorgain.gains import Linear, Max, Power, Zero
-from vectorgain.network import GainMatrix, check_small_gain, matrix_to_json
+from vectorgain.gains import Linear, LogExpSq, Max, Power, Scale, Zero
+from vectorgain.iteration import lfp_bound_check
+from vectorgain.network import (
+    GainMatrix, _gamma_step, as_plus_vec, check_small_gain, gamma_apply,
+    matrix_to_json, q_operator,
+)
 from vectorgain.synthesis import (
-    SmallGainRequired, SynthesisInput, build_phi, overall_gain,
+    QEnvelope, SmallGainRequired, SynthesisInput, ThetaInner, build_phi,
+    overall_gain,
 )
 from conftest import random_verified_matrix
 from oracles import phi_oracle, theta_oracle
@@ -137,3 +144,111 @@ def test_synthesis_input_validation():
     with pytest.raises(ValueError):
         SynthesisInput(gains=G, zeta=Zero(), p_list=_zeros(2), a1=Linear(1.0),
                        M=0.5)
+
+
+# -- the float core against the numpy formulas it replaced --------------------
+
+def _numpy_q(G, x):
+    """q_operator as it was written with one numpy accumulator."""
+    v = as_plus_vec(x, G.n)
+    acc = v.copy()
+    cur = v.tolist()
+    for _ in range(G.n - 1):
+        cur = _gamma_step(G, cur)
+        acc = np.maximum(acc, cur)
+    return acc
+
+
+def _numpy_envelope(G, inner, index, s):
+    q = _numpy_q(G, np.full(G.n, inner._eval(s)))
+    return float(q.max() if index is None else q[index])
+
+
+def _numpy_theta_inner(G, zeta, p_list, M, s):
+    z = zeta._eval(s)
+    y = gamma_apply(G, _numpy_q(G, np.full(G.n, z)))
+    pu = max([z] + [p(z) for p in p_list])
+    # p gets numpy scalars here, whose arithmetic warns where it overflows
+    # to inf or makes 0*inf = NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        py = max(max(yi, p(yi)) for yi, p in zip(y, p_list))
+    return float(max(M * pu, M * py, z))
+
+
+def _numpy_lfp_bound_check(G, a, max_steps=1000, tol_conv=1e-9):
+    av = as_plus_vec(a, G.n)
+    if not check_small_gain(G).holds:
+        raise ValueError("precondition: small-gain condition not established")
+    a_list = x = av.tolist()
+    for _ in range(max_steps):
+        y = _gamma_step(G, x)
+        if not all(map(math.isfinite, y)):
+            raise ValueError("vector entries must be finite and >= 0")
+        prev, x = x, list(map(max, a_list, y))
+        if max(abs(u - v) for u, v in zip(x, prev)) < tol_conv:
+            break
+    else:
+        raise RuntimeError(
+            f"fixed-point iteration did not settle in {max_steps} steps")
+    return bool(np.all(np.less_equal(x, _numpy_q(G, av) + tol_conv)))
+
+
+def _outcome(f, *args, show=repr):
+    """show(f(*args)), or the type and message of what f raised."""
+    try:
+        return "value", show(f(*args))
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+# zero coefficients of either sign, so Q meets zeros of both signs; Power(1,
+# 500) overflows to inf past s = 4.2, at the last Gamma step or before it,
+# and Scale(0, .) turns that inf into NaN
+_COEF = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.0, 3.0))
+_LEAVES = st.one_of(
+    st.just(Zero()),
+    st.builds(Linear, _COEF),
+    st.builds(Power, _COEF, st.floats(0.2, 3.0)),
+    st.builds(LogExpSq, st.floats(0.01, 2.0), st.floats(0.01, 3.0)),
+    st.sampled_from([Power(1.0, 500.0), Scale(0.0, Power(1.0, 500.0))]))
+_GAINS = st.one_of(_LEAVES, st.builds(Max, _LEAVES, _LEAVES))
+_POINTS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 5.0]),
+                    st.floats(0.0, 1e6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(_GAINS, min_size=n, max_size=n), min_size=n,
+             max_size=n),
+    st.lists(_GAINS, min_size=n, max_size=n),
+    st.lists(_POINTS, min_size=n, max_size=n),
+    st.one_of(st.none(), st.integers(0, n - 1)))),
+    _GAINS, _POINTS, st.sampled_from([1.0, 1.7]))
+def test_float_core_matches_numpy_formulas_to_the_byte(case, zeta, s, M):
+    entries, p_list, x, index = case
+    G = GainMatrix.from_entries(entries)
+    p_list = tuple(p_list)
+    tobytes = lambda v: (v.dtype, v.shape, v.tobytes())
+    assert (_outcome(q_operator, G, x, show=tobytes)
+            == _outcome(_numpy_q, G, x, show=tobytes))
+    inner = ThetaInner(G, zeta, p_list, M)
+    assert (_outcome(inner._eval, s)
+            == _outcome(_numpy_theta_inner, G, zeta, p_list, M, s))
+    for env_inner in (Linear(1.0), inner):
+        assert (_outcome(QEnvelope(G, env_inner, index)._eval, s)
+                == _outcome(_numpy_envelope, G, env_inner, index, s))
+    assert (_outcome(lfp_bound_check, G, x)
+            == _outcome(_numpy_lfp_bound_check, G, x))
+
+
+def test_an_inf_from_the_last_gamma_step_reaches_theta_inner_only():
+    # with n = 2, Q takes one Gamma step, and Gamma(5*1) holds inf: Q keeps
+    # it, since no later step checks it, and ThetaInner's Gamma(Q) raises
+    G = GainMatrix.from_entries([[Zero(), Power(1.0, 500.0)],
+                                 [Zero(), Zero()]])
+    q = q_operator(G, [5.0, 5.0])
+    assert q.tolist() == [math.inf, 5.0]
+    assert q.tobytes() == _numpy_q(G, [5.0, 5.0]).tobytes()
+    assert QEnvelope(G, Linear(1.0))(5.0) == math.inf
+    with pytest.raises(ValueError, match="finite"):
+        ThetaInner(G, Linear(1.0), (Zero(), Zero()), 1.0)(5.0)
