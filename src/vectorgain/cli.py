@@ -15,8 +15,14 @@ run of the same version is reproducible from its artifacts alone) and
 are byte-identical across reruns).  Every target path is checked before
 the first write, so a run that fails before this point, or would
 overwrite a file without ``--force``, writes nothing and creates no
-output directory.  Every ``analysis`` field is read by ``_field``, by the
-JSON type rules of gain configs, so a value of the wrong type is an error
+output directory.
+
+Every config object is read by its table (see :mod:`vectorgain.config`):
+``main`` reads the top level, where each command requires the objects it
+uses, and ``analysis``, whose one table holds the fields of every
+command, so one config serves them all; a command parses ``gains``,
+``system`` and ``synthesis`` when it uses them.  An unknown key, a
+missing required field or a value of the wrong JSON type is an error
 that names the field.
 
 Exit codes: 0 = analysis ran and all verdicts positive, 2 = analysis ran
@@ -37,10 +43,11 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .gains import (
-    MAX_GRID_POINTS, GridSpec, Linear, Zero, _describe_json, _json_array,
-    _json_number, gain_from_json,
+from .config import (
+    REQUIRED, Mismatch, anything, array, boolean, integer, number, numbers,
+    obj, read,
 )
+from .gains import MAX_GRID_POINTS, GridSpec, Linear, Zero, gain_from_json
 from .iteration import TOL_CONV, iterate
 from .models import SystemSpec, spec_from_json
 from .network import (
@@ -87,8 +94,6 @@ def _load_config(path: str) -> Dict:
                        f"column {exc.colno}: {exc.msg}")
     except RecursionError:
         raise CliError(f"{path}: JSON nested too deeply to decode")
-    if not isinstance(cfg, dict):
-        raise CliError(f"{path}: top level must be a JSON object")
     return cfg
 
 
@@ -97,12 +102,6 @@ def _write_json(fh, body: Dict) -> None:
     while part := "".join(itertools.islice(chunks, _JSON_CHUNKS)):
         fh.write(part)
     fh.write("\n")
-
-
-def _require(cfg: Dict, field: str) -> Dict:
-    if field not in cfg:
-        raise CliError(f"config is missing the required field {field!r}")
-    return cfg[field]
 
 
 def _parse(field: str, value, parse):
@@ -115,77 +114,81 @@ def _parse(field: str, value, parse):
         raise CliError(f"config field {field!r}: {exc}")
 
 
+def _gain(v):
+    """Config rule: a gain object."""
+    return gain_from_json(obj(v))
+
+
+def _gain_array(v):
+    """Config rule: an array of gain objects."""
+    for g in array(v):
+        if not isinstance(g, dict):
+            raise Mismatch("an object", g, entry=True)
+    return tuple(map(gain_from_json, v))
+
+
+# the config tables: the top level, where main requires the objects that
+# _NEEDS names for the command; synthesis; analysis, which holds the
+# fields of every command; and its grid
+_OBJECTS = ("gains", "system", "synthesis", "analysis")
+_NEEDS = {"check-sg": ("gains",), "synth": ("gains", "synthesis"),
+          "iterate": ("gains",), "simulate": ("system",),
+          "validate": ("system",)}
+_SYNTHESIS = (("zeta", _gain, None), ("p", _gain_array, ()),
+              ("a1", _gain, None), ("M", number, 1.0))
+_ANALYSIS = (
+    ("seed", integer, 0), ("grid", obj, None), ("table_points", integer, 121),
+    ("x0", numbers, None), ("history", numbers, None),
+    ("max_steps", integer, 200), ("tol_conv", number, TOL_CONV),
+    ("horizon", number, 10.0), ("dt", number, 1e-3),
+    ("tail_fraction", number, TAIL_FRACTION), ("tol_tail", number, TOL_TAIL),
+    ("u_sup", number, None), ("tol_gain", number, TOL_GAIN),
+    ("require_convergence", boolean, True),
+)
+_GRID = (("s_min", number, GridSpec.s_min), ("s_max", number, GridSpec.s_max),
+         ("points", integer, GridSpec.points))
+
+
+def _read_config(cfg, command: str) -> Dict:
+    """The analysis values of a config, its grid a GridSpec or None, after
+    checking the top level."""
+    read(cfg, tuple((name, anything,
+                     REQUIRED if name in _NEEDS[command] else None)
+                    for name in _OBJECTS), "config", error=CliError)
+    try:
+        # a null analysis field takes its default
+        analysis = read(cfg.get("analysis", {}), _ANALYSIS, "analysis",
+                        nulls=[name for name, _, _ in _ANALYSIS])
+    except ValueError as exc:
+        where = "analysis" + (f".{exc.field}" if exc.field else "")
+        raise CliError(f"config field {where!r}: {exc}")
+    if analysis["grid"] is not None:
+        analysis["grid"] = _parse("analysis.grid", analysis["grid"],
+                                  lambda g: GridSpec(**read(g, _GRID, "grid")))
+    return analysis
+
+
 def _gains_from_config(cfg: Dict) -> GainMatrix:
-    return _parse("gains", _require(cfg, "gains"), matrix_from_json)
+    return _parse("gains", cfg["gains"], matrix_from_json)
 
 
 def _system_from_config(cfg: Dict) -> SystemSpec:
-    return _parse("system", _require(cfg, "system"), spec_from_json)
+    return _parse("system", cfg["system"], spec_from_json)
 
 
 def _synthesis_from_config(cfg: Dict, G: GainMatrix) -> SynthesisInput:
-    def build(syn: Dict) -> SynthesisInput:
-        zeta = gain_from_json(syn["zeta"]) if "zeta" in syn else Zero()
-        p_raw = syn.get("p", [])
-        p_list = tuple(gain_from_json(d) for d in p_raw) if p_raw \
-            else tuple(Zero() for _ in range(G.n))
-        a1 = gain_from_json(syn["a1"]) if "a1" in syn \
-            else Linear(1.0 / (2.0 * G.n))
-        return SynthesisInput(gains=G, zeta=zeta, p_list=p_list, a1=a1,
-                              M=_json_number(syn.get("M", 1.0), "M"))
+    def build(syn) -> SynthesisInput:
+        v = read(syn, _SYNTHESIS, "synthesis")
+        return SynthesisInput(
+            gains=G, zeta=v["zeta"] or Zero(),
+            p_list=v["p"] or tuple(Zero() for _ in range(G.n)),
+            a1=v["a1"] or Linear(1.0 / (2.0 * G.n)), M=v["M"])
 
-    return _parse("synthesis", _require(cfg, "synthesis"), build)
-
-
-def _analysis(cfg: Dict) -> Dict:
-    a = cfg.get("analysis", {})
-    if not isinstance(a, dict):
-        raise CliError("config field 'analysis' must be an object")
-    return a
-
-
-def _real(value) -> float:
-    return _json_number(value, "value")
-
-
-def _integer(value) -> int:
-    return _json_number(value, "value", integer=True)
-
-
-def _boolean(value) -> bool:
-    if not isinstance(value, bool):
-        raise ValueError(f"value must be true or false, "
-                         f"got {_describe_json(value)}")
-    return value
-
-
-def _vector(value) -> np.ndarray:
-    """A JSON number, or nested arrays of them, as a float array."""
-    return _json_array(value, "each entry")
-
-
-def _field(analysis: Dict, name: str, default=None, parse=_real):
-    """analysis[name] read by parse (_real, _integer, _boolean or _vector),
-    default when absent or null; a value parse rejects is a CliError naming
-    the field."""
-    value = analysis.get(name)
-    return default if value is None else _parse(f"analysis.{name}", value, parse)
-
-
-def _grid_from_analysis(analysis: Dict) -> Optional[GridSpec]:
-    g = analysis.get("grid")
-    if g is None:
-        return None
-    d = GridSpec()
-    return _parse("analysis.grid", g, lambda g: GridSpec(
-        s_min=_json_number(g.get("s_min", d.s_min), "s_min"),
-        s_max=_json_number(g.get("s_max", d.s_max), "s_max"),
-        points=_json_number(g.get("points", d.points), "points",
-                            integer=True)))
+    return _parse("synthesis", cfg["synthesis"], build)
 
 
 # ---------------------------------------------------------------------------
-# subcommands; each takes the config, its analysis object, the seed and the
+# subcommands; each takes the config, its analysis values, the seed and the
 # output directory (named in messages only) and returns (exit code, report
 # payload, {sidecar name: lines}, message), which main writes and prints
 # ---------------------------------------------------------------------------
@@ -195,7 +198,7 @@ _Result = Tuple[int, Dict, Dict[str, Iterable[str]], str]
 
 def _cmd_check_sg(cfg: Dict, analysis: Dict, seed: int, out: Path) -> _Result:
     G = _gains_from_config(cfg)
-    report = check_small_gain(G, _grid_from_analysis(analysis))
+    report = check_small_gain(G, analysis["grid"])
     payload = {"small_gain": report.to_json()}
     if not report.holds:
         witness = gas_witness_search(G, seed=seed, report=report)
@@ -204,18 +207,14 @@ def _cmd_check_sg(cfg: Dict, analysis: Dict, seed: int, out: Path) -> _Result:
     return (0 if report.holds else 2), payload, {}, report.table()
 
 
-def _table_points(value) -> int:
-    points = _integer(value)
-    if not 0 <= points <= MAX_GRID_POINTS:
-        raise ValueError(f"must be 0 to {MAX_GRID_POINTS}, got {points}")
-    return points
-
-
 def _cmd_synth(cfg: Dict, analysis: Dict, seed: int, out: Path) -> _Result:
     G = _gains_from_config(cfg)
     inp = _synthesis_from_config(cfg, G)
-    points = _field(analysis, "table_points", 121, _table_points)
-    report = check_small_gain(G, _grid_from_analysis(analysis))
+    points = analysis["table_points"]
+    if not 0 <= points <= MAX_GRID_POINTS:
+        raise CliError(f"config field 'analysis.table_points': must be 0 to "
+                       f"{MAX_GRID_POINTS}, got {points}")
+    report = check_small_gain(G, analysis["grid"])
     if not report.holds:
         return 2, {"status": "small-gain-refuted",
                    "small_gain": report.to_json()}, {}, report.table()
@@ -234,13 +233,11 @@ def _cmd_synth(cfg: Dict, analysis: Dict, seed: int, out: Path) -> _Result:
 
 def _cmd_iterate(cfg: Dict, analysis: Dict, seed: int, out: Path) -> _Result:
     G = _gains_from_config(cfg)
-    x0 = _field(analysis, "x0", parse=_vector)
-    if x0 is None:
+    if analysis["x0"] is None:
         raise CliError("iterate needs analysis.x0 (initial vector)")
-    max_steps = _field(analysis, "max_steps", 200, _integer)
-    tol_conv = _field(analysis, "tol_conv", TOL_CONV)
     try:
-        res = iterate(G, x0, max_steps=max_steps, tol_conv=tol_conv)
+        res = iterate(G, analysis["x0"], max_steps=analysis["max_steps"],
+                      tol_conv=analysis["tol_conv"])
     except ValueError as exc:
         raise CliError(str(exc))
     rows = ["k," + ",".join(f"x{i+1}" for i in range(G.n))]
@@ -260,11 +257,9 @@ _START = {"ode": "x0 for an ODE model",
 
 
 def _run_simulation(spec: SystemSpec, analysis: Dict) -> Trajectory:
-    horizon = _field(analysis, "horizon", 10.0)
-    dt = _field(analysis, "dt", 1e-3)
-    start = _field(analysis, "x0", parse=_vector)
-    if spec.kind == "delay":
-        start = _field(analysis, "history", start, _vector)
+    horizon, dt, start = analysis["horizon"], analysis["dt"], analysis["x0"]
+    if spec.kind == "delay" and analysis["history"] is not None:
+        start = analysis["history"]
     if start is None:
         raise CliError(f"simulate needs analysis.{_START[spec.kind]}")
     try:
@@ -296,30 +291,28 @@ def _cmd_simulate(cfg: Dict, analysis: Dict, seed: int, out: Path) -> _Result:
 
 def _cmd_validate(cfg: Dict, analysis: Dict, seed: int, out: Path) -> _Result:
     spec = _system_from_config(cfg)
-    tail_fraction = _field(analysis, "tail_fraction", TAIL_FRACTION)
-    tol_tail = _field(analysis, "tol_tail", TOL_TAIL)
-    tol_gain = _field(analysis, "tol_gain", TOL_GAIN)
-    u_sup = _field(analysis, "u_sup")
-    require = _field(analysis, "require_convergence", True, _boolean)
+    tail_fraction, u_sup = analysis["tail_fraction"], analysis["u_sup"]
     traj = _run_simulation(spec, analysis)
     try:
-        conv = check_convergence(traj, tol_tail=tol_tail,
+        conv = check_convergence(traj, tol_tail=analysis["tol_tail"],
                                  tail_fraction=tail_fraction)
     except InconclusiveError as exc:
         raise CliError(str(exc))
     payload: Dict = {"convergence": conv}
     lines = [f"channel {k + 1}: {c['status']} (tail sup {c['tail_sup']:.3e})"
              for k, c in enumerate(conv)]
-    ok = not require or all(c["status"] == "converged" for c in conv)
+    ok = (not analysis["require_convergence"]
+          or all(c["status"] == "converged" for c in conv))
     if "gains" in cfg and "synthesis" in cfg and u_sup is not None:
         G = _gains_from_config(cfg)
         inp = _synthesis_from_config(cfg, G)
-        report = check_small_gain(G, _grid_from_analysis(analysis))
+        report = check_small_gain(G, analysis["grid"])
         try:
             comp = overall_gain(inp, report)
         except SmallGainRequired as exc:
             raise CliError(str(exc))
-        ag = check_asymptotic_gain(traj, comp.gmap, u_sup, tol_gain=tol_gain,
+        ag = check_asymptotic_gain(traj, comp.gmap, u_sup,
+                                   tol_gain=analysis["tol_gain"],
                                    tail_fraction=tail_fraction)
         payload["asymptotic_gain"] = ag
         ok = ok and all(e["status"] == "satisfied" for e in ag)
@@ -394,9 +387,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             cfg, analysis, seed = {"recipe": args.name}, {}, args.seed
         else:
             cfg = _load_config(args.input)
-            analysis = _analysis(cfg)
-            seed = args.seed if args.seed is not None \
-                else _field(analysis, "seed", 0, _integer)
+            analysis = _read_config(cfg, args.command)
+            seed = args.seed if args.seed is not None else analysis["seed"]
         out = Path(args.out)
         try:
             code, payload, sidecars, message = _DISPATCH[args.command](

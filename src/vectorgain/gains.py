@@ -20,6 +20,8 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
+from .config import REQUIRED, number, obj, read_kind
+
 __all__ = [
     "GainFn", "Zero", "Linear", "Power", "LogExpSq", "Max", "Compose",
     "Scale", "GridSpec", "ContractionVerdict", "GainError", "BracketError",
@@ -528,7 +530,14 @@ def invert(g: GainFn, y: float) -> float:
 _WIRE = {cls: (cls.__name__.lower(),
                tuple((f.name, f.type == "GainFn") for f in fields(cls)))
          for cls in (Zero, Linear, Power, LogExpSq, Max, Compose, Scale)}
-_KINDS = {kind: (cls, names) for cls, (kind, names) in _WIRE.items()}
+# the config table of each kind: every parameter is required, and a child
+# gain is an object that _from_json reads one level down
+_TABLES = {kind: (tuple((name, obj if child else number, REQUIRED)
+                        for name, child in names), kind, "parameter")
+           for kind, names in _WIRE.values()}
+# each kind's class and the names of its child gains
+_KINDS = {kind: (cls, tuple(name for name, child in names if child))
+          for cls, (kind, names) in _WIRE.items()}
 
 
 def gain_to_json(g: GainFn) -> dict:
@@ -546,21 +555,10 @@ def gain_to_json(g: GainFn) -> dict:
     return d
 
 
-def _describe_json(v) -> str:
-    """A JSON value as an error message shows it: a number, bool, null or
-    short string as its repr, anything else by its JSON type alone, so a
-    message stays short whatever the config holds."""
-    if v is None or isinstance(v, (bool, int, float)) or (
-            isinstance(v, str) and len(v) <= 40):
-        return repr(v)
-    kind = {str: "string", list: "array", dict: "object"}.get(
-        type(v), type(v).__name__)
-    return f"a JSON {kind}"
-
-
 def gain_from_json(d: dict) -> GainFn:
     """Deserialize a gain expression tree; raises GainError on bad input,
-    including nesting deeper than MAX_JSON_DEPTH."""
+    including a key that its kind does not have and nesting deeper than
+    MAX_JSON_DEPTH."""
     return _from_json(d, 1)
 
 
@@ -568,54 +566,8 @@ def _from_json(d: dict, depth: int) -> GainFn:
     if depth > MAX_JSON_DEPTH:
         raise GainError(
             f"gain expression nested deeper than {MAX_JSON_DEPTH} levels")
-    try:
-        kind = d["kind"]
-    except (TypeError, KeyError):
-        raise GainError(f"gain JSON must be an object with a 'kind', "
-                        f"got {_describe_json(d)}")
-    try:
-        cls, names = _KINDS[kind]
-    except (TypeError, KeyError):  # TypeError: an unhashable kind
-        raise GainError(f"unknown gain kind {_describe_json(kind)}")
-    return cls(*[_from_json(d[name], depth + 1) if child
-                 else _json_number(d[name], "{} parameter {!r}", kind, name)
-                 for name, child in names])
-
-
-def _json_number(v, what: str, *args, integer: bool = False):
-    """v, a JSON number, as a float, or with integer, a JSON integer as an
-    int; a bool or a string is neither.  Any other v is a GainError (a
-    ValueError) that names the field as what.format(*args), formatted only
-    then, since a config can hold millions of valid fields."""
-    if integer:
-        if type(v) is int:
-            return v
-    elif isinstance(v, (int, float)) and not isinstance(v, bool):
-        return float(v)
-    raise GainError(f"{what.format(*args)} must be "
-                    f"{'an integer' if integer else 'a number'}, "
-                    f"got {_describe_json(v)}")
-
-
-def _json_array(value, what: str, *args) -> np.ndarray:
-    """value, a JSON number or nested arrays of them, as a float array.
-    Every entry is read by _json_number, which names it as
-    what.format(*args); a Python caller may also pass tuples and ndarrays."""
-    pending = [value]
-    while pending:  # a loop, not recursion: the JSON may nest deeply
-        v = pending.pop()
-        if isinstance(v, (list, tuple)):
-            pending += v
-        elif isinstance(v, np.ndarray):
-            pending.append(v.tolist())
-        else:
-            _json_number(v, what, *args)
-    return np.asarray(value, dtype=float)
-
-
-def _json_known(d: dict, known, owner: str, item: str = "field") -> None:
-    """Reject a key of the object d outside known: a misspelled optional
-    field would otherwise be dropped without a word."""
-    for key in d:
-        if key not in known:
-            raise GainError(f"{owner} has no {item} {_describe_json(key)}")
+    kind, values = read_kind(d, _TABLES, "gain", GainError)
+    cls, children = _KINDS[kind]
+    for name in children:
+        values[name] = _from_json(values[name], depth + 1)
+    return cls(*values.values())

@@ -1,12 +1,13 @@
 """Built-in continuous-time models and their structural data.
 
-Each model is registered under a name with one parse function, which a
-`SystemSpec` runs once, on construction: it checks that every parameter is
-a JSON number (or nested arrays of them), finite and in range, and that it
-is given no key it does not read, and returns the model's kind, dimension,
-delays, right-hand side, worst-case channel derivative (or None) and the
-parsed values that every reader uses, and a spec of another kind is
-rejected.
+Each model is registered under a name with its params table and one parse
+function, which a `SystemSpec` runs once, on construction.  The table,
+read by `config.read`, checks the JSON type of every parameter and
+rejects a key it does not have; the parse function checks that the values
+are finite and in range, and returns the model's kind, dimension, delays,
+right-hand side, worst-case channel derivative (or None) and the parsed
+values that every reader uses.  A spec of another kind is rejected.  The
+system object, `h`, the g-curve and the signals are read by tables too.
 Model parameters arrive as plain dicts so specs stay JSON round-trippable.
 """
 
@@ -15,11 +16,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from math import copysign
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .gains import _describe_json, _json_array, _json_known, _json_number
+from .config import (
+    REQUIRED, integer, number, numbers, obj, one_of, read, read_kind,
+)
 from .signals import Signal, signal_from_json, signal_to_json
 
 __all__ = [
@@ -84,7 +87,9 @@ class SystemSpec:
         if self.model not in _REGISTRY:
             raise ModelError(f"unknown model {self.model!r}; "
                              f"known: {sorted(_REGISTRY)}")
-        self.parsed = _REGISTRY[self.model](self.params)
+        table, parse = _REGISTRY[self.model]
+        self.parsed = parse(read(self.params, table, self.model, "parameter",
+                                 ModelError))
         _require(self.kind == self.parsed.kind,
                  f"model {self.model!r} does not support kind {self.kind!r}")
         self.period = _parse_period(self.h)
@@ -95,26 +100,8 @@ def _require(ok, message: str) -> None:
         raise ModelError(message)
 
 
-def _required(d: Dict, name: str, owner: str, item: str = "parameter"):
-    """d[name]; a missing one is a ModelError that names it."""
-    _require(name in d, f"{owner} requires a {item} {name!r}")
-    return d[name]
-
-
-def _number(d: Dict, name: str, owner: str, default=None,
-            item: str = "parameter") -> float:
-    """d[name] as a float, or default when d has no name (with no default
-    a missing name is an error); a value that is not a JSON number is an
-    error that names it."""
-    v = d.get(name, default) if default is not None else _required(
-        d, name, owner, item)
-    return _json_number(v, "{} {} {!r}", owner, item, name)
-
-
-def _array(d: Dict, name: str, owner: str) -> np.ndarray:
-    """d[name], a number or nested arrays of them, as a float array."""
-    return _json_array(_required(d, name, owner),
-                       "each entry of {} parameter {!r}", owner, name)
+_H = (("kind", one_of("constant", "state_norm"), "constant"),
+      ("value", number, REQUIRED))
 
 
 def _parse_period(h: Optional[Dict]) -> Callable[[np.ndarray], float]:
@@ -122,18 +109,13 @@ def _parse_period(h: Optional[Dict]) -> Callable[[np.ndarray], float]:
     (the default) or "state_norm", with a finite value > 0."""
     if h is None:
         h = {"kind": "constant", "value": 0.1}
-    _require(isinstance(h, dict),
-             f"h must be an object, got {_describe_json(h)}")
-    _json_known(h, ("kind", "value"), "h")
-    kind = h.get("kind", "constant")
-    h0 = _number(h, "value", "h", item="field")
+    h = read(h, _H, "h", error=ModelError)
+    h0 = h["value"]
     _require(0 < h0 < math.inf, f"h value must be finite and > 0, got {h0}")
-    if kind == "constant":
+    if h["kind"] == "constant":
         return lambda x: h0
-    if kind == "state_norm":
-        # h(x) = h0 / (1 + |x|): faster sampling far from the origin
-        return lambda x: h0 / (1.0 + float(np.linalg.norm(x)))
-    raise ModelError(f"unknown sampling-period kind {_describe_json(kind)}")
+    # h(x) = h0 / (1 + |x|): faster sampling far from the origin
+    return lambda x: h0 / (1.0 + float(np.linalg.norm(x)))
 
 
 # ---------------------------------------------------------------------------
@@ -155,12 +137,13 @@ def _parse_period(h: Optional[Dict]) -> Callable[[np.ndarray], float]:
 # implication check alone.
 # ---------------------------------------------------------------------------
 
-def _ldn_parse(p: Dict) -> ParsedModel:
-    owner = "linear_delay_network"
-    _json_known(p, ("a", "c", "r", "bu", "coupling"), owner, "parameter")
-    a, c = _array(p, "a", owner), _array(p, "c", owner)
-    r, bu = _number(p, "r", owner, 0.0), _number(p, "bu", owner, 0.0)
-    coupling = p.get("coupling", "sign_aligned")
+_LDN = (("a", numbers, REQUIRED), ("c", numbers, REQUIRED),
+        ("r", number, 0.0), ("bu", number, 0.0),
+        ("coupling", one_of("sign_aligned", "delayed_linear"), "sign_aligned"))
+
+
+def _ldn_parse(v: Dict) -> ParsedModel:
+    a, c, r, bu = v["a"], v["c"], v["r"], v["bu"]
     _require(a.ndim == 1 and np.all((0 < a) & (a < math.inf)),
              "linear_delay_network: a must be finite and positive")
     _require(c.shape == (a.size, a.size) and np.all((0 <= c) & (c < math.inf)),
@@ -169,11 +152,8 @@ def _ldn_parse(p: Dict) -> ParsedModel:
              "linear_delay_network: delay r must be finite and >= 0")
     _require(0 <= bu < math.inf,
              "linear_delay_network: bu must be finite and >= 0")
-    _require(coupling in ("sign_aligned", "delayed_linear"),
-             "linear_delay_network: unknown coupling mode")
     return ParsedModel("delay", a.size, [r] if r > 0 else [], _ldn_rhs,
-                       _ldn_deriv_sup,
-                       {"a": a, "c": c, "r": r, "bu": bu, "coupling": coupling})
+                       _ldn_deriv_sup, v)
 
 
 def _memo_by_identity(fn):
@@ -264,47 +244,52 @@ def _ldn_deriv_sup(spec: SystemSpec):
 # g is either Michaelis-Menten  c*X/(K + X)  or Hill  c*X^p/(1 + X^p).
 # ---------------------------------------------------------------------------
 
+# the config table of each g-curve form, by the form's name
+_G_FORMS = {
+    "mm": ((("c", number, REQUIRED), ("K", number, REQUIRED)), "mm g-curve",
+           "field"),
+    "hill": ((("c", number, 1.0), ("p", number, REQUIRED)), "hill g-curve",
+             "field"),
+}
+
+
 def make_g(gp: Dict) -> Callable[[float], float]:
     """The g-curve of a g object; its c, K and p must be finite and > 0."""
-    _require(isinstance(gp, dict),
-             f"g must be an object, got {_describe_json(gp)}")
-    form = gp.get("form", "mm")
+    form, g = read_kind(gp, _G_FORMS, "g", ModelError, key="form",
+                        default="mm")
+    c = g["c"]
     if form == "mm":
-        _json_known(gp, ("form", "c", "K"), "mm g-curve")
-        c, K = (_number(gp, name, "mm g-curve", item="field")
-                for name in ("c", "K"))
+        K = g["K"]
         _require(0 < c < math.inf and 0 < K < math.inf,
                  "mm g-curve needs finite c > 0, K > 0")
         return lambda X: c * X / (K + X)
-    if form == "hill":
-        _json_known(gp, ("form", "c", "p"), "hill g-curve")
-        c = _number(gp, "c", "hill g-curve", 1.0, "field")
-        p = _number(gp, "p", "hill g-curve", item="field")
-        _require(0 < c < math.inf and 0 < p < math.inf,
-                 "hill g-curve needs finite c > 0, p > 0")
+    p = g["p"]
+    _require(0 < c < math.inf and 0 < p < math.inf,
+             "hill g-curve needs finite c > 0, p > 0")
 
-        def hill(X):
-            try:
-                Xp = X ** p
-            except OverflowError:  # past the float range, where an array's
-                Xp = math.inf      # power is inf and the curve inf/inf = NaN
-            return c * Xp / (1.0 + Xp)
+    def hill(X):
+        try:
+            Xp = X ** p
+        except OverflowError:  # past the float range, where an array's
+            Xp = math.inf      # power is inf and the curve inf/inf = NaN
+        return c * Xp / (1.0 + Xp)
 
-        return hill
-    raise ModelError(f"unknown g-curve form {_describe_json(form)}")
+    return hill
 
 
-def _bio_parse(p: Dict) -> ParsedModel:
-    _json_known(p, ("a", "tau", "g"), "biochem_circuit", "parameter")
-    a, tau = (_array(p, name, "biochem_circuit") for name in ("a", "tau"))
+_BIO = (("a", numbers, REQUIRED), ("tau", numbers, REQUIRED),
+        ("g", obj, REQUIRED))
+
+
+def _bio_parse(v: Dict) -> ParsedModel:
+    a, tau = v["a"], v["tau"]
     _require(a.ndim == 1 and a.size > 0 and np.all((0 < a) & (a < math.inf)),
              "biochem_circuit: a must be a nonempty finite positive vector")
     _require(tau.shape == a.shape and np.all((0 <= tau) & (tau < math.inf)),
              "biochem_circuit: tau must match a and be finite and >= 0")
+    v["g"] = make_g(v["g"])
     return ParsedModel("delay", a.size, sorted({float(t) for t in tau if t > 0}),
-                       _bio_rhs, _bio_deriv_sup,
-                       {"a": a, "tau": tau,
-                        "g": make_g(_required(p, "g", "biochem_circuit"))})
+                       _bio_rhs, _bio_deriv_sup, v)
 
 
 def _bio_rhs(spec: SystemSpec):
@@ -474,15 +459,14 @@ def biochem_hypothesis(spec: SystemSpec) -> Dict:
 # scalar linear test system:  dx = -a x + bu*u + bd*d   (ode)
 # ---------------------------------------------------------------------------
 
-def _scalar_parse(p: Dict) -> ParsedModel:
-    _json_known(p, ("a", "bu", "bd"), "scalar_linear", "parameter")
-    a, bu, bd = (_number(p, name, "scalar_linear", default)
-                 for name, default in (("a", 1.0), ("bu", 1.0), ("bd", 0.0)))
-    _require(0 < a < math.inf, "scalar_linear: a must be finite and > 0")
-    _require(math.isfinite(bu) and math.isfinite(bd),
+_SCALAR = (("a", number, 1.0), ("bu", number, 1.0), ("bd", number, 0.0))
+
+
+def _scalar_parse(v: Dict) -> ParsedModel:
+    _require(0 < v["a"] < math.inf, "scalar_linear: a must be finite and > 0")
+    _require(math.isfinite(v["bu"]) and math.isfinite(v["bd"]),
              "scalar_linear: bu and bd must be finite")
-    return ParsedModel("ode", 1, [], _scalar_rhs, None,
-                       {"a": a, "bu": bu, "bd": bd})
+    return ParsedModel("ode", 1, [], _scalar_rhs, None, v)
 
 
 def _scalar_rhs(spec: SystemSpec):
@@ -501,14 +485,17 @@ def _scalar_rhs(spec: SystemSpec):
 # zero-order-hold linear system:  dx = A_cur x(t) + A_hold x(tau_i)  (sampled)
 # ---------------------------------------------------------------------------
 
-def _zoh_parse(p: Dict) -> ParsedModel:
-    _json_known(p, ("n", "A_cur", "A_hold"), "zoh_linear", "parameter")
+_ZOH = (("n", integer, None), ("A_cur", numbers, None),
+        ("A_hold", numbers, None))
+
+
+def _zoh_parse(v: Dict) -> ParsedModel:
+    given = {key: v[key] for key in ("A_cur", "A_hold") if v[key] is not None}
     # n, else the rows of A_hold, else those of A_cur, else 1
-    n = (_json_number(p["n"], "zoh_linear parameter 'n'", integer=True)
-         if "n" in p else len(p.get("A_hold", p.get("A_cur", [0]))))
+    n = v["n"] if v["n"] is not None else next(
+        (len(A) for A in (v["A_hold"], v["A_cur"])
+         if A is not None and A.ndim), 1)
     _require(n >= 1, f"zoh_linear: n must be >= 1, got {n}")
-    given = {key: _array(p, key, "zoh_linear")
-             for key in ("A_cur", "A_hold") if key in p}
     for key, A in given.items():
         _require(A.shape == (n, n) and np.all(np.isfinite(A)),
                  f"zoh_linear: {key} must be {n} x {n} and finite")
@@ -530,11 +517,12 @@ def _zoh_rhs(spec: SystemSpec):
     return rhs
 
 
-_REGISTRY: Dict[str, Callable[[Dict], ParsedModel]] = {
-    "linear_delay_network": _ldn_parse,
-    "biochem_circuit": _bio_parse,
-    "scalar_linear": _scalar_parse,
-    "zoh_linear": _zoh_parse,
+# each model's params table and the parse function of the values read by it
+_REGISTRY: Dict[str, Tuple[tuple, Callable[[Dict], ParsedModel]]] = {
+    "linear_delay_network": (_LDN, _ldn_parse),
+    "biochem_circuit": (_BIO, _bio_parse),
+    "scalar_linear": (_SCALAR, _scalar_parse),
+    "zoh_linear": (_ZOH, _zoh_parse),
 }
 
 
@@ -563,23 +551,21 @@ def spec_to_json(spec: SystemSpec) -> dict:
     return d
 
 
+def _signal(v) -> Signal:
+    """Config rule: a signal object."""
+    return signal_from_json(obj(v))
+
+
+# the config table of a system; an absent field (or a null h or signal)
+# takes SystemSpec's default
+_SYSTEM = (("kind", one_of("ode", "delay", "sampled"), REQUIRED),
+           ("model", one_of(*_REGISTRY), REQUIRED), ("params", obj, None),
+           ("input_signal", _signal, None),
+           ("disturbance_signal", _signal, None), ("h", obj, None),
+           ("dtilde", _signal, None))
+
+
 def spec_from_json(d: dict) -> SystemSpec:
-    _require(isinstance(d, dict),
-             f"system must be an object, got {_describe_json(d)}")
-    _json_known(d, ("kind", "model", "params", "input_signal",
-                    "disturbance_signal", "h", "dtilde"), "system")
-    for name in ("kind", "model"):
-        _require(name in d, f"system requires a string field {name!r}")
-        _require(isinstance(d[name], str), f"system field {name!r} must be "
-                 f"a string, got {_describe_json(d[name])}")
-    for name in ("params", "h", "input_signal", "disturbance_signal", "dtilde"):
-        v = d.get(name, {})
-        # params, when given, must be an object; the others may also be null
-        _require(isinstance(v, dict) or (v is None and name != "params"),
-                 f"system field {name!r} must be an object, "
-                 f"got {_describe_json(v)}")
-    return SystemSpec(
-        kind=d["kind"], model=d["model"], params=d.get("params", {}),
-        input_signal=signal_from_json(d.get("input_signal")),
-        disturbance_signal=signal_from_json(d.get("disturbance_signal")),
-        h=d.get("h"), dtilde=signal_from_json(d.get("dtilde")))
+    s = read(d, _SYSTEM, "system", error=ModelError,
+             nulls=("input_signal", "disturbance_signal", "h", "dtilde"))
+    return SystemSpec(**{name: v for name, v in s.items() if v is not None})

@@ -41,9 +41,10 @@ import numpy as np
 
 from .gains import (
     ARRAY_SLACK, ContractionVerdict, GainFn, GridSpec, Linear, LogExpSq,
-    Zero, _chain_verdict, _collapse, _collapse_compose, _describe_json,
-    _json_number, gain_from_json, gain_to_json,
+    Zero, _chain_verdict, _collapse, _collapse_compose, gain_from_json,
+    gain_to_json,
 )
+from .config import REQUIRED, array, integer, obj, read
 
 __all__ = [
     "GainMatrix", "CycleVerdict", "SmallGainReport", "as_plus_vec",
@@ -614,40 +615,34 @@ def matrix_to_json(G: GainMatrix) -> dict:
                                 for j, g in row]}
 
 
+# the config tables of a gain matrix and of one of its entries
+_MATRIX = (("n", integer, REQUIRED), ("gains", array, ()))
+_ENTRY = (("i", integer, REQUIRED), ("j", integer, REQUIRED),
+          ("fn", obj, REQUIRED))
+
+
 def matrix_from_json(d: dict) -> GainMatrix:
     """Parse {"n": n, "gains": [{"i", "j", "fn"}, ...]} with 1-based indices
     and 1 <= n <= MAX_NODES; a later entry for (i, j) replaces an earlier
     one, and a zero gain removes it.  n, i and j must be JSON integers: a
-    float, a string or a bool is rejected, not truncated."""
-    if not isinstance(d, dict):
-        raise ValueError(f"matrix JSON must be an object, "
-                         f"got {_describe_json(d)}")
-    n = _json_int(d, "n", "matrix JSON")
+    float, a string or a bool is rejected, not truncated.  An entry's
+    indices are checked before its gain is read."""
+    m = read(d, _MATRIX, "gain matrix")
+    n = m["n"]
     if not 1 <= n <= MAX_NODES:
         raise ValueError(f"matrix dimension must be 1 to {MAX_NODES}, got {n}")
-    gains = d.get("gains", [])
-    if not isinstance(gains, list):
-        raise ValueError(f"matrix field 'gains' must be an array, "
-                         f"got {_describe_json(gains)}")
     rows: Dict[int, Dict[int, GainFn]] = {}
-    for item in gains:
-        if not isinstance(item, dict):
-            raise ValueError(f"gain entry must be an object, "
-                             f"got {_describe_json(item)}")
-        i = _json_int(item, "i", "gain entry") - 1
-        j = _json_int(item, "j", "gain entry") - 1
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"gain index out of range: i = {i + 1}, "
-                             f"j = {j + 1} with n = {n}")
-        if "fn" not in item:
-            raise ValueError("gain entry requires a gain field 'fn'")
-        rows.setdefault(i, {})[j] = gain_from_json(item["fn"])
-    return GainMatrix(n, tuple(_row(rows.get(i, {}).items()) for i in range(n)))
-
-
-def _json_int(item: dict, key: str, where: str) -> int:
-    """item[key], which must be a JSON integer; a bool is not one.  A
-    missing key is named with `where`, the object that lacks it."""
-    if key not in item:
-        raise ValueError(f"{where} requires an integer field {key!r}")
-    return _json_number(item[key], "gain matrix field {!r}", key, integer=True)
+    for item in m["gains"]:
+        i, j, fn = read(item, _ENTRY, "gain entry").values()
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise ValueError(f"gain index out of range: i = {i}, "
+                             f"j = {j} with n = {n}")
+        g = gain_from_json(fn)
+        row = rows.setdefault(i - 1, {})
+        if isinstance(g, Zero):
+            row.pop(j - 1, None)
+        else:
+            row[j - 1] = g
+    # each row holds no Zero, so it is its entries in ascending j
+    return GainMatrix(n, tuple(tuple(sorted(rows[i].items())) if i in rows
+                               else () for i in range(n)))

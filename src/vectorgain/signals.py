@@ -4,7 +4,9 @@ Every signal is a pure function of time described by a small JSON-able
 record, so simulation runs are reproducible from config alone.  The
 "noise" kind is seeded piecewise-constant: the value on interval k is the
 k-th draw of a fixed generator, independent of evaluation order.  One
-table, `_FIELDS`, names each kind's fields and drives the JSON both ways.
+table, `_FIELDS`, declares each kind's fields, their config rules and
+defaults; it drives the JSON both ways, and `config.read_kind` reads a
+signal object by it.
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ from typing import List, Optional
 
 import numpy as np
 
-from .gains import _describe_json, _json_array, _json_known, _json_number
+from .config import (
+    REQUIRED, Mismatch, number, numbers, read_kind, seed,
+)
 
 __all__ = ["Signal", "signal_from_json", "signal_to_json", "MAX_NOISE_DRAWS"]
 
@@ -41,7 +45,7 @@ class Signal:
                                       compare=False, repr=False)
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in _FIELDS:
             raise ValueError(f"unknown signal kind {self.kind!r}")
         numbers = [self.value, self.amplitude, self.frequency, self.phase,
                    self.dt_switch, *(self.times or ()), *(self.values or ())]
@@ -93,63 +97,41 @@ class Signal:
         return cache[k]
 
 
-# the readers of a JSON field: each is given the value, then the kind and
-# the field's name, which an error names
-_WHAT = "{} signal field {!r}"
-
-
-def _number(v, kind: str, name: str) -> float:
-    return _json_number(v, _WHAT, kind, name)
-
-
-def _numbers(v, kind: str, name: str) -> List[float]:
-    values = _json_array(v, "each entry of " + _WHAT, kind, name)
+def _flat(v) -> List[float]:
+    """Config rule: a flat array of numbers, as a list of floats."""
+    values = numbers(v)
     if values.ndim != 1:
-        raise ValueError(f"{_WHAT.format(kind, name)} must be a flat array "
-                         f"of numbers, got {_describe_json(v)}")
+        raise Mismatch("a flat array of numbers", v)
     return values.tolist()
 
 
-def _seed(v, kind: str, name: str) -> int:
-    # a float with an integer value, such as 4.0, reads as that integer
-    if isinstance(v, float) and v.is_integer():
-        v = int(v)
-    return _json_number(v, _WHAT, kind, name, integer=True)
-
-
-# the fields each kind reads, by name, with the reader of a JSON value
+# the config table of each kind's fields, which also drives signal_to_json
 _FIELDS = {
-    "zero": {},
-    "constant": {"value": _number},
-    "sinusoid": {"amplitude": _number, "frequency": _number, "phase": _number},
-    "piecewise": {"times": _numbers, "values": _numbers},
-    "noise": {"amplitude": _number, "seed": _seed, "dt_switch": _number},
+    "zero": (),
+    "constant": (("value", number, REQUIRED),),
+    "sinusoid": (("amplitude", number, REQUIRED),
+                 ("frequency", number, Signal.frequency),
+                 ("phase", number, Signal.phase)),
+    "piecewise": (("times", _flat, REQUIRED), ("values", _flat, REQUIRED)),
+    "noise": (("amplitude", number, REQUIRED), ("seed", seed, Signal.seed),
+              ("dt_switch", number, Signal.dt_switch)),
 }
-_KINDS = tuple(_FIELDS)
-# the fields a signal's JSON must give; the others take the class default
-_REQUIRED = frozenset({"value", "amplitude", "times", "values"})
+_TABLES = {kind: (fields, f"{kind} signal", "field")
+           for kind, fields in _FIELDS.items()}
 
 
 def signal_to_json(sig: Signal) -> dict:
     d = {"kind": sig.kind}
-    for name in _FIELDS[sig.kind]:
+    for name, _, _ in _FIELDS[sig.kind]:
         v = getattr(sig, name)
         d[name] = list(v) if isinstance(v, (list, tuple)) else v
     return d
 
 
 def signal_from_json(d: Optional[dict]) -> Signal:
+    """The signal of a JSON object, by its kind's table; None is the zero
+    signal."""
     if d is None:
         return Signal()
-    if not isinstance(d, dict):
-        raise ValueError(f"signal must be an object, got {_describe_json(d)}")
-    kind = d.get("kind", "zero")
-    if kind not in _KINDS:
-        raise ValueError(f"unknown signal kind {kind!r}")
-    fields = _FIELDS[kind]
-    missing = [name for name in fields if name in _REQUIRED and name not in d]
-    if missing:
-        raise ValueError(f"{kind} signal requires a field {missing[0]!r}")
-    _json_known(d, ("kind", *fields), f"{kind} signal")
-    return Signal(kind=kind, **{name: read(d[name], kind, name)
-                                for name, read in fields.items() if name in d})
+    kind, values = read_kind(d, _TABLES, "signal", default="zero")
+    return Signal(kind=kind, **values)

@@ -177,7 +177,10 @@ def recheck_violation(setup: LyapunovSetup, model: SystemSpec,
 def _tail_channels(traj: Trajectory,
                    tail_fraction: float) -> Tuple[np.ndarray, int]:
     """The channels v_i = x_i^2 / 2 on the last tail_fraction of the
-    samples, one row per sample, and the index of the tail's first sample."""
+    samples, one row per sample, and the index of the tail's first sample;
+    tail_fraction must be in (0, 1]."""
+    if not 0 < tail_fraction <= 1:  # NaN too
+        raise ValueError(f"tail_fraction must be in (0, 1], got {tail_fraction}")
     count = traj.states.shape[0]
     start = int(math.floor(count * (1.0 - tail_fraction)))
     if count - start < 10:

@@ -523,11 +523,11 @@ _HALF = {"kind": "linear", "k": 0.5}
     ({"n": "2", "gains": []},
      "gain matrix field 'n' must be an integer, got '2'"),
     ({"n": 2, "gains": [{"i": 1.7, "j": 1, "fn": _HALF}]},
-     "gain matrix field 'i' must be an integer, got 1.7"),
+     "gain entry field 'i' must be an integer, got 1.7"),
     ({"n": 2, "gains": [{"i": True, "j": 1, "fn": _HALF}]},
-     "gain matrix field 'i' must be an integer, got True"),
+     "gain entry field 'i' must be an integer, got True"),
     ({"n": 2, "gains": [{"i": 1, "j": 2.0, "fn": _HALF}]},
-     "gain matrix field 'j' must be an integer, got 2.0"),
+     "gain entry field 'j' must be an integer, got 2.0"),
     ({"n": 1, "gains": [{"i": 1, "j": 1, "fn": {"kind": "linear", "k": "0.5"}}]},
      "linear parameter 'k' must be a number, got '0.5'"),
     ({"n": 1, "gains": [{"i": 1, "j": 1, "fn": {"kind": "linear", "k": True}}]},
@@ -551,17 +551,18 @@ _BIG = [{"i": 1, "j": 1, "fn": _HALF}] * 100_000
 
 
 @pytest.mark.parametrize("gains, message", [
-    (_BIG, "matrix JSON must be an object, got a JSON array"),
-    ({"gains": _BIG}, "matrix JSON requires an integer field 'n'"),
+    (_BIG, "gain matrix must be an object, got a JSON array"),
+    ({"gains": _BIG}, "gain matrix requires a field 'n'"),
     ({"n": _BIG, "gains": []},
      "gain matrix field 'n' must be an integer, got a JSON array"),
     ({"n": 1, "gains": [{"i": 2, "j": 1, "fn": {"kind": "linear", "k": 0.5,
                                                "pad": _BIG}}]},
      "gain index out of range: i = 2, j = 1 with n = 1"),
     ({"n": 1, "gains": [{"i": 1, "j": 1, "fn": {"k": _BIG}}]},
-     "gain JSON must be an object with a 'kind', got a JSON object"),
+     "gain requires a field 'kind'"),
     ({"n": 1, "gains": [{"i": 1, "j": 1, "fn": {"kind": "x" * 100_000}}]},
-     "unknown gain kind a JSON string"),
+     "gain field 'kind' must be one of 'zero', 'linear', 'power', 'logexpsq', "
+     "'max', 'compose', 'scale', got a JSON string"),
     ({"n": 1, "gains": [{"i": 1, "j": 1, "fn": {"kind": "linear",
                                                "k": _BIG}}]},
      "linear parameter 'k' must be a number, got a JSON array"),
@@ -722,7 +723,7 @@ def _input(**signal):
     (dict(_SAMPLED, h={"kind": "constant", "value": math.nan}), _ODE_RUN,
      "h value must be finite and > 0, got nan"),
     (dict(_SAMPLED, h={"kind": "jittered", "value": 0.1}), _ODE_RUN,
-     "unknown sampling-period kind 'jittered'"),
+     "h field 'kind' must be one of 'constant', 'state_norm', got 'jittered'"),
     (_input(kind="noise", amplitude=math.nan), _ODE_RUN,
      "noise signal needs finite numbers"),
     (_input(kind="noise", amplitude=1e308), _ODE_RUN,
@@ -734,11 +735,12 @@ def _input(**signal):
     (dict(_BIO, kind="ode"), _ODE_RUN,
      "model 'biochem_circuit' does not support kind 'ode'"),
     ({k: v for k, v in _ODE.items() if k != "kind"}, _ODE_RUN,
-     "system requires a string field 'kind'"),
+     "system requires a field 'kind'"),
     ({k: v for k, v in _ODE.items() if k != "model"}, _ODE_RUN,
-     "system requires a string field 'model'"),
+     "system requires a field 'model'"),
     (dict(_ODE, kind=["ode"] * 100), _ODE_RUN,
-     "system field 'kind' must be a string, got a JSON array"),
+     "system field 'kind' must be one of 'ode', 'delay', 'sampled', got a "
+     "JSON array"),
     (dict(_DELAY, params={"c": [[0.5]]}), _HISTORY_RUN,
      "linear_delay_network requires a parameter 'a'"),
     (dict(_DELAY, params={"a": [1.0]}), _HISTORY_RUN,
@@ -751,9 +753,10 @@ def _input(**signal):
      "mm g-curve requires a field 'K'"),
     (_with(_BIO, g={"form": "hill", "c": 3.0}), _HISTORY_RUN,
      "hill g-curve requires a field 'p'"),
-    (_with(_BIO, g=5), _HISTORY_RUN, "g must be an object, got 5"),
+    (_with(_BIO, g=5), _HISTORY_RUN,
+     "biochem_circuit parameter 'g' must be an object, got 5"),
     (_with(_BIO, g=[1.0] * 100), _HISTORY_RUN,
-     "g must be an object, got a JSON array"),
+     "biochem_circuit parameter 'g' must be an object, got a JSON array"),
     (_input(kind="constant"), _ODE_RUN,
      "constant signal requires a field 'value'"),
     (_input(kind="sinusoid", frequency=1.0), _ODE_RUN,
@@ -767,9 +770,10 @@ def _input(**signal):
     # an unknown kind is described, not echoed: a 100,000-entry array as
     # h's kind took 500 KB of stderr
     (dict(_SAMPLED, h={"kind": ["x"] * 100_000, "value": 0.1}), _ODE_RUN,
-     "unknown sampling-period kind a JSON array"),
+     "h field 'kind' must be one of 'constant', 'state_norm', got a JSON "
+     "array"),
     (_with(_BIO, g={"form": ["x"] * 100_000}), _HISTORY_RUN,
-     "unknown g-curve form a JSON array"),
+     "g field 'form' must be one of 'mm', 'hill', got a JSON array"),
 ], ids=["ldn-r-nan", "bio-tau-nan", "ldn-a-nan", "ldn-c-inf", "bio-g-c-nan",
         "scalar-a-nan", "zoh-a-hold-nan", "bio-no-nodes", "h-nan",
         "h-unknown-kind", "noise-amplitude-nan", "noise-amplitude-huge",

@@ -351,7 +351,8 @@ def test_gain_json_wire_format():
 def test_gain_json_rejects_unknown_kind():
     with pytest.raises(ValueError):
         gain_from_json({"kind": "cubic", "k": 1.0})
-    with pytest.raises(GainError, match="unknown gain kind"):
+    with pytest.raises(GainError,
+                       match="^gain field 'kind' must be one of .*, got a JSON array$"):
         gain_from_json({"kind": ["linear"], "k": 1.0})
 
 

@@ -99,7 +99,8 @@ def test_signal_json_optional_fields_take_the_defaults():
             signal_from_json(wire)
         assert str(exc.value) == (
             f"{wire['kind']} signal requires a field {missing!r}")
-    with pytest.raises(ValueError, match="unknown signal kind 'ramp'"):
+    with pytest.raises(ValueError, match="^signal field 'kind' must be one of "
+                                         "'zero', .*, got 'ramp'$"):
         signal_from_json({"kind": "ramp"})
     with pytest.raises(ValueError, match="signal must be an object, got 'x'"):
         signal_from_json("x")

@@ -505,12 +505,12 @@ def test_matrix_json_rejects_bad_input():
     entry = {"i": 1, "j": 1, "fn": {"kind": "zero"}}
     for gains, message in [
             ([{k: v for k, v in entry.items() if k != "i"}],
-             "gain entry requires an integer field 'i'"),
+             "gain entry requires a field 'i'"),
             ([{k: v for k, v in entry.items() if k != "j"}],
-             "gain entry requires an integer field 'j'"),
+             "gain entry requires a field 'j'"),
             ([{k: v for k, v in entry.items() if k != "fn"}],
-             "gain entry requires a gain field 'fn'"),
-            ("x", "matrix field 'gains' must be an array, got 'x'"),
+             "gain entry requires a field 'fn'"),
+            ("x", "gain matrix field 'gains' must be an array, got 'x'"),
             ([5], "gain entry must be an object, got 5"),
             ([[entry]], "gain entry must be an object, got a JSON array")]:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

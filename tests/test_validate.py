@@ -231,6 +231,19 @@ def test_check_convergence_inconclusive_on_short_tail():
         check_convergence(traj)
 
 
+@pytest.mark.parametrize("fraction", [1.5, 7.0, 0.0, -0.5, math.nan])
+def test_tail_fraction_outside_unit_interval_rejected(fraction):
+    # 1.5 read the last 51 of 101 samples, 7 all of them, -0.5 named a
+    # negative tail and NaN failed in int()
+    traj = _decaying_traj(1)
+    message = f"^tail_fraction must be in \\(0, 1\\], got {fraction}$"
+    with pytest.raises(ValueError, match=message):
+        check_convergence(traj, tail_fraction=fraction)
+    with pytest.raises(ValueError, match=message):
+        check_asymptotic_gain(traj, [Zero()], u_sup=0.0,
+                              tail_fraction=fraction)
+
+
 def test_convergence_on_real_trajectory():
     spec = SystemSpec(kind="delay", model="linear_delay_network",
                       params={"a": [1.0], "c": [[0.2]], "r": 0.5})
