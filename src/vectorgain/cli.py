@@ -18,12 +18,13 @@ overwrite a file without ``--force``, writes nothing and creates no
 output directory.
 
 Every config object is read by its table (see :mod:`vectorgain.config`):
-``main`` reads the top level, where each command requires the objects it
-uses, and ``analysis``, whose one table holds the fields of every
-command, so one config serves them all; a command parses ``gains``,
-``system`` and ``synthesis`` when it uses them.  An unknown key, a
-missing required field or a value of the wrong JSON type is an error
-that names the field.
+``main`` reads the top level, where ``gains``, ``system``, ``synthesis``
+and ``analysis`` must each be an object and each command requires the
+ones it uses.  It then reads ``analysis``, whose one table holds the
+fields of every command, so one config serves them all; a command parses
+``gains``, ``system`` and ``synthesis`` when it uses them.  An unknown
+key, a missing required field or a value of the wrong JSON type is an
+error that names the field.
 
 Exit codes: 0 = analysis ran and all verdicts positive, 2 = analysis ran
 but a verdict is negative (small gain refuted, iteration not converged,
@@ -37,21 +38,23 @@ import datetime
 import functools
 import itertools
 import json
+import math
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .config import (
-    REQUIRED, Mismatch, anything, array, boolean, integer, number, numbers,
-    obj, read,
+    REQUIRED, Mismatch, array, boolean, integer, number, numbers, obj, read,
 )
 from .gains import MAX_GRID_POINTS, GridSpec, Linear, Zero, gain_from_json
 from .iteration import TOL_CONV, iterate
 from .models import SystemSpec, spec_from_json
 from .network import (
-    GainMatrix, check_small_gain, gas_witness_search, matrix_from_json,
+    CycleVerdict, GainMatrix, SmallGainReport, check_small_gain,
+    gas_witness_search, matrix_from_json,
 )
 from .recipes import RECIPES, run_recipe
 from .simulate import (
@@ -71,11 +74,13 @@ class CliError(Exception):
     """User-facing error: message printed, exit code 1."""
 
 
-# a report is written in parts of this many encoder chunks: json.dump makes
+# a value is written in parts of this many encoder chunks: json.dump makes
 # one write per chunk (about 55,000 for a 0.5 MB report), json.dumps holds
 # every chunk at once
 _JSON_CHUNKS = 4096
 _JSON = json.JSONEncoder(indent=2, sort_keys=True)
+# a cycle table is written in parts of this many entries
+_TABLE_ROWS = 256
 
 
 # ---------------------------------------------------------------------------
@@ -98,10 +103,87 @@ def _load_config(path: str) -> Dict:
 
 
 def _write_json(fh, body: Dict) -> None:
-    chunks = _JSON.iterencode(body)
-    while part := "".join(itertools.islice(chunks, _JSON_CHUNKS)):
+    """Write body and a newline as json.dump(body, fh, indent=2,
+    sort_keys=True) would, where a SmallGainReport value stands for its
+    to_json().  The report and the dict that holds it are walked key by
+    key, the report's cycle table is formatted entry by entry
+    (_cycle_table), and every other value goes through _JSON."""
+    for part in _json_parts(body, 0):
         fh.write(part)
     fh.write("\n")
+
+
+def _json_parts(value, level: int) -> Iterator[str]:
+    """The JSON text of value at nesting level `level`, in parts.
+
+    _JSON encodes at level 0; its text at level L is that text with each
+    newline followed by L more indents, since json escapes a newline
+    inside a string."""
+    report = isinstance(value, SmallGainReport)
+    if report:
+        value = {"cycles": value.cycles, **value.summary_json()}
+    elif not (isinstance(value, dict) and any(
+            isinstance(v, SmallGainReport) for v in value.values())):
+        newline = "\n" + "  " * level
+        chunks = _JSON.iterencode(value)
+        while part := "".join(itertools.islice(chunks, _JSON_CHUNKS)):
+            yield part.replace("\n", newline) if level else part
+        return
+    inner = "\n" + "  " * (level + 1)
+    for k, (key, v) in enumerate(sorted(value.items())):
+        yield ("," if k else "{") + inner + encode_basestring_ascii(key) + ": "
+        if report and key == "cycles":
+            yield from _cycle_table(v, level + 1)
+        else:
+            yield from _json_parts(v, level + 1)
+    yield "\n" + "  " * level + "}"
+
+
+@functools.cache
+def _entry_formats(level: int) -> Tuple[str, str, str]:
+    """The %-formats of a "cycles" entry at nesting level `level`, without
+    and with a witness, and the separator of its cycle's nodes."""
+    i0, i1, i2 = ("\n" + "  " * (level + k) for k in range(3))
+    cycle, *rest = (encode_basestring_ascii(key) + ": "
+                    for key in SmallGainReport.ENTRY_KEYS)
+    fields = [f"{cycle}[{i2}%s{i1}]"] + [f"{key}%s" for key in rest]
+    return ("{" + i1 + f",{i1}".join(fields[:-1]) + i0 + "}",
+            "{" + i1 + f",{i1}".join(fields) + i0 + "}", "," + i2)
+
+
+def _json_float(x: float) -> str:
+    """A float as json writes it."""
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _cycle_table(cycles: Sequence[CycleVerdict], level: int) -> Iterator[str]:
+    """The JSON text of the "cycles" array of a SmallGainReport, at nesting
+    level `level`, in parts of _TABLE_ROWS entries: one %-format per entry,
+    filled by json's own string encoder and int and float reprs."""
+    if not cycles:
+        yield "[]"
+        return
+    plain, witnessed, node_sep = _entry_formats(level + 1)
+    newline = "\n" + "  " * (level + 1)
+    values, text = SmallGainReport.entry_values, encode_basestring_ascii
+    for start in range(0, len(cycles), _TABLE_ROWS):
+        rows = []
+        for cv in cycles[start:start + _TABLE_ROWS]:
+            nodes, detail, status, witness = values(cv)
+            nodes = node_sep.join(map(int.__repr__, nodes))
+            rows.append(
+                plain % (nodes, text(detail), text(status)) if witness is None
+                else witnessed % (nodes, text(detail), text(status),
+                                  _json_float(witness)))
+        yield ("[" if start == 0 else ",") + newline + \
+            f",{newline}".join(rows)
+    yield "\n" + "  " * level + "]"
 
 
 def _parse(field: str, value, parse):
@@ -127,10 +209,12 @@ def _gain_array(v):
     return tuple(map(gain_from_json, v))
 
 
-# the config tables: the top level, where main requires the objects that
-# _NEEDS names for the command; synthesis; analysis, which holds the
-# fields of every command; and its grid
-_OBJECTS = ("gains", "system", "synthesis", "analysis")
+# the config tables: the top level, whose objects are named here as their
+# own readers name them, and where main requires the ones that _NEEDS
+# names for the command; synthesis; analysis, which holds the fields of
+# every command; and its grid
+_OBJECTS = {"gains": "gain matrix", "system": "system",
+            "synthesis": "synthesis", "analysis": "analysis"}
 _NEEDS = {"check-sg": ("gains",), "synth": ("gains", "synthesis"),
           "iterate": ("gains",), "simulate": ("system",),
           "validate": ("system",)}
@@ -152,9 +236,16 @@ _GRID = (("s_min", number, GridSpec.s_min), ("s_max", number, GridSpec.s_max),
 def _read_config(cfg, command: str) -> Dict:
     """The analysis values of a config, its grid a GridSpec or None, after
     checking the top level."""
-    read(cfg, tuple((name, anything,
-                     REQUIRED if name in _NEEDS[command] else None)
-                    for name in _OBJECTS), "config", error=CliError)
+    try:
+        read(cfg, tuple((name, obj, REQUIRED if name in _NEEDS[command]
+                         else None) for name in _OBJECTS), "config")
+    except ValueError as exc:
+        if exc.field is not None and exc.field in cfg:
+            # not an object, which the object's own reader words as for
+            # a command that uses it
+            _parse(exc.field, cfg[exc.field],
+                   lambda v: read(v, (), _OBJECTS[exc.field]))
+        raise CliError(str(exc))
     try:
         # a null analysis field takes its default
         analysis = read(cfg.get("analysis", {}), _ANALYSIS, "analysis",
@@ -199,7 +290,7 @@ _Result = Tuple[int, Dict, Dict[str, Iterable[str]], str]
 def _cmd_check_sg(cfg: Dict, analysis: Dict, seed: int, out: Path) -> _Result:
     G = _gains_from_config(cfg)
     report = check_small_gain(G, analysis["grid"])
-    payload = {"small_gain": report.to_json()}
+    payload = {"small_gain": report}
     if not report.holds:
         witness = gas_witness_search(G, seed=seed, report=report)
         if witness is not None:
@@ -217,14 +308,14 @@ def _cmd_synth(cfg: Dict, analysis: Dict, seed: int, out: Path) -> _Result:
     report = check_small_gain(G, analysis["grid"])
     if not report.holds:
         return 2, {"status": "small-gain-refuted",
-                   "small_gain": report.to_json()}, {}, report.table()
+                   "small_gain": report}, {}, report.table()
     comp = overall_gain(inp, report)
     rows = ["s,theta,overall"]
     for s in np.logspace(-6, 6, points):
         s = float(s)
         theta = comp.theta(s)
         rows.append(f"{s!r},{theta!r},{comp.overall.inverse_at(theta)!r}")
-    payload = {"status": "synthesized", "small_gain": report.to_json(),
+    payload = {"status": "synthesized", "small_gain": report,
                "composite": comp.to_json()}
     return 0, payload, {"gain_table.csv": rows}, (
         f"synthesized composite gain over {G.n} nodes; "
@@ -292,6 +383,11 @@ def _cmd_simulate(cfg: Dict, analysis: Dict, seed: int, out: Path) -> _Result:
 def _cmd_validate(cfg: Dict, analysis: Dict, seed: int, out: Path) -> _Result:
     spec = _system_from_config(cfg)
     tail_fraction, u_sup = analysis["tail_fraction"], analysis["u_sup"]
+    if u_sup is not None:
+        for name in ("gains", "synthesis"):
+            if name not in cfg:
+                raise CliError(f"config requires a field {name!r} when "
+                               "analysis.u_sup is given")
     traj = _run_simulation(spec, analysis)
     try:
         conv = check_convergence(traj, tol_tail=analysis["tol_tail"],
@@ -303,7 +399,7 @@ def _cmd_validate(cfg: Dict, analysis: Dict, seed: int, out: Path) -> _Result:
              for k, c in enumerate(conv)]
     ok = (not analysis["require_convergence"]
           or all(c["status"] == "converged" for c in conv))
-    if "gains" in cfg and "synthesis" in cfg and u_sup is not None:
+    if u_sup is not None:
         G = _gains_from_config(cfg)
         inp = _synthesis_from_config(cfg, G)
         report = check_small_gain(G, analysis["grid"])

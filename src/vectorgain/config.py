@@ -27,7 +27,7 @@ import numpy as np
 
 __all__ = [
     "REQUIRED", "Mismatch", "read", "read_kind", "describe", "number",
-    "integer", "boolean", "one_of", "obj", "array", "anything", "numbers",
+    "integer", "boolean", "one_of", "obj", "array", "numbers",
     "seed",
 ]
 
@@ -179,11 +179,6 @@ def array(v) -> list:
     if isinstance(v, list):
         return v
     raise Mismatch("an array", v)
-
-
-def anything(v):
-    """Any JSON value, read later by the code that uses it."""
-    return v
 
 
 def numbers(v) -> np.ndarray:

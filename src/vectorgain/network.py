@@ -23,7 +23,9 @@ it, a strongly connected component whose gains all collapse to ``Linear``
 (or all to ``LogExpSq(0.5, .)``) composes by multiplying k (or th), so its
 cycles all contract exactly when the maximum cycle mean of the log weights
 is below 0.  Karp's algorithm (Discrete Math. 23(3), 1978) computes that
-mean in O(n*m) time, and only one critical cycle per component is listed.
+mean in O(n*m) time, and only one critical cycle per component is listed;
+its two (c + 1) x c tables are capped at 2**30 bytes, so a component of
+more than 8,191 nodes is a ValueError there.
 If any component over the cap is not multiplicative, every circuit of
 every component is listed.
 """
@@ -67,6 +69,9 @@ _LIST_CAP = 10_000
 _MEAN_TIE = 1e-12
 _CRITICAL_NOTE = (f"more than {_LIST_CAP} circuits: one critical cycle "
                   "per component listed")
+# most bytes of Karp's two (c + 1) x c tables for a component of c nodes:
+# 2**30 admits c up to 8,191
+_KARP_MAX_BYTES = 1 << 30
 
 
 def as_plus_vec(x, n: Optional[int] = None) -> np.ndarray:
@@ -334,16 +339,30 @@ class SmallGainReport:
     # circuit (more than _LIST_CAP circuits, all components multiplicative)
     critical_only: bool = False
 
+    # the keys of an entry of to_json's "cycles", in sort_keys order; an
+    # entry holds the last, "witness", only when its verdict has one
+    ENTRY_KEYS = ("cycle", "detail", "status", "witness")
+
+    @staticmethod
+    def entry_values(cv: CycleVerdict) -> tuple:
+        """The values of cv's "cycles" entry, by ENTRY_KEYS: the cycle's
+        nodes 1-based, its detail, its status and its witness (None when
+        the entry has none)."""
+        v = cv.verdict
+        return [i + 1 for i in cv.cycle], v.detail, v.status, v.witness
+
     def to_json(self) -> dict:
         entries = []
         for cv in self.cycles:
-            e = {"cycle": [i + 1 for i in cv.cycle],
-                 "status": cv.verdict.status,
-                 "detail": cv.verdict.detail}
-            if cv.verdict.witness is not None:
-                e["witness"] = cv.verdict.witness
-            entries.append(e)
-        out = {"holds": self.holds, "cycles": entries}
+            values = self.entry_values(cv)
+            if values[-1] is None:
+                values = values[:-1]
+            entries.append(dict(zip(self.ENTRY_KEYS, values)))
+        return {"cycles": entries, **self.summary_json()}
+
+    def summary_json(self) -> dict:
+        """Every field of to_json but "cycles"."""
+        out = {"holds": self.holds}
         if self.critical_only:
             out["cycles_listed"] = _CRITICAL_NOTE
         if self.failing_cycle is not None:
@@ -439,8 +458,17 @@ def _max_cycle_mean(weights: Dict[Tuple[int, int], float]
     finite.  Every simple cycle on a heaviest c-edge walk to a maximizing v
     attains it; the first one met walking back is returned.  The mean is
     -inf when every cycle has a -inf edge, and the cycle then any cycle.
+    A component whose tables would take more than _KARP_MAX_BYTES raises
+    ValueError before they are allocated.
     """
     nodes = sorted({u for u, _ in weights})
+    c = len(nodes)
+    size = 2 * (c + 1) * c * 8
+    if size > _KARP_MAX_BYTES:
+        raise ValueError(
+            f"a strongly connected component of c = {c} nodes is too large "
+            f"for the maximum cycle mean: Karp's two tables would take "
+            f"{size} bytes, more than {_KARP_MAX_BYTES}")
     pos = {v: i for i, v in enumerate(nodes)}
     edges = sorted(weights, key=lambda e: (pos[e[1]], pos[e[0]]))
     src = np.array([pos[u] for u, _ in edges])
@@ -449,7 +477,6 @@ def _max_cycle_mean(weights: Dict[Tuple[int, int], float]
     ids = np.arange(len(edges))
     # edges grouped by head; each node of a strongly connected graph has one
     starts = np.flatnonzero(np.diff(dst, prepend=-1))
-    c = len(nodes)
     D = np.zeros((c + 1, c))
     pred = np.zeros((c + 1, c), dtype=np.intp)
     for k in range(1, c + 1):

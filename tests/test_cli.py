@@ -1,13 +1,20 @@
+import io
+import itertools
 import json
 import math
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vectorgain.cli import _JSON_CHUNKS, _write_json, main
-from vectorgain.gains import GridSpec, LogExpSq
+from vectorgain.cli import _JSON_CHUNKS, _TABLE_ROWS, _write_json, main
+from vectorgain.gains import ContractionVerdict, GridSpec, LogExpSq
 import vectorgain.network as network
+from vectorgain.network import (
+    CycleVerdict, SmallGainReport, check_small_gain, matrix_from_json,
+)
 
 
 def _write(path, payload):
@@ -104,15 +111,35 @@ _SIM_CFG = {
                  "require_convergence": False}}
 
 
+def _dense6_gains():
+    """A complete digraph with self-loops on 6 nodes, 415 circuits: a
+    cycle table longer than one write block, with exact and grid verdicts,
+    and a refuted 2-cycle (1.5 * 0.9 > 1)."""
+    def gain(i, j):
+        if (i, j) in ((1, 2), (2, 1)):
+            return {"kind": "linear", "k": 1.5 if i == 1 else 0.9}
+        if (i + j) % 3 == 0:
+            return {"kind": "logexpsq", "c": 0.5, "th": 0.2 + 0.05 * i}
+        return {"kind": "linear", "k": 0.3 + 0.1 * j}
+    return {"n": 6, "gains": [{"i": i, "j": j, "fn": gain(i, j)}
+                              for i in range(1, 7) for j in range(1, 7)]}
+
+
 def test_byte_identical_reports(tmp_path, sg_config):
     sim_config = _write(tmp_path / "sim.json", _SIM_CFG)
-    for args in (["check-sg", "--input", sg_config],
-                 ["synth", "--input", sg_config],
-                 ["iterate", "--input", sg_config],
-                 ["simulate", "--input", sim_config],
-                 ["validate", "--input", sim_config],
-                 ["repro", "rk4-order"]):
-        outs = [tmp_path / args[0] / "o1", tmp_path / args[0] / "o2"]
+    dense_config = _write(tmp_path / "dense6.json", {
+        "gains": _dense6_gains(),
+        "synthesis": {"zeta": {"kind": "linear", "k": 0.3}}})
+    runs = {"check-sg": ["check-sg", "--input", sg_config],
+            "synth": ["synth", "--input", sg_config],
+            "iterate": ["iterate", "--input", sg_config],
+            "simulate": ["simulate", "--input", sim_config],
+            "validate": ["validate", "--input", sim_config],
+            "repro": ["repro", "rk4-order"],
+            "check-sg-dense6": ["check-sg", "--input", dense_config],
+            "synth-dense6": ["synth", "--input", dense_config]}
+    for run, args in runs.items():
+        outs = [tmp_path / run / "o1", tmp_path / run / "o2"]
         for out in outs:
             main(args + ["--out", str(out), "--seed", "4"])
         names = sorted(p.name for p in outs[0].iterdir())
@@ -123,6 +150,46 @@ def test_byte_identical_reports(tmp_path, sg_config):
             if name != "run_meta.json":
                 assert (outs[0] / name).read_bytes() == \
                     (outs[1] / name).read_bytes(), (args, name)
+        # every JSON artifact is the text json.dumps writes for it
+        for name in names:
+            if name.endswith(".json"):
+                text = (outs[0] / name).read_text()
+                assert text == json.dumps(json.loads(text), indent=2,
+                                          sort_keys=True) + "\n", (args, name)
+    dense = json.loads((tmp_path / "check-sg-dense6" / "o1" / "report.json")
+                       .read_text())["small_gain"]
+    assert len(dense["cycles"]) == 415 > _TABLE_ROWS
+    assert not dense["holds"] and dense["failing_cycle"] == [1, 2]
+    statuses = {e["status"] for e in dense["cycles"]}
+    assert statuses == {"exact-true", "exact-false", "grid-verified",
+                        "grid-refuted"}
+
+
+class _Writes(io.StringIO):
+    """A text file that keeps each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.parts = []
+
+    def write(self, text):
+        self.parts.append(text)
+        return super().write(text)
+
+
+def test_long_cycle_table_written_in_blocks():
+    report = check_small_gain(matrix_from_json(_dense6_gains()))
+    assert len(report.cycles) == 415
+    fh = _Writes()
+    _write_json(fh, {"command": "check-sg", "small_gain": report})
+    _assert_same_text(fh.getvalue(), json.dumps(
+        {"command": "check-sg", "small_gain": report.to_json()}, indent=2,
+        sort_keys=True) + "\n")
+    # the table is written in two blocks of at most _TABLE_ROWS entries, and
+    # no write holds the whole table
+    rows = [part.count('"cycle": ') for part in fh.parts]
+    assert sorted(n for n in rows if n) == [415 - _TABLE_ROWS, _TABLE_ROWS]
+    assert max(map(len, fh.parts)) < len(fh.getvalue()) / 1.5
 
 
 def test_json_written_in_parts_equals_one_dumps(tmp_path):
@@ -134,6 +201,73 @@ def test_json_written_in_parts_equals_one_dumps(tmp_path):
         _write_json(fh, body)
     assert path.read_text() == \
         json.dumps(body, indent=2, sort_keys=True) + "\n"
+
+
+# text that json must escape: quotes, backslashes, control characters,
+# non-ASCII text, and % signs, which must not reach a %-format
+_TEXT = st.one_of(
+    st.text(max_size=8),
+    st.lists(st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f",
+                              "é", "\u2028", "☃", "\U0001f600", "%s", "%",
+                              "k=0.9 < 1"]),
+             max_size=4).map("".join))
+_WITNESS = st.one_of(
+    st.none(), st.floats(), st.sampled_from(
+        [math.inf, -math.inf, math.nan, 0.0, -0.0, 5e-324, 1e-310, 1.0,
+         1.7976931348623157e308]))
+_VERDICT = st.builds(
+    CycleVerdict,
+    cycle=st.lists(st.integers(0, 12), min_size=1, max_size=5).map(tuple),
+    verdict=st.builds(ContractionVerdict, status=st.one_of(st.sampled_from(
+        ["exact-true", "exact-false", "grid-verified", "grid-refuted"]),
+        _TEXT), witness=_WITNESS, detail=_TEXT))
+
+
+@st.composite
+def _payloads(draw):
+    """A check-sg or synth payload holding a SmallGainReport, and its JSON
+    body.  A few drawn verdicts are repeated up to a table length of none,
+    one, or more than one write block."""
+    verdicts = draw(st.lists(_VERDICT, min_size=1, max_size=4))
+    length = draw(st.sampled_from(
+        [0, 1, len(verdicts), _TABLE_ROWS, _TABLE_ROWS + 1,
+         2 * _TABLE_ROWS + 3]))
+    failing = draw(st.none() | st.lists(st.integers(0, 12), min_size=1,
+                                        max_size=5).map(tuple))
+    report = SmallGainReport(
+        holds=draw(st.booleans()),
+        cycles=tuple(itertools.islice(itertools.cycle(verdicts), length)),
+        failing_cycle=failing,
+        witness=draw(_WITNESS) if failing is not None else None,
+        critical_only=draw(st.booleans()))
+    payload = {"command": draw(st.sampled_from(["check-sg", "synth"])),
+               "small_gain": report}
+    if draw(st.booleans()):
+        payload["gas_witness"] = draw(st.lists(st.floats(), max_size=3))
+    if draw(st.booleans()):
+        payload["status"] = "synthesized"
+        payload["composite"] = {"note": draw(_TEXT), "rows": [[1.5, None]]}
+    return payload, {**payload, "small_gain": report.to_json()}
+
+
+def _assert_same_text(text, expected):
+    # names the first difference: pytest's own diff of two long texts takes
+    # minutes, on every example that hypothesis shrinks
+    if text != expected:
+        k = next((i for i, (a, b) in enumerate(zip(text, expected)) if a != b),
+                 min(len(text), len(expected)))
+        pytest.fail(f"texts differ at {k}: {text[k - 40:k + 40]!r} != "
+                    f"{expected[k - 40:k + 40]!r}")
+
+
+@settings(max_examples=150, deadline=None)
+@given(_payloads())
+def test_written_report_equals_json_dumps(payload_and_body):
+    payload, body = payload_and_body
+    fh = io.StringIO()
+    _write_json(fh, payload)
+    _assert_same_text(fh.getvalue(),
+                      json.dumps(body, indent=2, sort_keys=True) + "\n")
 
 
 def test_synth_outputs(tmp_path, sg_config):
@@ -465,6 +599,29 @@ def test_check_sg_hostile_grid_rejected(tmp_path, capsys, monkeypatch, grid):
     assert main(["check-sg", "--input", str(path), "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith(
         "error: config field 'analysis.grid': grid requires ")
+    assert not out.exists()
+
+
+def test_check_sg_component_past_karp_cap_rejected(tmp_path, capsys,
+                                                   monkeypatch):
+    # a complete digraph on nodes 1-8 has more circuits than the listing
+    # cap, and a ring through node 1 makes its component 8,192 nodes long:
+    # Karp's tables for it would pass 2**30 bytes, so the run stops with
+    # exit 1 before they are allocated
+    n, half = 8192, {"kind": "linear", "k": 0.5}
+    ring = [1] + list(range(9, n + 1))
+    gains = [{"i": i, "j": j, "fn": half} for i in range(1, 9)
+             for j in range(1, 9) if i != j]
+    gains += [{"i": a, "j": b, "fn": half}
+              for a, b in zip(ring, ring[1:] + ring[:1])]
+    cfg = _write(tmp_path / "cfg.json", {"gains": {"n": n, "gains": gains}})
+    monkeypatch.setattr(np, "zeros", lambda *args, **kwargs: pytest.fail(
+        f"np.zeros{args} reached"))
+    out = tmp_path / "out"
+    assert main(["check-sg", "--input", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error (check-sg): a strongly connected component of c = 8192 nodes "
+        "is too large for the maximum cycle mean")
     assert not out.exists()
 
 

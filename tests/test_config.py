@@ -318,12 +318,31 @@ def _entry(**fn):
      "float range, got a JSON integer"),
     ("check-sg", {"analysis": {}}, "config requires a field 'gains'"),
     ("check-sg", [_G2], "config must be an object, got a JSON array"),
+    # a top-level object that the command does not use is an object all
+    # the same, worded as for a command that uses it
+    ("check-sg", {"gains": _G2, "system": True},
+     "config field 'system': system must be an object, got True"),
+    ("check-sg", {"gains": _G2, "synthesis": None},
+     "config field 'synthesis': synthesis must be an object, got None"),
+    ("simulate", {"system": _VALIDATE["system"], "gains": [],
+                  "analysis": {"x0": [0.0]}},
+     "config field 'gains': gain matrix must be an object, got a JSON "
+     "array"),
+    ("validate", dict(_VALIDATE, synthesis="zeta"),
+     "config field 'synthesis': synthesis must be an object, got 'zeta'"),
+    # skipped the gain-bound check and passed
+    ("validate", {k: v for k, v in _VALIDATE.items() if k != "synthesis"},
+     "config requires a field 'synthesis' when analysis.u_sup is given"),
+    ("validate", {k: v for k, v in _VALIDATE.items() if k != "gains"},
+     "config requires a field 'gains' when analysis.u_sup is given"),
 ], ids=["gainz", "entry-extra-key", "gain-kk", "gain-kk-for-k", "gain-no-k",
         "zetta",
         "p-object", "p-number", "p-entry", "synthesis-array", "grid-array",
         "grid-point", "horizn", "usup", "synthesys", "unused-field-mistyped",
         "x0-past-float-range", "k-past-float-range", "no-gains",
-        "config-array"])
+        "config-array", "unused-system-true", "unused-synthesis-null",
+        "unused-gains-array", "synthesis-string", "u_sup-without-synthesis",
+        "u_sup-without-gains"])
 def test_config_that_ran_before_is_rejected(tmp_path, command, cfg, message):
     code, err, written = _run(tmp_path, command, cfg)
     assert (code, err) == (1, f"error: {message}\n")

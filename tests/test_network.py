@@ -556,6 +556,29 @@ def test_max_cycle_mean_matches_brute_force(rng):
             assert abs(means[cycle] - best) <= 1e-12
 
 
+class _Allocated(Exception):
+    pass
+
+
+def test_max_cycle_mean_caps_its_tables(monkeypatch):
+    # two (c + 1) x c tables of 8-byte floats pass 2**30 bytes from c = 8192:
+    # such a component is refused before either table is allocated, and
+    # c = 8191 still reaches the allocation
+    def zeros(*args, **kwargs):
+        raise _Allocated(args)
+
+    def ring(c):
+        return {(v, (v + 1) % c): -0.1 for v in range(c)}
+
+    monkeypatch.setattr(np, "zeros", zeros)
+    with pytest.raises(_Allocated):
+        network._max_cycle_mean(ring(8191))
+    for c in (8192, 100_000):
+        with pytest.raises(ValueError, match=rf"^a strongly connected "
+                           rf"component of c = {c} nodes is too large"):
+            network._max_cycle_mean(ring(c))
+
+
 def _dense(n, coeffs, make=Linear):
     return GainMatrix.from_entries(
         [[make(float(coeffs[i, j])) for j in range(n)] for i in range(n)])
